@@ -28,7 +28,7 @@ margin (theta - w + s); the baseline game is the s = 0 special case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .outcomes import Equilibrium, PeriodOutcome
 from .params import (
@@ -39,6 +39,7 @@ from .params import (
     ValidationReport,
     Winner,
     require_valid,
+    validate,
 )
 
 #: Tolerance for the built-in regime-vs-argmax consistency check.
@@ -91,12 +92,6 @@ def q1_star(params: ModelParams, strategy: Strategy) -> float:
     return (1.0 + strategy.eta1) * margin / (2.0 * params.c)
 
 
-def period2_effort_incumbent(params: ModelParams, alpha1: float, w2: float, eta2: float) -> float:
-    """Deployer effort in period 2 when staying with the incumbent."""
-    margin = params.theta - w2 + params.s
-    return (1.0 + params.k * alpha1) * (1.0 + eta2) * margin / (2.0 * params.c)
-
-
 def period2_profit_incumbent(params: ModelParams, alpha1: float, w2: float, eta2: float) -> float:
     """Deployer's period-2 surplus when staying with the incumbent.
 
@@ -107,12 +102,6 @@ def period2_profit_incumbent(params: ModelParams, alpha1: float, w2: float, eta2
     return (1.0 + params.k * alpha1) * (1.0 + eta2) * margin * margin / (4.0 * params.c)
 
 
-def period2_effort_entrant(params: ModelParams, eta1: float, eta2_tilde: float, w2_tilde: float) -> float:
-    """Deployer effort in period 2 when switching to the entrant."""
-    margin = params.theta - w2_tilde + params.s
-    return (1.0 + eta1) * (1.0 + eta2_tilde) * margin / (2.0 * params.c)
-
-
 def period2_profit_entrant(params: ModelParams, eta1: float, eta2_tilde: float, w2_tilde: float) -> float:
     """Deployer's period-2 surplus when switching to the entrant.
 
@@ -121,22 +110,6 @@ def period2_profit_entrant(params: ModelParams, eta1: float, eta2_tilde: float, 
     """
     margin = params.theta - w2_tilde + params.s
     return (1.0 + eta1) * (1.0 + eta2_tilde) * margin * margin / (4.0 * params.c)
-
-
-def incumbent_wins(params: ModelParams, strategy: Strategy) -> bool:
-    """Whether the deployer stays with the incumbent in period 2.
-
-    Both developers end up fully open at the follower fee, so the contest
-    reduces to flywheel vs spillover: stay iff
-    2c (1 + eta1) <= 2c + k (1 + eta1)(theta - w1 + s),
-    with indifference resolved toward the incumbent.
-    """
-    _check_strategy(params, strategy)
-    margin1 = params.theta - strategy.w1 + params.s
-    c2 = 2.0 * params.c
-    lhs = c2 * (1.0 + strategy.eta1)
-    rhs = c2 + params.k * (1.0 + strategy.eta1) * margin1
-    return lhs <= rhs
 
 
 def eta_bar_high(params: ModelParams) -> float:
@@ -196,7 +169,7 @@ def regime_thresholds(params: ModelParams) -> RegimeThresholds:
     flips, and k_bar_12 is +inf. eta_prime (the cap level at which the
     pairwise ordering reverses) is NaN when its denominator vanishes.
     """
-    report = _structural_report(params)
+    report = validate(replace(params, k=0.0))   # the formulas are k-free
     if not report.ok:
         raise InvalidParams(report)
     t = params.theta + params.s
@@ -236,17 +209,6 @@ def regime_thresholds(params: ModelParams) -> RegimeThresholds:
         k_bar_23=k_23,
         eta_prime=eta_prime,
     )
-
-
-def _structural_report(params: ModelParams) -> ValidationReport:
-    # Validation sans the k bound; threshold formulas are k-free.
-    from .params import validate
-
-    probe = ModelParams(
-        theta=params.theta, c=params.c, w_high=params.w_high,
-        w_low=params.w_low, eta_cap=params.eta_cap, k=0.0, s=params.s,
-    )
-    return validate(probe)
 
 
 def _regime_from_thresholds(params: ModelParams, th: RegimeThresholds) -> Regime:
@@ -319,7 +281,13 @@ def equilibrium_for_regime(params: ModelParams, regime: Regime,
     )
 
 
-def _solve(params: ModelParams) -> Equilibrium:
+def solve(params: ModelParams) -> Equilibrium:
+    """Subgame-perfect equilibrium for any admissible subsidy s.
+
+    Regime selection compares k to (k_bar_1, k_bar_2), ties resolved toward
+    the lower-k regime; the choice is cross-checked against the scenario
+    profit argmax and a RuntimeError flags any disagreement.
+    """
     profits = scenario_profits(params)
     th = regime_thresholds(params)
     if math.isnan(th.k_bar_1) or math.isnan(th.k_bar_2):
@@ -343,13 +311,8 @@ _SCENARIO_INDEX = {Regime.HARVEST: 0, Regime.DEFEND: 1, Regime.DOMINATE: 2}
 
 
 def solve_baseline(params: ModelParams) -> Equilibrium:
-    """Subgame-perfect equilibrium of the baseline (unsubsidized) game.
-
-    Regime selection compares k to (k_bar_1, k_bar_2), ties resolved toward
-    the lower-k regime; the choice is cross-checked against the scenario
-    profit argmax and a RuntimeError flags any disagreement.
-    """
+    """Subgame-perfect equilibrium of the baseline (unsubsidized) game; see solve."""
     require_valid(params)
     if params.s != 0.0:
         raise InvalidParams(ValidationReport(("baseline solver requires s = 0",)))
-    return _solve(params)
+    return solve(params)

@@ -21,29 +21,29 @@ reported separately, never silently netted out of social welfare.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 from . import numerics
 from .closed_form import (
     Equilibrium,
-    _solve,
     eta_bar_high,
     eta_bar_low,
     regime_thresholds,
+    solve,
     solve_baseline,
 )
 from .outcomes import IntegratedOutcome
 from .params import InvalidParams, ModelParams, ValidationReport, k_max, require_valid
 from .welfare import (
+    _CROSS_TOL,
+    _K_GRID_POINTS,
     PolicyComparison,
     WelfareBreakdown,
     welfare_baseline,
     welfare_for_equilibrium,
 )
-
-#: Relative tolerance for the closed-form vs rebuild checks in this module.
-_CROSS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ def _integrated_quantities(params: ModelParams, k: float) -> tuple[float, float,
     return v.profit, v.consumer, v.social
 
 
-def integration_thresholds(params: ModelParams, k_grid_points: int = 512) -> IntegrationThresholds:
+def integration_thresholds(params: ModelParams) -> IntegrationThresholds:
     """Locate the k thresholds where integration starts to pay.
 
     Three comparisons against the decentralized baseline at the same k:
@@ -143,22 +143,25 @@ def integration_thresholds(params: ModelParams, k_grid_points: int = 512) -> Int
     if params.s != 0.0:
         raise InvalidParams(ValidationReport(("integration analysis requires s = 0",)))
     k_hi = k_max(params)
-    grid = [k_hi * i / (k_grid_points - 1) for i in range(k_grid_points)]
+    grid = [k_hi * i / (_K_GRID_POINTS - 1) for i in range(_K_GRID_POINTS)]
+
+    # All three differences come from the same two solves at each k.
+    @functools.lru_cache(maxsize=None)
+    def diffs(k: float) -> tuple[float, ...]:
+        return tuple(a - b for a, b in zip(_integrated_quantities(params, k),
+                                           _decentralized_quantities(params, k)))
 
     results = []
     for idx in range(3):
         def diff(k: float, _i=idx) -> float:
-            return _integrated_quantities(params, k)[_i] - _decentralized_quantities(params, k)[_i]
+            return diffs(k)[_i]
 
-        brackets = numerics.sign_change_brackets(diff, grid)
-        if not brackets:
+        root, n = numerics.scan_and_bisect(diff, grid)
+        if root is None:
             status = "always" if diff(grid[0]) > 0 else "never"
-            results.append(ThresholdCrossing(value=None, status=status, n_crossings=0))
-            continue
-        lo, hi = brackets[-1]
-        root = lo if lo == hi else numerics.bisect_root(diff, lo, hi, xtol=1e-13)
-        results.append(ThresholdCrossing(value=root, status="crossing",
-                                         n_crossings=len(brackets)))
+        else:
+            status = "crossing"
+        results.append(ThresholdCrossing(value=root, status=status, n_crossings=n))
     return IntegrationThresholds(chain=results[0], consumer=results[1], social=results[2])
 
 
@@ -218,19 +221,11 @@ def solve_subsidized(params: ModelParams) -> SubsidizedEquilibrium:
     thresholds. Accepts s = 0, where it reduces exactly to the baseline.
     """
     require_valid(params)
-    eq = _solve(params)
+    eq = solve(params)
     th = regime_thresholds(params)
     spend = params.s * (eq.period1.engagement + eq.period2.engagement)
     return SubsidizedEquilibrium(
-        regime=eq.regime,
-        strategy=eq.strategy,
-        period1=eq.period1,
-        period2=eq.period2,
-        winner2=eq.winner2,
-        w2=eq.w2,
-        eta2=eq.eta2,
-        eta2_tilde=eq.eta2_tilde,
-        incumbent_profit=eq.incumbent_profit,
+        **vars(eq),   # shallow: asdict would turn the PeriodOutcomes into dicts
         subsidy_spend=spend,
         k_bar_1g=th.k_bar_1,
         k_bar_2g=th.k_bar_2,

@@ -1,7 +1,7 @@
 """Small numeric utilities shared by the solvers and the brute-force oracle.
 
-Only generic routines live here (golden-section maximization, bisection);
-nothing in this module knows about the game.
+Only generic routines live here (golden-section maximization, bisection,
+grid scans); nothing in this module knows about the game.
 """
 
 from __future__ import annotations
@@ -10,6 +10,14 @@ import numpy as np
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _INVPHI_F = float(_INVPHI)
+
+
+def _golden_iterations(width: float, tol: float) -> int:
+    # A fixed count, not "while b - a > tol": once the float spacing near the
+    # bracket exceeds tol the bracket stops shrinking and such a loop never ends.
+    if not width > tol:
+        return 0
+    return int(np.ceil(np.log(tol / width) / np.log(_INVPHI))) + 1
 
 
 def golden_max_scalar(f, lo: float, hi: float, tol: float = 1e-10) -> float:
@@ -21,7 +29,7 @@ def golden_max_scalar(f, lo: float, hi: float, tol: float = 1e-10) -> float:
     """
     a, b = float(lo), float(hi)
     width = b - a
-    while (b - a) > tol:
+    for _ in range(_golden_iterations(width, tol)):
         d = _INVPHI_F * (b - a)
         x1 = b - d
         x2 = a + d
@@ -59,8 +67,7 @@ def golden_max(f, lo, hi, tol: float = 1e-10):
     # Shrink every lane each iteration; recompute both probes (simple and
     # branch-free, the objective is cheap).
     a0, b0 = a.copy(), b.copy()
-    n_iter = int(np.ceil(np.log(tol / width) / np.log(_INVPHI))) + 1
-    for _ in range(n_iter):
+    for _ in range(_golden_iterations(width, tol)):
         d = _INVPHI * (b - a)
         x1 = b - d
         x2 = a + d
@@ -122,6 +129,20 @@ def sign_change_brackets(f, grid) -> list[tuple[float, float]]:
     if vals[-1] == 0.0:
         out.append((float(xs[-1]), float(xs[-1])))
     return out
+
+
+def scan_and_bisect(f, grid) -> tuple[float | None, int]:
+    """Scan a grid for sign changes of f and bisect the last bracket.
+
+    Returns (root, number of brackets); root is None when f never changes
+    sign on the grid, and an exact zero at a grid point is returned as is.
+    """
+    brackets = sign_change_brackets(f, grid)
+    if not brackets:
+        return None, 0
+    lo, hi = brackets[-1]
+    root = lo if lo == hi else bisect_root(f, lo, hi)
+    return root, len(brackets)
 
 
 def largest_true(pred, lo: float, hi: float, xtol: float = 1e-12) -> float:

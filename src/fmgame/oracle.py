@@ -29,16 +29,18 @@ from .outcomes import Equilibrium, IntegratedOutcome, PeriodOutcome
 from .params import ModelParams, Regime, Strategy, Winner, require_valid
 
 
+#: Bracket width at which the golden-section effort search stops.
+_EFFORT_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     """Search resolution knobs for the brute-force solver."""
 
     eta_grid_points: int = 10001
-    effort_search: float = 1e-10
-    k_grid_points: int = 512
 
 
-def oracle_best_effort(margin, cost_denominator, c: float = 1.0, tol: float = 1e-10):
+def oracle_best_effort(margin, cost_denominator, c: float = 1.0):
     """Numeric maximizer of margin * Q - c Q^2 / denominator over Q >= 0.
 
     Golden-section search on [0, margin * denominator / c] (the objective is
@@ -53,7 +55,7 @@ def oracle_best_effort(margin, cost_denominator, c: float = 1.0, tol: float = 1e
         if m <= 0:
             return 0.0
         return numerics.golden_max_scalar(
-            lambda q: m * q - c * q * q / d, 0.0, m * d / c, tol=tol,
+            lambda q: m * q - c * q * q / d, 0.0, m * d / c, tol=_EFFORT_TOL,
         )
 
     m = np.asarray(margin, dtype=float)
@@ -66,24 +68,24 @@ def oracle_best_effort(margin, cost_denominator, c: float = 1.0, tol: float = 1e
     def objective(q):
         return m * q - c * q * q / d
 
-    return numerics.golden_max(objective, np.zeros_like(hi), hi, tol=tol)
+    return numerics.golden_max(objective, np.zeros_like(hi), hi, tol=_EFFORT_TOL)
 
 
-def _surplus_at_best(margin, denom, c, tol):
-    q = oracle_best_effort(margin, denom, c, tol)
+def _surplus_at_best(margin, denom, c):
+    q = oracle_best_effort(margin, denom, c)
     return q, margin * q - c * q * q / denom
 
 
-def _stay_gap(params: ModelParams, w1: float, eta1: float, tol: float) -> float:
+def _stay_gap(params: ModelParams, w1: float, eta1: float) -> float:
     # Deployer's period-2 surplus advantage of staying (incumbent at the
     # follower fee) over switching, at a scalar period-1 candidate.
     t = params.theta + params.s
     c = params.c
     m2 = t - params.w_low
-    q1 = oracle_best_effort(t - w1, 1.0 + eta1, c, tol)
+    q1 = oracle_best_effort(t - w1, 1.0 + eta1, c)
     one2 = 1.0 + params.eta_cap
-    _, v_stay = _surplus_at_best(m2, (1.0 + params.k * q1) * one2, c, tol)
-    _, v_switch = _surplus_at_best(m2, (1.0 + eta1) * one2, c, tol)
+    _, v_stay = _surplus_at_best(m2, (1.0 + params.k * q1) * one2, c)
+    _, v_switch = _surplus_at_best(m2, (1.0 + eta1) * one2, c)
     return v_stay - v_switch
 
 
@@ -100,7 +102,6 @@ def oracle_solve_game(params: ModelParams, config: OracleConfig | None = None) -
         config = OracleConfig()
     c = params.c
     t = params.theta + params.s
-    tol = config.effort_search
     one2 = 1.0 + params.eta_cap
     m2 = t - params.w_low      # period-2 transaction fee is the follower fee
 
@@ -114,11 +115,11 @@ def oracle_solve_game(params: ModelParams, config: OracleConfig | None = None) -
     for w1 in fees:
         etas = np.linspace(params.eta_cap, 0.0, config.eta_grid_points)
         # Refine the retention boundary and add it as an exact candidate.
-        if _stay_gap(params, w1, params.eta_cap, tol) >= 0:
+        if _stay_gap(params, w1, params.eta_cap) >= 0:
             boundary = params.eta_cap
         else:
             boundary = numerics.largest_true(
-                lambda e: _stay_gap(params, w1, e, tol) >= 0,
+                lambda e: _stay_gap(params, w1, e) >= 0,
                 0.0, params.eta_cap, xtol=1e-12,
             )
         # The bisected point sits inside the flip's rounding fuzz, and the
@@ -128,15 +129,20 @@ def oracle_solve_game(params: ModelParams, config: OracleConfig | None = None) -
         etas = np.append(etas, (boundary, safe))
 
         m1 = t - w1
-        q1 = oracle_best_effort(m1, 1.0 + etas, c, tol)
+        q1 = oracle_best_effort(m1, 1.0 + etas, c)
 
         d_stay = (1.0 + params.k * q1) * one2
         d_switch = (1.0 + etas) * one2
-        q2_stay_low, v_stay_low = _surplus_at_best(m2, d_stay, c, tol)
-        q2_stay_high, v_stay_high = _surplus_at_best(t - params.w_high, d_stay, c, tol)
-        q2_switch, v_switch = _surplus_at_best(m2, d_switch, c, tol)
+        q2_stay_low, v_stay_low = _surplus_at_best(m2, d_stay, c)
+        q2_stay_high, v_stay_high = _surplus_at_best(t - params.w_high, d_stay, c)
+        q2_switch, v_switch = _surplus_at_best(m2, d_switch, c)
 
         wins_low = v_stay_low >= v_switch
+        # The boundary candidate (etas[-2]) keeps the scalar bisection's
+        # verdict, the deployer stays: the separate stay and switch searches
+        # above size their iteration counts from different widest lanes, so
+        # at an exact tie (equal denominators) they can disagree in the last bit.
+        wins_low[-2] = True
         wins_high = v_stay_high >= v_switch
         if np.any(v_stay_high > v_switch + 1e-9 * np.maximum(1.0, np.abs(v_switch))):
             premium_deviation_won = True
@@ -205,15 +211,14 @@ def oracle_solve_integrated(params: ModelParams, config: OracleConfig | None = N
         config = OracleConfig()
     c = params.c
     th = params.theta
-    tol = config.effort_search
     etas = np.linspace(0.0, params.eta_cap, config.eta_grid_points)
 
-    q1_all, v1_all = _surplus_at_best(th, 1.0 + etas, c, tol)
+    q1_all, v1_all = _surplus_at_best(th, 1.0 + etas, c)
     i1 = int(np.argmax(v1_all))
     eta1v, q1v = float(etas[i1]), float(q1_all[i1])
 
     d2 = (1.0 + params.k * q1v) * (1.0 + etas)
-    q2_all, v2_all = _surplus_at_best(th, d2, c, tol)
+    q2_all, v2_all = _surplus_at_best(th, d2, c)
     i2 = int(np.argmax(v2_all))
     eta2v, q2v = float(etas[i2]), float(q2_all[i2])
 

@@ -12,9 +12,9 @@ violation named in the status column rather than silently dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
-from .closed_form import solve_baseline
+from .closed_form import solve
 from .extensions import solve_integrated, solve_subsidized
 from .params import ModelParams, validate
 from .welfare import mandate_equilibrium, welfare_for_equilibrium
@@ -118,14 +118,8 @@ def _grid(lo: float, hi: float, steps: int) -> list[float]:
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
 
 
-def _solve_point(params: ModelParams):
-    if params.s == 0.0:
-        return solve_baseline(params)
-    return solve_subsidized(params)
-
-
 def _base_cells(params: ModelParams) -> list:
-    eq = _solve_point(params)
+    eq = solve(params)
     w = welfare_for_equilibrium(params, eq)
     return [
         params.k, params.s, eq.regime.value, eq.strategy.w1, eq.strategy.eta1,
@@ -161,9 +155,9 @@ def run_sweep(params: ModelParams, spec: SweepSpec) -> tuple[tuple[str, ...], li
             cells += [eq.period1.effort, eq.period2.effort,
                       w.dev1, w.dev2, w.deployer, w.consumer, w.social]
         elif spec.scenario == "integration":
-            w_base = welfare_for_equilibrium(p, _solve_point(p))
             v = solve_integrated(p)
-            cells += [w_base.dev1 + w_base.deployer, v.q1v, v.q2v,
+            chain = cells[7] + cells[9]   # pi_dev1 + profit_deployer of the base cells
+            cells += [chain, v.q1v, v.q2v,
                       v.profit, v.consumer, v.social]
         elif spec.scenario == "subsidy":
             sub = solve_subsidized(p)

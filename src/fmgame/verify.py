@@ -15,16 +15,20 @@ import numpy as np
 
 from . import numerics
 from .closed_form import (
+    _SCENARIO_INDEX,
     eta_bar_high,
     eta_bar_low,
+    period2_profit_entrant,
+    period2_profit_incumbent,
     q1_star,
     regime_thresholds,
     scenario_profits,
+    solve,
     solve_baseline,
 )
 from .extensions import solve_integrated, solve_subsidized
 from .oracle import OracleConfig, oracle_solve_game, oracle_solve_integrated
-from .params import ModelParams, Regime, Strategy, k_max, validate
+from .params import ModelParams, Strategy, k_max, validate
 from .welfare import openness_trap_threshold, welfare_baseline, welfare_mandate
 
 
@@ -51,12 +55,6 @@ def random_valid_params(rng: np.random.Generator, with_subsidy: bool = False) ->
     return replace(probe, k=k)
 
 
-def _solve_any(params: ModelParams):
-    if params.s == 0.0:
-        return solve_baseline(params)
-    return solve_subsidized(params)
-
-
 def _at_regime_tie(params: ModelParams, rel: float = 1e-7) -> bool:
     # Within this band of a threshold the two best strategy profiles pay the
     # same to float precision, so which label a numeric search lands on is a
@@ -76,7 +74,7 @@ def compare_with_oracle(params: ModelParams, config: OracleConfig,
     threshold the tie-break convention is below the oracle's noise floor;
     there only revenue agreement is enforced.
     """
-    closed = _solve_any(params)
+    closed = solve(params)
     numeric = oracle_solve_game(params, config)
     labels_differ = (closed.regime is not numeric.regime
                      or closed.winner2 is not numeric.winner2
@@ -139,8 +137,6 @@ def run_verification(params: ModelParams, config: OracleConfig | None = None,
                               f"{bad} perturbation wins" if bad else ""))
 
     # At the retention boundary the deployer is exactly indifferent.
-    from .closed_form import period2_profit_entrant, period2_profit_incumbent
-
     worst = 0.0
     for w1, eta_fn in ((params.w_high, eta_bar_high), (params.w_low, eta_bar_low)):
         try:
@@ -164,10 +160,9 @@ def run_verification(params: ModelParams, config: OracleConfig | None = None,
     for k in np.linspace(0.0, km, 201):
         p = replace(params, k=float(k))
         prof = scenario_profits(p)
-        eq = _solve_any(p)
+        eq = solve(p)
         best = max(prof.pi_s0, prof.pi_s1, prof.pi_s2)
-        chosen = (prof.pi_s0, prof.pi_s1, prof.pi_s2)[
-            {Regime.HARVEST: 0, Regime.DEFEND: 1, Regime.DOMINATE: 2}[eq.regime]]
+        chosen = (prof.pi_s0, prof.pi_s1, prof.pi_s2)[_SCENARIO_INDEX[eq.regime]]
         if chosen < best - 1e-9 * max(1.0, abs(best)):
             mismatch = f"k={k!r}: regime {eq.regime.value} revenue {chosen!r} < max {best!r}"
             break

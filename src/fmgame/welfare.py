@@ -26,7 +26,7 @@ located by bisection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import numerics
 from .closed_form import (
@@ -42,6 +42,9 @@ from .params import InvalidParams, ModelParams, ValidationReport, k_max, require
 
 #: Relative tolerance for the table-vs-rebuild cross-validation.
 _CROSS_TOL = 1e-6
+
+#: Grid points of the k scans that bracket policy thresholds.
+_K_GRID_POINTS = 512
 
 
 @dataclass(frozen=True)
@@ -201,7 +204,7 @@ def welfare_mandate(params: ModelParams) -> WelfareBreakdown:
     return welfare_for_equilibrium(params, eq)
 
 
-def openness_trap_threshold(params: ModelParams, k_grid_points: int = 512) -> float | None:
+def openness_trap_threshold(params: ModelParams) -> float | None:
     """Flywheel strength past which the mandate lowers social welfare.
 
     Scans (k_bar_1, k_max] for sign changes of
@@ -214,8 +217,6 @@ def openness_trap_threshold(params: ModelParams, k_grid_points: int = 512) -> fl
     require_valid(params)
     if params.s != 0.0:
         raise InvalidParams(ValidationReport(("mandate analysis requires s = 0",)))
-    from dataclasses import replace
-
     k_hi = k_max(params)
     th = regime_thresholds(params)
     sw_mandate = welfare_mandate(replace(params, k=0.0)).social
@@ -228,15 +229,9 @@ def openness_trap_threshold(params: ModelParams, k_grid_points: int = 512) -> fl
 
     # Open the interval on the left: at k_bar_1 itself the mandate does not bind.
     eps = 1e-12 * max(1.0, k_hi)
-    grid = [k_lo + eps + (k_hi - k_lo - eps) * i / (k_grid_points - 1)
-            for i in range(k_grid_points)]
-    brackets = numerics.sign_change_brackets(gap, grid)
-    if not brackets:
-        return None
-    lo, hi = brackets[-1]
-    if lo == hi:
-        return lo
-    return numerics.bisect_root(gap, lo, hi, xtol=1e-13)
+    grid = [k_lo + eps + (k_hi - k_lo - eps) * i / (_K_GRID_POINTS - 1)
+            for i in range(_K_GRID_POINTS)]
+    return numerics.scan_and_bisect(gap, grid)[0]
 
 
 def mandate_comparison(params: ModelParams) -> PolicyComparison:

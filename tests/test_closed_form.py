@@ -13,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmgame import (
+    OracleConfig,
     Regime,
     Winner,
+    compare_with_oracle,
     eta_bar_high,
     eta_bar_low,
     k_max,
@@ -165,6 +167,8 @@ def test_equal_fees_defend_at_k_zero():
     assert eq.regime is Regime.DEFEND
     assert eq.strategy.eta1 == 0.0
     assert eq.winner2 is Winner.INCUMBENT
+    # The oracle must give the same indifference tie to the incumbent.
+    assert compare_with_oracle(p, OracleConfig()) is None
 
 
 def _random_params(rng):
