@@ -286,7 +286,9 @@ def solve(params: ModelParams) -> Equilibrium:
 
     Regime selection compares k to (k_bar_1, k_bar_2), ties resolved toward
     the lower-k regime; the choice is cross-checked against the scenario
-    profit argmax and a RuntimeError flags any disagreement.
+    profit argmax and a RuntimeError flags any disagreement. params are not
+    validated here: callers check them first, as solve_baseline and
+    solve_subsidized do with require_valid.
     """
     profits = scenario_profits(params)
     th = regime_thresholds(params)

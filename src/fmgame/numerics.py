@@ -12,15 +12,11 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _INVPHI_F = float(_INVPHI)
 
 
-def _golden_iterations(width: float, tol: float) -> int:
-    # A fixed count, not "while b - a > tol": once the float spacing near the
-    # bracket exceeds tol the bracket stops shrinking and such a loop never ends.
-    if not width > tol:
-        return 0
-    return int(np.ceil(np.log(tol / width) / np.log(_INVPHI))) + 1
+#: Bracket width at which the golden-section searches stop.
+_GOLDEN_TOL = 1e-10
 
 
-def golden_max_scalar(f, lo: float, hi: float, tol: float = 1e-10) -> float:
+def golden_max_scalar(f, lo: float, hi: float) -> float:
     """Golden-section maximizer on plain floats (fast path for scalar work).
 
     Pure comparison search bottoms out near sqrt(eps) argument accuracy, so
@@ -29,7 +25,10 @@ def golden_max_scalar(f, lo: float, hi: float, tol: float = 1e-10) -> float:
     """
     a, b = float(lo), float(hi)
     width = b - a
-    for _ in range(_golden_iterations(width, tol)):
+    # Known defect: once the float spacing near the maximizer exceeds the
+    # stopping width (a maximizer above 2**19, about 5.2e5) the bracket stops
+    # shrinking and this loop never ends.
+    while (b - a) > _GOLDEN_TOL:
         d = _INVPHI_F * (b - a)
         x1 = b - d
         x2 = a + d
@@ -52,7 +51,7 @@ def golden_max_scalar(f, lo: float, hi: float, tol: float = 1e-10) -> float:
     return mid
 
 
-def golden_max(f, lo, hi, tol: float = 1e-10):
+def golden_max(f, lo, hi):
     """Golden-section maximizer of a unimodal f on [lo, hi], vectorized.
 
     lo and hi may be scalars or equal-shape arrays; f must accept arrays of
@@ -62,12 +61,13 @@ def golden_max(f, lo, hi, tol: float = 1e-10):
     a = np.asarray(lo, dtype=float).copy()
     b = np.asarray(hi, dtype=float).copy()
     width = np.max(b - a) if a.size else 0.0
-    if width <= tol:
+    if width <= _GOLDEN_TOL:
         return (a + b) / 2.0
     # Shrink every lane each iteration; recompute both probes (simple and
     # branch-free, the objective is cheap).
     a0, b0 = a.copy(), b.copy()
-    for _ in range(_golden_iterations(width, tol)):
+    n_iter = int(np.ceil(np.log(_GOLDEN_TOL / width) / np.log(_INVPHI))) + 1
+    for _ in range(n_iter):
         d = _INVPHI * (b - a)
         x1 = b - d
         x2 = a + d

@@ -29,10 +29,6 @@ from .outcomes import Equilibrium, IntegratedOutcome, PeriodOutcome
 from .params import ModelParams, Regime, Strategy, Winner, require_valid
 
 
-#: Bracket width at which the golden-section effort search stops.
-_EFFORT_TOL = 1e-10
-
-
 @dataclass(frozen=True)
 class OracleConfig:
     """Search resolution knobs for the brute-force solver."""
@@ -55,7 +51,7 @@ def oracle_best_effort(margin, cost_denominator, c: float = 1.0):
         if m <= 0:
             return 0.0
         return numerics.golden_max_scalar(
-            lambda q: m * q - c * q * q / d, 0.0, m * d / c, tol=_EFFORT_TOL,
+            lambda q: m * q - c * q * q / d, 0.0, m * d / c,
         )
 
     m = np.asarray(margin, dtype=float)
@@ -68,7 +64,7 @@ def oracle_best_effort(margin, cost_denominator, c: float = 1.0):
     def objective(q):
         return m * q - c * q * q / d
 
-    return numerics.golden_max(objective, np.zeros_like(hi), hi, tol=_EFFORT_TOL)
+    return numerics.golden_max(objective, np.zeros_like(hi), hi)
 
 
 def _surplus_at_best(margin, denom, c):
@@ -122,11 +118,7 @@ def oracle_solve_game(params: ModelParams, config: OracleConfig | None = None) -
                 lambda e: _stay_gap(params, w1, e) >= 0,
                 0.0, params.eta_cap, xtol=1e-12,
             )
-        # The bisected point sits inside the flip's rounding fuzz, and the
-        # vectorized re-check below may round the other way. Keep it, plus a
-        # nudge strictly into the winning side.
-        safe = max(boundary - 1e-9 * max(1.0, params.eta_cap), 0.0)
-        etas = np.append(etas, (boundary, safe))
+        etas = np.append(etas, boundary)
 
         m1 = t - w1
         q1 = oracle_best_effort(m1, 1.0 + etas, c)
@@ -138,11 +130,11 @@ def oracle_solve_game(params: ModelParams, config: OracleConfig | None = None) -
         q2_switch, v_switch = _surplus_at_best(m2, d_switch, c)
 
         wins_low = v_stay_low >= v_switch
-        # The boundary candidate (etas[-2]) keeps the scalar bisection's
-        # verdict, the deployer stays: the separate stay and switch searches
-        # above size their iteration counts from different widest lanes, so
-        # at an exact tie (equal denominators) they can disagree in the last bit.
-        wins_low[-2] = True
+        # The boundary candidate keeps the scalar bisection's verdict, the
+        # deployer stays: the separate stay and switch searches above size
+        # their iteration counts from different widest lanes, so at the
+        # boundary they can disagree in the last bit.
+        wins_low[-1] = True
         wins_high = v_stay_high >= v_switch
         if np.any(v_stay_high > v_switch + 1e-9 * np.maximum(1.0, np.abs(v_switch))):
             premium_deviation_won = True

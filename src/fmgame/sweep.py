@@ -118,14 +118,14 @@ def _grid(lo: float, hi: float, steps: int) -> list[float]:
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
 
 
-def _base_cells(params: ModelParams) -> list:
+def _base_cells(params: ModelParams):
     eq = solve(params)
     w = welfare_for_equilibrium(params, eq)
     return [
         params.k, params.s, eq.regime.value, eq.strategy.w1, eq.strategy.eta1,
         eq.period1.effort, eq.period2.effort,
         w.dev1, w.dev2, w.deployer, w.consumer, w.social,
-    ]
+    ], w
 
 
 def run_sweep(params: ModelParams, spec: SweepSpec) -> tuple[tuple[str, ...], list[list[str]]]:
@@ -146,7 +146,7 @@ def run_sweep(params: ModelParams, spec: SweepSpec) -> tuple[tuple[str, ...], li
             rows.append([_fmt(p.k), _fmt(p.s)] + pad + ["; ".join(report.violations)])
             continue
 
-        cells = _base_cells(base_p)
+        cells, w_base = _base_cells(base_p)
         if spec.scenario == "subsidy":
             cells[1] = p.s    # report the swept subsidy, baseline cells are s=0
         if spec.scenario == "mandate":
@@ -156,8 +156,7 @@ def run_sweep(params: ModelParams, spec: SweepSpec) -> tuple[tuple[str, ...], li
                       w.dev1, w.dev2, w.deployer, w.consumer, w.social]
         elif spec.scenario == "integration":
             v = solve_integrated(p)
-            chain = cells[7] + cells[9]   # pi_dev1 + profit_deployer of the base cells
-            cells += [chain, v.q1v, v.q2v,
+            cells += [w_base.dev1 + w_base.deployer, v.q1v, v.q2v,
                       v.profit, v.consumer, v.social]
         elif spec.scenario == "subsidy":
             sub = solve_subsidized(p)

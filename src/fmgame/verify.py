@@ -28,7 +28,7 @@ from .closed_form import (
 )
 from .extensions import solve_integrated, solve_subsidized
 from .oracle import OracleConfig, oracle_solve_game, oracle_solve_integrated
-from .params import ModelParams, Strategy, k_max, validate
+from .params import ModelParams, Strategy, k_max, require_valid, validate
 from .welfare import openness_trap_threshold, welfare_baseline, welfare_mandate
 
 
@@ -74,6 +74,7 @@ def compare_with_oracle(params: ModelParams, config: OracleConfig,
     threshold the tie-break convention is below the oracle's noise floor;
     there only revenue agreement is enforced.
     """
+    require_valid(params)
     closed = solve(params)
     numeric = oracle_solve_game(params, config)
     labels_differ = (closed.regime is not numeric.regime
