@@ -14,14 +14,14 @@ parameters or malformed config/sweep.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from dataclasses import replace
 
 from .closed_form import eta_bar_high, eta_bar_low, regime_thresholds, scenario_profits
 from .extensions import integration_comparison, solve_subsidized, subsidy_comparison
-from .oracle import OracleConfig
 from .params import InvalidParams, k_max, require_valid
-from .sweep import ConfigError, SweepSpec, read_config, run_sweep, write_csv
+from .sweep import _SCENARIOS, ConfigError, SweepSpec, read_config, run_sweep, write_csv
 from .verify import run_verification
 from .welfare import mandate_comparison, welfare_for_equilibrium
 
@@ -90,7 +90,7 @@ def _policy_report(params, which: str) -> str:
 
 
 def _verify_lines(params, tolerance: float):
-    checks = run_verification(params, OracleConfig(), oracle_rel_tol=tolerance)
+    checks = run_verification(params, oracle_rel_tol=tolerance)
     out = []
     for c in checks:
         tag = "PASS" if c.passed else "FAIL"
@@ -120,8 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--lo", required=True, type=float)
     p_sweep.add_argument("--hi", required=True, type=float)
     p_sweep.add_argument("--steps", required=True, type=int)
-    p_sweep.add_argument("--scenario", default="baseline",
-                         choices=["baseline", "mandate", "integration", "subsidy"])
+    p_sweep.add_argument("--scenario", default="baseline", choices=_SCENARIOS)
 
     p_pol = sub.add_parser("policy", help="baseline vs counterfactual at the config point")
     p_pol.add_argument("which", choices=["mandate", "integration", "subsidy"])
@@ -146,26 +145,21 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         params = read_config(args.config)
-        if args.command == "solve":
-            require_valid(params)
-            _write_out(_solve_report(params), args.out)
-            return 0
         if args.command == "sweep":
             spec = SweepSpec(parameter=args.param, lo=args.lo, hi=args.hi,
                              steps=args.steps, scenario=args.scenario)
-            cols, rows = run_sweep(params, spec)
-            if args.out is None:
-                write_csv(cols, rows, sys.stdout)
-            else:
-                with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                    write_csv(cols, rows, fh)
+            buf = io.StringIO()
+            write_csv(*run_sweep(params, spec), buf)
+            _write_out(buf.getvalue(), args.out)
+            return 0
+        require_valid(params)
+        if args.command == "solve":
+            _write_out(_solve_report(params), args.out)
             return 0
         if args.command == "policy":
-            require_valid(params)
             _write_out(_policy_report(params, args.which), args.out)
             return 0
         # verify
-        require_valid(params)
         lines, failed = _verify_lines(params, args.tolerance)
         _write_out("\n".join(lines) + "\n", args.out)
         return 1 if failed else 0

@@ -26,21 +26,14 @@ import math
 from dataclasses import dataclass, replace
 
 from . import numerics
-from .closed_form import (
-    Equilibrium,
-    eta_bar_high,
-    eta_bar_low,
-    regime_thresholds,
-    solve,
-    solve_baseline,
-)
+from .closed_form import Equilibrium, regime_thresholds, solve, solve_baseline
 from .outcomes import IntegratedOutcome
 from .params import InvalidParams, ModelParams, ValidationReport, k_max, require_valid
 from .welfare import (
     _CROSS_TOL,
-    _K_GRID_POINTS,
     PolicyComparison,
     WelfareBreakdown,
+    _k_grid,
     welfare_baseline,
     welfare_for_equilibrium,
 )
@@ -53,8 +46,6 @@ class SubsidizedEquilibrium(Equilibrium):
     subsidy_spend: float = 0.0
     k_bar_1g: float = math.nan
     k_bar_2g: float = math.nan
-    eta_bar_hg: float = math.nan
-    eta_bar_lg: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -142,8 +133,7 @@ def integration_thresholds(params: ModelParams) -> IntegrationThresholds:
     require_valid(params)
     if params.s != 0.0:
         raise InvalidParams(ValidationReport(("integration analysis requires s = 0",)))
-    k_hi = k_max(params)
-    grid = [k_hi * i / (_K_GRID_POINTS - 1) for i in range(_K_GRID_POINTS)]
+    grid = _k_grid(0.0, k_max(params))
 
     # All three differences come from the same two solves at each k.
     @functools.lru_cache(maxsize=None)
@@ -181,7 +171,7 @@ def integration_comparison(params: ModelParams) -> PolicyComparison:
     baseline.
     """
     p0 = replace(params, s=0.0)
-    base_eq = _baseline_at(params)
+    base_eq = solve_baseline(p0)
     base = welfare_for_equilibrium(p0, base_eq)
     v = solve_integrated(p0)
     counter = WelfareBreakdown.from_components(
@@ -202,13 +192,7 @@ def integration_comparison(params: ModelParams) -> PolicyComparison:
         baseline_equilibrium=base_eq,
         baseline=base,
         counterfactual=counter,
-        delta=counter.delta(base),
-        counterfactual_outcome=v,
     )
-
-
-def _baseline_at(params: ModelParams) -> Equilibrium:
-    return solve_baseline(replace(params, s=0.0))
 
 
 def solve_subsidized(params: ModelParams) -> SubsidizedEquilibrium:
@@ -229,8 +213,6 @@ def solve_subsidized(params: ModelParams) -> SubsidizedEquilibrium:
         subsidy_spend=spend,
         k_bar_1g=th.k_bar_1,
         k_bar_2g=th.k_bar_2,
-        eta_bar_hg=eta_bar_high(params),
-        eta_bar_lg=eta_bar_low(params),
     )
 
 
@@ -254,7 +236,7 @@ def subsidy_comparison(params: ModelParams) -> PolicyComparison:
     if params.s <= 0.0:
         raise InvalidParams(ValidationReport(("subsidy comparison requires s > 0",)))
     base_params = replace(params, s=0.0)
-    base_eq = _baseline_at(params)
+    base_eq = solve_baseline(base_params)
     base = welfare_for_equilibrium(base_params, base_eq)
     sub_eq = solve_subsidized(params)
     counter = welfare_for_equilibrium(params, sub_eq)
@@ -275,8 +257,6 @@ def subsidy_comparison(params: ModelParams) -> PolicyComparison:
         baseline_equilibrium=base_eq,
         baseline=base,
         counterfactual=counter,
-        delta=counter.delta(base),
-        counterfactual_outcome=sub_eq,
         subsidy_spend=sub_eq.subsidy_spend,
         sw_net_of_spend=counter.social - sub_eq.subsidy_spend,
     )

@@ -88,7 +88,7 @@ def golden_max(f, lo, hi):
     return np.where(yv >= y2 - slack, xv, mid)
 
 
-def bisect_root(f, lo: float, hi: float, xtol: float = 1e-13, max_iter: int = 200) -> float:
+def bisect_root(f, lo: float, hi: float, xtol: float = 1e-13) -> float:
     """Bisection root of a scalar f with a sign change on [lo, hi].
 
     Endpoints evaluating exactly to zero are accepted as roots. Raises
@@ -102,7 +102,7 @@ def bisect_root(f, lo: float, hi: float, xtol: float = 1e-13, max_iter: int = 20
         return hi
     if (flo > 0) == (fhi > 0):
         raise ValueError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if fm == 0.0 or (hi - lo) < xtol:
@@ -145,17 +145,17 @@ def scan_and_bisect(f, grid) -> tuple[float | None, int]:
     return root, len(brackets)
 
 
-def largest_true(pred, lo: float, hi: float, xtol: float = 1e-12) -> float:
+def largest_true(pred, lo: float, hi: float) -> float:
     """Largest x in [lo, hi] with pred(x) true, given pred(lo) is true.
 
     Assumes pred flips at most once from true to false as x grows. Returns a
-    point on the true side of the boundary.
+    point on the true side of the boundary, within 1e-12 of it.
     """
     if pred(hi):
         return hi
     if not pred(lo):
         raise ValueError("pred(lo) must hold")
-    while (hi - lo) > xtol:
+    while (hi - lo) > 1e-12:
         mid = 0.5 * (lo + hi)
         if pred(mid):
             lo = mid

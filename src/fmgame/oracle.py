@@ -115,9 +115,7 @@ def oracle_solve_game(params: ModelParams, config: OracleConfig | None = None) -
             boundary = params.eta_cap
         else:
             boundary = numerics.largest_true(
-                lambda e: _stay_gap(params, w1, e) >= 0,
-                0.0, params.eta_cap, xtol=1e-12,
-            )
+                lambda e: _stay_gap(params, w1, e) >= 0, 0.0, params.eta_cap)
         etas = np.append(etas, boundary)
 
         m1 = t - w1

@@ -31,6 +31,9 @@ from .oracle import OracleConfig, oracle_solve_game, oracle_solve_integrated
 from .params import ModelParams, Strategy, k_max, require_valid, validate
 from .welfare import openness_trap_threshold, welfare_baseline, welfare_mandate
 
+#: k-points of the oracle-equivalence check.
+_ORACLE_K_POINTS = 100
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -55,13 +58,13 @@ def random_valid_params(rng: np.random.Generator, with_subsidy: bool = False) ->
     return replace(probe, k=k)
 
 
-def _at_regime_tie(params: ModelParams, rel: float = 1e-7) -> bool:
+def _at_regime_tie(params: ModelParams) -> bool:
     # Within this band of a threshold the two best strategy profiles pay the
     # same to float precision, so which label a numeric search lands on is a
     # coin flip and not evidence of a wrong formula.
     prof = scenario_profits(params)
     a, b, _ = sorted((prof.pi_s0, prof.pi_s1, prof.pi_s2), reverse=True)
-    return (a - b) <= rel * max(1.0, abs(a))
+    return (a - b) <= 1e-7 * max(1.0, abs(a))
 
 
 def compare_with_oracle(params: ModelParams, config: OracleConfig,
@@ -97,14 +100,11 @@ def compare_with_oracle(params: ModelParams, config: OracleConfig,
     return None
 
 
-def run_verification(params: ModelParams, config: OracleConfig | None = None,
-                     oracle_rel_tol: float = 1e-5, n_k: int = 100,
-                     seed: int = 20240811) -> list[CheckResult]:
+def run_verification(params: ModelParams, oracle_rel_tol: float = 1e-5) -> list[CheckResult]:
     """Run the full invariant suite for one parameter set."""
-    if config is None:
-        config = OracleConfig()
+    config = OracleConfig()
     checks: list[CheckResult] = []
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(20240811)
 
     report = validate(params)
     checks.append(CheckResult("params-valid", report.ok, "; ".join(report.violations)))
@@ -190,7 +190,7 @@ def run_verification(params: ModelParams, config: OracleConfig | None = None,
     # Trap root, when one exists, must zero the welfare gap.
     trap = openness_trap_threshold(p0)
     if trap is None:
-        checks.append(CheckResult("trap-root", True, "no trap on admissible range"))
+        checks.append(CheckResult("trap-root", True, "no sign change on the binding range"))
     else:
         gap = abs(welfare_baseline(replace(p0, k=trap)).social - wm_lo.social)
         ok = gap < 1e-8 and th.k_bar_1 < trap <= km0
@@ -229,7 +229,7 @@ def run_verification(params: ModelParams, config: OracleConfig | None = None,
     # is a pure tie-break convention rather than a checkable prediction.
     fail = None
     km = k_max(params)
-    for k in (np.arange(n_k) + 0.5) / n_k * km:
+    for k in (np.arange(_ORACLE_K_POINTS) + 0.5) / _ORACLE_K_POINTS * km:
         p = replace(params, k=float(k))
         msg = compare_with_oracle(p, config, rel_tol=oracle_rel_tol)
         if msg is not None:
@@ -237,7 +237,7 @@ def run_verification(params: ModelParams, config: OracleConfig | None = None,
             break
     checks.append(CheckResult(
         "oracle-equivalence", fail is None,
-        fail or f"{n_k} k-points at rel tol {oracle_rel_tol:g}",
+        fail or f"{_ORACLE_K_POINTS} k-points at rel tol {oracle_rel_tol:g}",
     ))
 
     # Doubling the openness grid must not move the oracle argmax materially.

@@ -82,10 +82,20 @@ class PolicyComparison:
     baseline_equilibrium: Equilibrium
     baseline: WelfareBreakdown
     counterfactual: WelfareBreakdown
-    delta: WelfareBreakdown
-    counterfactual_outcome: object | None = None
     subsidy_spend: float = 0.0
     sw_net_of_spend: float | None = None
+
+    @property
+    def delta(self) -> WelfareBreakdown:
+        """Counterfactual minus baseline, component-wise."""
+        return self.counterfactual.delta(self.baseline)
+
+
+def _k_grid(lo: float, hi: float) -> list[float]:
+    """Uniform scan grid on [lo, hi] whose last point is exactly hi."""
+    # lo + (hi - lo) * n / n can round past hi, and a k above k_max is invalid.
+    n = _K_GRID_POINTS - 1
+    return [lo + (hi - lo) * i / n for i in range(n)] + [hi]
 
 
 def _table_components(params: ModelParams, regime: Regime) -> tuple[float, float, float, float]:
@@ -210,9 +220,10 @@ def openness_trap_threshold(params: ModelParams) -> float | None:
     Scans (k_bar_1, k_max] for sign changes of
     f(k) = SW_baseline(k) - SW_mandate and bisects the final bracket to a
     k-resolution of 1e-13 (so the SW gap at the root is far below 1e-8).
-    Returns None when f never turns positive on the admissible range (no
-    trap: the mandate helps everywhere it binds). k is the only moving
-    part; params.k is ignored.
+    Returns None when f never changes sign on the binding range: either the
+    mandate helps everywhere it binds, or it hurts everywhere it binds (as
+    when the baseline goes straight from harvest to dominate). k is the
+    only moving part; params.k is ignored.
     """
     require_valid(params)
     if params.s != 0.0:
@@ -229,28 +240,29 @@ def openness_trap_threshold(params: ModelParams) -> float | None:
 
     # Open the interval on the left: at k_bar_1 itself the mandate does not bind.
     eps = 1e-12 * max(1.0, k_hi)
-    grid = [k_lo + eps + (k_hi - k_lo - eps) * i / (_K_GRID_POINTS - 1)
-            for i in range(_K_GRID_POINTS)]
-    return numerics.scan_and_bisect(gap, grid)[0]
+    return numerics.scan_and_bisect(gap, _k_grid(k_lo + eps, k_hi))[0]
 
 
 def mandate_comparison(params: ModelParams) -> PolicyComparison:
-    """Baseline vs mandated-openness welfare at the params' own k."""
+    """Baseline vs mandated-openness welfare at the params' own k.
+
+    Regions: "mandate_slack" (the baseline harvests at full openness
+    anyway), "trap" (the mandate lowers social welfare at this k) and
+    "mandate_binding" (it binds without lowering social welfare).
+    """
     base_eq = solve_baseline(params)
     base = welfare_for_equilibrium(params, base_eq)
     counter = welfare_mandate(params)
-    th = regime_thresholds(params)
-    if params.k <= th.k_bar_1:
+    if base_eq.regime is Regime.HARVEST:
         region = "mandate_slack"          # harvest anyway, mandate changes nothing
+    elif counter.social < base.social:
+        region = "trap"
     else:
-        trap = openness_trap_threshold(params)
-        region = "trap" if (trap is not None and params.k > trap) else "mandate_binding"
+        region = "mandate_binding"
     return PolicyComparison(
         intervention="mandate",
         region=region,
         baseline_equilibrium=base_eq,
         baseline=base,
         counterfactual=counter,
-        delta=counter.delta(base),
-        counterfactual_outcome=mandate_equilibrium(params),
     )

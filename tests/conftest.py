@@ -9,6 +9,15 @@ SET_A = ModelParams(theta=5.0, c=1.0, w_high=2.5, w_low=0.5, eta_cap=1.5, k=0.2)
 # Subsidized variant with a narrower fee gap.
 SET_B = ModelParams(theta=5.0, c=1.0, w_high=2.5, w_low=0.8, eta_cap=1.5, k=0.2, s=0.5)
 
+# Valid points where lo + (hi - lo) * i / n rounds past k_max at the last
+# point of a k scan: the mandate's trap scan and the integration scan.
+MANDATE_SCAN_OVERSHOOT = ModelParams(
+    theta=5.941616415240375, c=2.3135745187744847, w_high=1.9023730795852418,
+    w_low=1.2341558504073653, eta_cap=3.3014249931759463, k=0.14331187323680075)
+INTEGRATION_SCAN_OVERSHOOT = ModelParams(
+    theta=4.60114343008928, c=0.66908296106346, w_high=1.1738065480743618,
+    w_low=1.172261311798686, eta_cap=4.987912075987402, k=0.00017599219294659602)
+
 
 @pytest.fixture
 def set_a():

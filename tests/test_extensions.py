@@ -22,7 +22,7 @@ from fmgame import (
     welfare_subsidized,
 )
 
-from conftest import SET_A, SET_B
+from conftest import INTEGRATION_SCAN_OVERSHOOT, SET_A, SET_B
 
 
 class TestIntegratedOutcome:
@@ -81,6 +81,12 @@ class TestIntegrationThresholds:
     def test_requires_unsubsidized_point(self):
         with pytest.raises(InvalidParams):
             integration_thresholds(SET_B)
+
+    def test_scan_stays_inside_k_max(self):
+        # The scan's last point must be k_max itself, not a rounding past it.
+        th = integration_thresholds(INTEGRATION_SCAN_OVERSHOOT)
+        assert (th.chain.status, th.consumer.status, th.social.status) == ("always",) * 3
+        assert integration_comparison(INTEGRATION_SCAN_OVERSHOOT).region == "win_win"
 
 
 class TestIntegrationComparison:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import SET_A, SET_B
+from conftest import INTEGRATION_SCAN_OVERSHOOT, MANDATE_SCAN_OVERSHOOT, SET_A, SET_B
 from fmgame import (
     ConfigError,
     SweepSpec,
@@ -223,6 +223,17 @@ class TestCliCommands:
         assert "region: win_win" in out
         for name in ("dev1", "dev2", "deployer", "consumer", "social"):
             assert name in out
+
+    @pytest.mark.parametrize("which, params", [
+        ("mandate", MANDATE_SCAN_OVERSHOOT),
+        ("integration", INTEGRATION_SCAN_OVERSHOOT),
+    ], ids=["mandate", "integration"])
+    def test_policy_exits_0_where_the_scan_reached_k_max(self, tmp_path, capsys, which, params):
+        cfg = _write_cfg(tmp_path, "".join(
+            f"{name}={getattr(params, name)!r}\n"
+            for name in ("theta", "c", "w_high", "w_low", "eta_cap", "k", "s")))
+        assert main(["policy", which, "--config", cfg]) == 0
+        assert f"policy: {which}" in capsys.readouterr().out
 
     def test_policy_subsidy_accounting(self, capsys):
         assert main(["policy", "subsidy", "--config", CFG_B]) == 0

@@ -15,11 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmgame import (
+    ModelParams,
     Regime,
     k_max,
     mandate_comparison,
     mandate_equilibrium,
     openness_trap_threshold,
+    random_valid_params,
     regime_thresholds,
     solve_baseline,
     welfare_baseline,
@@ -28,7 +30,7 @@ from fmgame import (
 )
 from fmgame.welfare import WelfareBreakdown
 
-from conftest import SET_A
+from conftest import MANDATE_SCAN_OVERSHOOT, SET_A
 from test_closed_form import _random_params
 
 
@@ -119,6 +121,37 @@ class TestMandate:
         assert cmp.delta.deployer < 0
         assert cmp.delta.consumer < 0
 
+    def test_trap_where_harvest_gives_way_to_dominate(self):
+        # No defend range (k_bar_1 == k_bar_2): the mandate lowers welfare on
+        # the whole binding range, so the trap scan finds no sign change.
+        p = ModelParams(theta=4.57628805724366, c=1.605753097823359,
+                        w_high=1.6029376739460552, w_low=0.22027977022845815,
+                        eta_cap=2.9987276235718907, k=0.552297844574712)
+        cmp = mandate_comparison(p)
+        assert cmp.baseline_equilibrium.regime is Regime.DOMINATE
+        assert cmp.region == "trap"
+        assert cmp.delta.social == pytest.approx(-7.6327084111, abs=1e-9)
+        assert openness_trap_threshold(p) is None
+
+    @pytest.mark.parametrize("source", ["set_a", "random"])
+    def test_region_matches_scan_reference(self, source):
+        if source == "set_a":
+            # the k values of the benchmark's closed-form policy ops
+            points = [replace(SET_A, k=round(0.2666666666 * (j + 0.5) / 32, 10))
+                      for j in range(32)]
+        else:
+            rng = np.random.default_rng(20240811)
+            points = [random_valid_params(rng) for _ in range(40)]
+        # Reference: slack up to k_bar_1, then trap past the scanned root.
+        for p in points:
+            region = mandate_comparison(p).region
+            if p.k <= regime_thresholds(p).k_bar_1:
+                assert region == "mandate_slack", p
+                continue
+            root = openness_trap_threshold(p)
+            expect = "trap" if root is not None and p.k > root else "mandate_binding"
+            assert region == expect or (root is not None and abs(p.k - root) < 1e-9), p
+
 
 class TestTrapThreshold:
     def test_location(self):
@@ -141,6 +174,13 @@ class TestTrapThreshold:
     def test_root_sits_between_k_bar_1_and_k_max(self):
         kb = openness_trap_threshold(SET_A)
         assert regime_thresholds(SET_A).k_bar_1 < kb <= k_max(SET_A)
+
+    def test_scan_stays_inside_k_max(self):
+        # The scan's last point must be k_max itself, not a rounding past it.
+        assert openness_trap_threshold(MANDATE_SCAN_OVERSHOOT) is None
+        cmp = mandate_comparison(MANDATE_SCAN_OVERSHOOT)
+        assert cmp.region == "mandate_binding"
+        assert cmp.delta.social > 0
 
     def test_absent_when_cap_is_low(self):
         # with a modest cap the dominate region lies beyond k_max and the
