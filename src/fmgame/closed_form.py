@@ -19,7 +19,8 @@ concede period 2), defend (premium fee, openness capped at the level that
 just retains the deployer), and dominate (follower fee, capped openness).
 Comparing their two-period fee revenues yields two thresholds in the
 flywheel strength k that partition the admissible range into the three
-regimes.
+regimes. Each regime's play, revenue and welfare-table row are written
+once, in _row.
 
 All formulas take the subsidy into account through the deployer's net
 margin (theta - w + s); the baseline game is the s = 0 special case.
@@ -28,6 +29,7 @@ margin (theta - w + s); the baseline game is the s = 0 special case.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 from .outcomes import Equilibrium, PeriodOutcome
@@ -135,6 +137,47 @@ def _eta_bar(params: ModelParams, w1: float) -> float:
     return params.k * margin / den
 
 
+# One regime's closed forms: the period-1 fee, openness and effort, the
+# period-2 effort and developer, the incumbent's two-period fee revenue (also
+# the dev1 welfare entry) and the rest of the appendix welfare row.
+_Row = namedtuple("_Row", "w1 eta1 q1 q2 winner revenue dev2 deployer consumer")
+
+
+def _row(params: ModelParams, regime: Regime) -> _Row:
+    # Welfare entries are written as the appendix states them (expanded
+    # numerators), with t = theta + s carrying the subsidy. params are not
+    # validated here.
+    t = params.theta + params.s
+    c = params.c
+    c2 = 2.0 * c
+    eta = params.eta_cap
+    one = 1.0 + eta
+    w_h, w_l = params.w_high, params.w_low
+    m_h = t - w_h
+    m_l = t - w_l
+    deployer_num = ((2.0 + eta) * t * t + w_h * w_h + one * w_l * w_l
+                    - 2.0 * t * (w_h + w_l + eta * w_l))
+
+    if regime is Regime.HARVEST:
+        return _Row(w1=w_h, eta1=eta, q1=one * m_h / c2, q2=one * one * m_l / c2,
+                    winner=Winner.ENTRANT, revenue=one * m_h * w_h / c2,
+                    dev2=one * one * m_l * w_l / c2, deployer=one * deployer_num / (4.0 * c),
+                    consumer=one * one * (m_h * m_h + one * one * m_l * m_l) / (8.0 * c * c))
+    if regime is Regime.DEFEND:
+        d_h = c2 - params.k * m_h
+        return _Row(w1=w_h, eta1=eta_bar_high(params), q1=m_h / d_h, q2=one * m_l / d_h,
+                    winner=Winner.INCUMBENT, revenue=(w_h * m_h + one * w_l * m_l) / d_h,
+                    dev2=0.0, deployer=deployer_num / (2.0 * d_h),
+                    consumer=((2.0 + eta * (2.0 + eta)) * t * t + w_h * w_h
+                              + one * one * w_l * w_l - 2.0 * t * (w_h + one * one * w_l))
+                    / (2.0 * d_h * d_h))
+    d_l = c2 - params.k * m_l
+    return _Row(w1=w_l, eta1=eta_bar_low(params), q1=m_l / d_l, q2=one * m_l / d_l,
+                winner=Winner.INCUMBENT, revenue=(2.0 + eta) * w_l * m_l / d_l,
+                dev2=0.0, deployer=(2.0 + eta) * m_l * m_l / (2.0 * d_l),
+                consumer=(2.0 + eta * (2.0 + eta)) * m_l * m_l / (2.0 * d_l * d_l))
+
+
 def scenario_profits(params: ModelParams) -> ScenarioProfits:
     """Incumbent two-period fee revenue under the three candidate strategies.
 
@@ -142,21 +185,7 @@ def scenario_profits(params: ModelParams) -> ScenarioProfits:
     government pays s). Period 2 is always transacted at the follower fee.
     """
     require_valid(params)
-    t = params.theta + params.s
-    c2 = 2.0 * params.c
-    eta = params.eta_cap
-    m_h = t - params.w_high
-    m_l = t - params.w_low
-
-    pi_s0 = (1.0 + eta) * m_h * params.w_high / c2
-
-    d_h = c2 - params.k * m_h
-    pi_s1 = (params.w_high * m_h + (1.0 + eta) * params.w_low * m_l) / d_h
-
-    d_l = c2 - params.k * m_l
-    pi_s2 = (2.0 + eta) * params.w_low * m_l / d_l
-
-    return ScenarioProfits(pi_s0=pi_s0, pi_s1=pi_s1, pi_s2=pi_s2)
+    return ScenarioProfits(*(_row(params, regime).revenue for regime in Regime))
 
 
 def regime_thresholds(params: ModelParams) -> RegimeThresholds:
@@ -172,6 +201,10 @@ def regime_thresholds(params: ModelParams) -> RegimeThresholds:
     report = validate(replace(params, k=0.0))   # the formulas are k-free
     if not report.ok:
         raise InvalidParams(report)
+    return _thresholds(params)
+
+
+def _thresholds(params: ModelParams) -> RegimeThresholds:
     t = params.theta + params.s
     c2 = 2.0 * params.c
     eta = params.eta_cap
@@ -228,77 +261,51 @@ def _argmax_regime(profits: ScenarioProfits) -> Regime:
     return Regime.DOMINATE
 
 
-def equilibrium_for_regime(params: ModelParams, regime: Regime,
-                           profits: ScenarioProfits | None = None) -> Equilibrium:
-    """Assemble the equilibrium objects for a given (possibly imposed) regime.
+def equilibrium_for_regime(params: ModelParams, regime: Regime) -> Equilibrium:
+    """Equilibrium objects for an imposed regime (the openness mandate forces harvest).
 
-    Used by the solver after regime selection and by policy counterfactuals
-    that force a regime (the openness mandate forces harvest).
+    params are not validated here: callers check them first, as
+    mandate_equilibrium does with require_valid.
     """
-    if profits is None:
-        profits = scenario_profits(params)
-    t = params.theta + params.s
-    c2 = 2.0 * params.c
-    eta = params.eta_cap
-    m_h = t - params.w_high
-    m_l = t - params.w_low
+    return _equilibrium(params, regime, _row(params, regime))
 
-    if regime is Regime.HARVEST:
-        w1, eta1 = params.w_high, eta
-        q1 = (1.0 + eta) * m_h / c2
-        q2 = (1.0 + eta) * (1.0 + eta) * m_l / c2
-        winner = Winner.ENTRANT
-        profit = profits.pi_s0
-    elif regime is Regime.DEFEND:
-        w1 = params.w_high
-        eta1 = eta_bar_high(params)
-        d_h = c2 - params.k * m_h
-        q1 = m_h / d_h
-        q2 = (1.0 + eta) * m_l / d_h
-        winner = Winner.INCUMBENT
-        profit = profits.pi_s1
-    else:
-        w1 = params.w_low
-        eta1 = eta_bar_low(params)
-        d_l = c2 - params.k * m_l
-        q1 = m_l / d_l
-        q2 = (1.0 + eta) * m_l / d_l
-        winner = Winner.INCUMBENT
-        profit = profits.pi_s2
 
+def _equilibrium(params: ModelParams, regime: Regime, row: _Row) -> Equilibrium:
     return Equilibrium(
         regime=regime,
-        strategy=Strategy(w1=w1, eta1=eta1),
-        period1=PeriodOutcome(effort=q1, engagement=q1,
-                              fee_paid=w1 - params.s, openness=eta1),
-        period2=PeriodOutcome(effort=q2, engagement=q2,
-                              fee_paid=params.w_low - params.s, openness=eta),
-        winner2=winner,
+        strategy=Strategy(w1=row.w1, eta1=row.eta1),
+        period1=PeriodOutcome(effort=row.q1, engagement=row.q1,
+                              fee_paid=row.w1 - params.s, openness=row.eta1),
+        period2=PeriodOutcome(effort=row.q2, engagement=row.q2,
+                              fee_paid=params.w_low - params.s, openness=params.eta_cap),
+        winner2=row.winner,
         w2=params.w_low,
-        eta2=eta,
-        eta2_tilde=eta,
-        incumbent_profit=profit,
+        eta2=params.eta_cap,
+        eta2_tilde=params.eta_cap,
+        incumbent_profit=row.revenue,
     )
 
 
 def solve(params: ModelParams) -> Equilibrium:
     """Subgame-perfect equilibrium for any admissible subsidy s.
 
-    Regime selection compares k to (k_bar_1, k_bar_2), ties resolved toward
-    the lower-k regime; the choice is cross-checked against the scenario
-    profit argmax and a RuntimeError flags any disagreement. params are not
-    validated here: callers check them first, as solve_baseline and
-    solve_subsidized do with require_valid.
+    Raises InvalidParams unless params pass validate() (require_valid);
+    solve_baseline adds its s == 0 check on top. Regime selection compares
+    k to (k_bar_1, k_bar_2), ties resolved toward the lower-k regime; the
+    choice is cross-checked against the scenario revenue argmax and a
+    RuntimeError flags any disagreement. Each regime's row is built once.
     """
-    profits = scenario_profits(params)
-    th = regime_thresholds(params)
+    require_valid(params)
+    rows = {regime: _row(params, regime) for regime in Regime}
+    profits = ScenarioProfits(*(row.revenue for row in rows.values()))
+    th = _thresholds(params)   # valid params pass the k-free check too
     if math.isnan(th.k_bar_1) or math.isnan(th.k_bar_2):
         regime = _argmax_regime(profits)
     else:
         regime = _regime_from_thresholds(params, th)
         # Built-in consistency check: the threshold-selected strategy must
         # attain the scenario-profit maximum (up to tie tolerance).
-        chosen = getattr(profits, f"pi_s{_SCENARIO_INDEX[regime]}")
+        chosen = rows[regime].revenue
         best = max(profits.pi_s0, profits.pi_s1, profits.pi_s2)
         scale = max(1.0, abs(best))
         if chosen < best - _CONSISTENCY_TOL * scale:
@@ -306,10 +313,7 @@ def solve(params: ModelParams) -> Equilibrium:
                 "internal inconsistency: threshold regime %s has revenue %r "
                 "but scenario argmax is %r" % (regime.value, chosen, best)
             )
-    return equilibrium_for_regime(params, regime, profits)
-
-
-_SCENARIO_INDEX = {Regime.HARVEST: 0, Regime.DEFEND: 1, Regime.DOMINATE: 2}
+    return _equilibrium(params, regime, rows[regime])
 
 
 def solve_baseline(params: ModelParams) -> Equilibrium:

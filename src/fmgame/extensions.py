@@ -204,7 +204,6 @@ def solve_subsidized(params: ModelParams) -> SubsidizedEquilibrium:
     reports the subsidy outlay s * (alpha1 + alpha2) and the shifted
     thresholds. Accepts s = 0, where it reduces exactly to the baseline.
     """
-    require_valid(params)
     eq = solve(params)
     th = regime_thresholds(params)
     spend = params.s * (eq.period1.engagement + eq.period2.engagement)

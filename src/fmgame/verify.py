@@ -15,7 +15,6 @@ import numpy as np
 
 from . import numerics
 from .closed_form import (
-    _SCENARIO_INDEX,
     eta_bar_high,
     eta_bar_low,
     period2_profit_entrant,
@@ -28,8 +27,13 @@ from .closed_form import (
 )
 from .extensions import solve_integrated, solve_subsidized
 from .oracle import OracleConfig, oracle_solve_game, oracle_solve_integrated
-from .params import ModelParams, Strategy, k_max, require_valid, validate
-from .welfare import openness_trap_threshold, welfare_baseline, welfare_mandate
+from .params import ModelParams, Strategy, k_max, validate
+from .welfare import (
+    _binding_range,
+    openness_trap_threshold,
+    welfare_baseline,
+    welfare_mandate,
+)
 
 #: k-points of the oracle-equivalence check.
 _ORACLE_K_POINTS = 100
@@ -77,7 +81,6 @@ def compare_with_oracle(params: ModelParams, config: OracleConfig,
     threshold the tie-break convention is below the oracle's noise floor;
     there only revenue agreement is enforced.
     """
-    require_valid(params)
     closed = solve(params)
     numeric = oracle_solve_game(params, config)
     labels_differ = (closed.regime is not numeric.regime
@@ -163,7 +166,7 @@ def run_verification(params: ModelParams, oracle_rel_tol: float = 1e-5) -> list[
         prof = scenario_profits(p)
         eq = solve(p)
         best = max(prof.pi_s0, prof.pi_s1, prof.pi_s2)
-        chosen = (prof.pi_s0, prof.pi_s1, prof.pi_s2)[_SCENARIO_INDEX[eq.regime]]
+        chosen = eq.incumbent_profit
         if chosen < best - 1e-9 * max(1.0, abs(best)):
             mismatch = f"k={k!r}: regime {eq.regime.value} revenue {chosen!r} < max {best!r}"
             break
@@ -187,14 +190,7 @@ def run_verification(params: ModelParams, oracle_rel_tol: float = 1e-5) -> list[
     flat = abs(wm_lo.social - wm_hi.social) <= 1e-12 * max(1.0, abs(wm_lo.social))
     checks.append(CheckResult("mandate-welfare-flat", flat))
 
-    # Trap root, when one exists, must zero the welfare gap.
-    trap = openness_trap_threshold(p0)
-    if trap is None:
-        checks.append(CheckResult("trap-root", True, "no sign change on the binding range"))
-    else:
-        gap = abs(welfare_baseline(replace(p0, k=trap)).social - wm_lo.social)
-        ok = gap < 1e-8 and th.k_bar_1 < trap <= km0
-        checks.append(CheckResult("trap-root", ok, f"k_bar={trap!r}, |gap|={gap:.2e}"))
+    checks.append(_check_trap_root(p0))
 
     # Integrated efforts dominate decentralized period-1 effort.
     dom_fail = None
@@ -298,6 +294,32 @@ def _check_threshold_bisection(params: ModelParams, km: float) -> CheckResult:
     ok = not detail and worst < 1e-9
     return CheckResult("threshold-bisection-match", ok,
                        "; ".join(detail) or f"max |root - formula| = {worst:.2e}")
+
+
+def _check_trap_root(p0: ModelParams) -> CheckResult:
+    # A trap root must zero the SW gap (baseline minus mandate). Without one
+    # the gap must keep one sign on the binding range; the detail names it.
+    sw_mandate = welfare_mandate(replace(p0, k=0.0)).social
+
+    def gap(k: float) -> float:
+        return welfare_baseline(replace(p0, k=k)).social - sw_mandate
+
+    trap = openness_trap_threshold(p0)
+    if trap is not None:
+        err = abs(gap(trap))
+        ok = err < 1e-8 and regime_thresholds(p0).k_bar_1 < trap <= k_max(p0)
+        return CheckResult("trap-root", ok, f"k_bar={trap!r}, |gap|={err:.2e}")
+    binding = _binding_range(p0)
+    if binding is None:
+        return CheckResult("trap-root", True, "mandate never binds")
+    lo, hi = (gap(k) for k in binding)
+    ends = f"{lo:+.3g} to {hi:+.3g}"
+    if (lo > 0) != (hi > 0):
+        return CheckResult("trap-root", False,
+                           f"no root found, but the SW gap changes sign ({ends})")
+    effect = "lowers" if lo > 0 else "raises"
+    return CheckResult("trap-root", True, f"mandate {effect} social welfare on the "
+                                          f"whole binding range (SW gap {ends})")
 
 
 def _subsidy_checks(params: ModelParams) -> list[CheckResult]:

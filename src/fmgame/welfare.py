@@ -8,12 +8,13 @@ welfare is the plain sum of the four components (government outlays under a
 subsidy are accounted separately by the policy comparison, never netted out
 silently here).
 
-Every component is computed twice: once from the closed-form welfare tables
-(rational functions of k) and once rebuilt from the equilibrium efforts
-(fee revenue = w * alpha, deployer surplus = margin * alpha - cost, consumer
-surplus from engagements). The two routes must agree to 1e-6 relative; a
-mismatch aborts with the offending component and regime named, since it
-means a table row or the regime mapping was mistranscribed.
+Every component is computed twice: once from the closed-form welfare table
+(rational functions of k), whose rows live in closed_form next to each
+regime's play and revenue, and once rebuilt here from the equilibrium
+efforts (fee revenue = w * alpha, deployer surplus = margin * alpha - cost,
+consumer surplus from engagements). The two routes must agree to 1e-6
+relative; a mismatch aborts with the offending component and regime named,
+since it means a table row or the regime mapping was mistranscribed.
 
 The mandate counterfactual pins period-1 openness at the cap. The incumbent
 then cannot defend the deployer at any admissible flywheel strength, so the
@@ -33,9 +34,9 @@ from .closed_form import (
     Equilibrium,
     Regime,
     Winner,
+    _row,
     equilibrium_for_regime,
     regime_thresholds,
-    scenario_profits,
     solve_baseline,
 )
 from .params import InvalidParams, ModelParams, ValidationReport, k_max, require_valid
@@ -98,49 +99,6 @@ def _k_grid(lo: float, hi: float) -> list[float]:
     return [lo + (hi - lo) * i / n for i in range(n)] + [hi]
 
 
-def _table_components(params: ModelParams, regime: Regime) -> tuple[float, float, float, float]:
-    # Closed-form welfare table rows, written as the appendix states them
-    # (expanded numerators), with t = theta + s carrying the subsidy.
-    t = params.theta + params.s
-    c = params.c
-    c2 = 2.0 * c
-    eta = params.eta_cap
-    w_h, w_l = params.w_high, params.w_low
-    m_h = t - w_h
-    m_l = t - w_l
-    one = 1.0 + eta
-
-    prof = scenario_profits(params)
-
-    if regime is Regime.HARVEST:
-        dev1 = prof.pi_s0
-        dev2 = one * one * m_l * w_l / c2
-        deployer = one * (
-            (2.0 + eta) * t * t + w_h * w_h + one * w_l * w_l
-            - 2.0 * t * (w_h + w_l + eta * w_l)
-        ) / (4.0 * c)
-        consumer = one * one * (m_h * m_h + one * one * m_l * m_l) / (8.0 * c * c)
-    elif regime is Regime.DEFEND:
-        d_h = c2 - params.k * m_h
-        dev1 = prof.pi_s1
-        dev2 = 0.0
-        deployer = (
-            (2.0 + eta) * t * t + w_h * w_h + one * w_l * w_l
-            - 2.0 * t * (w_h + w_l + eta * w_l)
-        ) / (2.0 * d_h)
-        consumer = (
-            (2.0 + eta * (2.0 + eta)) * t * t + w_h * w_h + one * one * w_l * w_l
-            - 2.0 * t * (w_h + one * one * w_l)
-        ) / (2.0 * d_h * d_h)
-    else:
-        d_l = c2 - params.k * m_l
-        dev1 = prof.pi_s2
-        dev2 = 0.0
-        deployer = (2.0 + eta) * m_l * m_l / (2.0 * d_l)
-        consumer = (2.0 + eta * (2.0 + eta)) * m_l * m_l / (2.0 * d_l * d_l)
-    return dev1, dev2, deployer, consumer
-
-
 def _rebuilt_components(params: ModelParams, eq: Equilibrium) -> tuple[float, float, float, float]:
     # Independent route: rebuild every component from the equilibrium efforts.
     t = params.theta + params.s
@@ -176,7 +134,8 @@ def welfare_for_equilibrium(params: ModelParams, eq: Equilibrium) -> WelfareBrea
     against the rebuild from efforts; raises RuntimeError naming the first
     disagreeing component if the two routes drift beyond 1e-6 relative.
     """
-    table = _table_components(params, eq.regime)
+    row = _row(params, eq.regime)
+    table = (row.revenue, row.dev2, row.deployer, row.consumer)
     rebuilt = _rebuilt_components(params, eq)
     for name, a, b in zip(_COMPONENT_NAMES, table, rebuilt):
         scale = max(1.0, abs(a), abs(b))
@@ -228,19 +187,25 @@ def openness_trap_threshold(params: ModelParams) -> float | None:
     require_valid(params)
     if params.s != 0.0:
         raise InvalidParams(ValidationReport(("mandate analysis requires s = 0",)))
-    k_hi = k_max(params)
-    th = regime_thresholds(params)
-    sw_mandate = welfare_mandate(replace(params, k=0.0)).social
-    k_lo = max(th.k_bar_1, 0.0)
-    if k_lo >= k_hi:
+    binding = _binding_range(params)
+    if binding is None:
         return None   # the mandate never binds on the admissible range
+    sw_mandate = welfare_mandate(replace(params, k=0.0)).social
 
     def gap(k: float) -> float:
         return welfare_baseline(replace(params, k=k)).social - sw_mandate
 
-    # Open the interval on the left: at k_bar_1 itself the mandate does not bind.
-    eps = 1e-12 * max(1.0, k_hi)
-    return numerics.scan_and_bisect(gap, _k_grid(k_lo + eps, k_hi))[0]
+    return numerics.scan_and_bisect(gap, _k_grid(*binding))[0]
+
+
+def _binding_range(params: ModelParams) -> tuple[float, float] | None:
+    # (lo, hi] of k where the mandate binds, None when it is empty. The
+    # interval is opened on the left: at k_bar_1 itself the mandate does not bind.
+    k_hi = k_max(params)
+    k_lo = max(regime_thresholds(params).k_bar_1, 0.0)
+    if k_lo >= k_hi:
+        return None
+    return k_lo + 1e-12 * max(1.0, k_hi), k_hi
 
 
 def mandate_comparison(params: ModelParams) -> PolicyComparison:

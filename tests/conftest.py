@@ -18,6 +18,13 @@ INTEGRATION_SCAN_OVERSHOOT = ModelParams(
     theta=4.60114343008928, c=0.66908296106346, w_high=1.1738065480743618,
     w_low=1.172261311798686, eta_cap=4.987912075987402, k=0.00017599219294659602)
 
+# The baseline goes straight from harvest to dominate (no defend range): the
+# mandate lowers social welfare on the whole binding range (SW gap +5.86 at
+# its low end to +9.42 at k_max), so the trap scan finds no sign change.
+HARVEST_TO_DOMINATE = ModelParams(
+    theta=4.57628805724366, c=1.605753097823359, w_high=1.6029376739460552,
+    w_low=0.22027977022845815, eta_cap=2.9987276235718907, k=0.552297844574712)
+
 
 @pytest.fixture
 def set_a():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from io import StringIO
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import INTEGRATION_SCAN_OVERSHOOT, MANDATE_SCAN_OVERSHOOT, SET_A, SET_B
+import fmgame
 from fmgame import (
     ConfigError,
     SweepSpec,
@@ -282,9 +284,12 @@ class TestCliCommands:
         assert "lo < hi" in capsys.readouterr().err
 
     def test_module_entry_point(self):
+        # The child imports fmgame from where this process did, installed or not.
+        path = [str(Path(fmgame.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
         proc = subprocess.run(
             [sys.executable, "-m", "fmgame.cli", "solve", "--config", CFG_A],
             capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
         )
         assert proc.returncode == 0
         assert "regime: defend" in proc.stdout

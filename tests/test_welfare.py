@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmgame import (
-    ModelParams,
     Regime,
     k_max,
     mandate_comparison,
@@ -30,7 +29,7 @@ from fmgame import (
 )
 from fmgame.welfare import WelfareBreakdown
 
-from conftest import MANDATE_SCAN_OVERSHOOT, SET_A
+from conftest import HARVEST_TO_DOMINATE, MANDATE_SCAN_OVERSHOOT, SET_A
 from test_closed_form import _random_params
 
 
@@ -124,9 +123,7 @@ class TestMandate:
     def test_trap_where_harvest_gives_way_to_dominate(self):
         # No defend range (k_bar_1 == k_bar_2): the mandate lowers welfare on
         # the whole binding range, so the trap scan finds no sign change.
-        p = ModelParams(theta=4.57628805724366, c=1.605753097823359,
-                        w_high=1.6029376739460552, w_low=0.22027977022845815,
-                        eta_cap=2.9987276235718907, k=0.552297844574712)
+        p = HARVEST_TO_DOMINATE
         cmp = mandate_comparison(p)
         assert cmp.baseline_equilibrium.regime is Regime.DOMINATE
         assert cmp.region == "trap"
