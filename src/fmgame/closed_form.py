@@ -171,8 +171,9 @@ def _row(params: ModelParams, regime: Regime) -> _Row:
                     consumer=((2.0 + eta * (2.0 + eta)) * t * t + w_h * w_h
                               + one * one * w_l * w_l - 2.0 * t * (w_h + one * one * w_l))
                     / (2.0 * d_h * d_h))
+    # At a k_max set by the openness cap, eta_bar_low can round past eta_cap.
     d_l = c2 - params.k * m_l
-    return _Row(w1=w_l, eta1=eta_bar_low(params), q1=m_l / d_l, q2=one * m_l / d_l,
+    return _Row(w1=w_l, eta1=min(eta_bar_low(params), eta), q1=m_l / d_l, q2=one * m_l / d_l,
                 winner=Winner.INCUMBENT, revenue=(2.0 + eta) * w_l * m_l / d_l,
                 dev2=0.0, deployer=(2.0 + eta) * m_l * m_l / (2.0 * d_l),
                 consumer=(2.0 + eta * (2.0 + eta)) * m_l * m_l / (2.0 * d_l * d_l))
@@ -318,7 +319,7 @@ def solve(params: ModelParams) -> Equilibrium:
 
 def solve_baseline(params: ModelParams) -> Equilibrium:
     """Subgame-perfect equilibrium of the baseline (unsubsidized) game; see solve."""
-    require_valid(params)
+    eq = solve(params)   # validates first, so invalid params keep precedence
     if params.s != 0.0:
         raise InvalidParams(ValidationReport(("baseline solver requires s = 0",)))
-    return solve(params)
+    return eq

@@ -85,7 +85,7 @@ def _stay_gap(params: ModelParams, w1: float, eta1: float) -> float:
     return v_stay - v_switch
 
 
-def oracle_solve_game(params: ModelParams, config: OracleConfig | None = None) -> Equilibrium:
+def oracle_solve_game(params: ModelParams, config: OracleConfig = OracleConfig()) -> Equilibrium:
     """Numeric subgame-perfect equilibrium by grid search over strategies.
 
     For each fee the openness grid is augmented with the bisected retention
@@ -94,8 +94,6 @@ def oracle_solve_game(params: ModelParams, config: OracleConfig | None = None) -
     descending within a fee) implements the documented tie preferences.
     """
     require_valid(params)
-    if config is None:
-        config = OracleConfig()
     c = params.c
     t = params.theta + params.s
     one2 = 1.0 + params.eta_cap
@@ -105,17 +103,13 @@ def oracle_solve_game(params: ModelParams, config: OracleConfig | None = None) -
     if params.w_low != params.w_high:
         fees.append(params.w_low)
 
-    best = None   # (profit, fee, eta1, won, w2, q1, q2, dev2_rev)
-    premium_deviation_won = False
+    best = None   # (profit, fee, eta1, won, w2, q1, q2)
 
     for w1 in fees:
         etas = np.linspace(params.eta_cap, 0.0, config.eta_grid_points)
         # Refine the retention boundary and add it as an exact candidate.
-        if _stay_gap(params, w1, params.eta_cap) >= 0:
-            boundary = params.eta_cap
-        else:
-            boundary = numerics.largest_true(
-                lambda e: _stay_gap(params, w1, e) >= 0, 0.0, params.eta_cap)
+        boundary = numerics.largest_true(
+            lambda e: _stay_gap(params, w1, e) >= 0, 0.0, params.eta_cap)
         etas = np.append(etas, boundary)
 
         m1 = t - w1
@@ -135,7 +129,10 @@ def oracle_solve_game(params: ModelParams, config: OracleConfig | None = None) -
         wins_low[-1] = True
         wins_high = v_stay_high >= v_switch
         if np.any(v_stay_high > v_switch + 1e-9 * np.maximum(1.0, np.abs(v_switch))):
-            premium_deviation_won = True
+            raise RuntimeError(
+                "oracle: period-2 premium-fee deviation won strictly; "
+                "the k admissibility bound is wrong for these params"
+            )
 
         rev_low = np.where(wins_low, params.w_low * q2_stay_low, -np.inf)
         rev_high = np.where(wins_high, params.w_high * q2_stay_high, -np.inf)
@@ -148,21 +145,12 @@ def oracle_solve_game(params: ModelParams, config: OracleConfig | None = None) -
 
         profit = w1 * q1 + rev2
         i = int(np.argmax(profit))
-        cand = (
-            float(profit[i]), w1, float(etas[i]), bool(won[i]), float(w2[i]),
-            float(q1[i]), float(q2[i]),
-            0.0 if won[i] else float(params.w_low * q2_switch[i]),
-        )
+        cand = (float(profit[i]), w1, float(etas[i]), bool(won[i]), float(w2[i]),
+                float(q1[i]), float(q2[i]))
         if best is None or cand[0] > best[0]:
             best = cand
 
-    if premium_deviation_won:
-        raise RuntimeError(
-            "oracle: period-2 premium-fee deviation won strictly; "
-            "the k admissibility bound is wrong for these params"
-        )
-
-    profit, w1, eta1, won, w2, q1, q2, dev2_rev = best
+    profit, w1, eta1, won, w2, q1, q2 = best
     if won:
         regime = Regime.DEFEND if w1 == params.w_high else Regime.DOMINATE
         winner = Winner.INCUMBENT
@@ -171,7 +159,6 @@ def oracle_solve_game(params: ModelParams, config: OracleConfig | None = None) -
             raise RuntimeError("oracle: losing follower-fee strategy won the argmax")
         regime = Regime.HARVEST
         winner = Winner.ENTRANT
-        w2 = params.w_low
 
     return Equilibrium(
         regime=regime,
@@ -188,7 +175,7 @@ def oracle_solve_game(params: ModelParams, config: OracleConfig | None = None) -
     )
 
 
-def oracle_solve_integrated(params: ModelParams, config: OracleConfig | None = None) -> IntegratedOutcome:
+def oracle_solve_integrated(params: ModelParams, config: OracleConfig = OracleConfig()) -> IntegratedOutcome:
     """Numeric outcome of the merged firm by per-period grid search.
 
     Stage 1 scans the openness grid for the period-1 profit maximum (effort
@@ -197,8 +184,6 @@ def oracle_solve_integrated(params: ModelParams, config: OracleConfig | None = N
     Both scans must discover the full-openness corner on their own.
     """
     require_valid(params)
-    if config is None:
-        config = OracleConfig()
     c = params.c
     th = params.theta
     etas = np.linspace(0.0, params.eta_cap, config.eta_grid_points)

@@ -2,9 +2,10 @@
 
 Every property the closed forms promise is exercised here against the
 brute-force oracle or against an independent numeric route (bisection on
-profit differences, finite-difference monotonicity, rebuilds). The CLI
-``verify`` command prints one PASS/FAIL line per property and exits
-nonzero on any failure; tests call :func:`run_verification` directly.
+profit differences, finite-difference monotonicity, rebuilds);
+``regime-argmax-consistency`` runs solve's own argmax guard on a k grid.
+The CLI ``verify`` command prints one PASS/FAIL line per property and
+exits nonzero on any failure; tests call :func:`run_verification` directly.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .closed_form import (
     solve,
     solve_baseline,
 )
-from .extensions import solve_integrated, solve_subsidized
+from .extensions import solve_integrated, solve_subsidized, welfare_subsidized
 from .oracle import OracleConfig, oracle_solve_game, oracle_solve_integrated
 from .params import ModelParams, Strategy, k_max, validate
 from .welfare import (
@@ -50,8 +51,7 @@ def random_valid_params(rng: np.random.Generator, with_subsidy: bool = False) ->
     """Draw a random parameter set satisfying every admissibility condition."""
     theta = float(rng.uniform(2.0, 10.0))
     c = float(rng.uniform(0.3, 3.0))
-    w_high = float(rng.uniform(0.15, 0.5)) * theta / 1.0
-    w_high = min(w_high, theta / 2.0)
+    w_high = float(rng.uniform(0.15, 0.5)) * theta
     w_low = float(rng.uniform(0.1, 0.95)) * w_high
     eta_cap = float(rng.uniform(0.3, 3.0))
     s = float(rng.uniform(0.05, 1.0)) * w_low if with_subsidy else 0.0
@@ -159,32 +159,29 @@ def run_verification(params: ModelParams, oracle_rel_tol: float = 1e-5) -> list[
     # Thresholds equal independent bisection roots of the profit differences.
     checks.append(_check_threshold_bisection(params, km))
 
-    # Regime choice equals the scenario-profit argmax on a dense k grid.
+    # Regime choice equals the scenario-revenue argmax on a dense k grid:
+    # solve's own guard, which raises where the two disagree.
     mismatch = None
     for k in np.linspace(0.0, km, 201):
-        p = replace(params, k=float(k))
-        prof = scenario_profits(p)
-        eq = solve(p)
-        best = max(prof.pi_s0, prof.pi_s1, prof.pi_s2)
-        chosen = eq.incumbent_profit
-        if chosen < best - 1e-9 * max(1.0, abs(best)):
-            mismatch = f"k={k!r}: regime {eq.regime.value} revenue {chosen!r} < max {best!r}"
+        try:
+            solve(replace(params, k=float(k)))
+        except RuntimeError as exc:
+            mismatch = f"k={k!r}: {exc}"
             break
     checks.append(CheckResult("regime-argmax-consistency", mismatch is None, mismatch or ""))
 
     # Welfare tables agree with rebuilds in every regime reachable here.
-    th = regime_thresholds(replace(params, s=0.0))
+    p0 = replace(params, s=0.0)
+    km0 = k_max(p0)
     err = None
     try:
-        for k in _regime_sample_ks(th, k_max(replace(params, s=0.0))):
-            welfare_baseline(replace(params, k=k, s=0.0))
+        for k in _regime_sample_ks(regime_thresholds(p0), km0):
+            welfare_baseline(replace(p0, k=k))
     except RuntimeError as exc:
         err = str(exc)
     checks.append(CheckResult("welfare-cross-validation", err is None, err or ""))
 
     # Mandate welfare is flat in k.
-    p0 = replace(params, s=0.0)
-    km0 = k_max(p0)
     wm_lo = welfare_mandate(replace(p0, k=0.0))
     wm_hi = welfare_mandate(replace(p0, k=km0))
     flat = abs(wm_lo.social - wm_hi.social) <= 1e-12 * max(1.0, abs(wm_lo.social))
@@ -224,7 +221,6 @@ def run_verification(params: ModelParams, oracle_rel_tol: float = 1e-5) -> list[
     # endpoint grid can land exactly on a regime threshold, where the label
     # is a pure tie-break convention rather than a checkable prediction.
     fail = None
-    km = k_max(params)
     for k in (np.arange(_ORACLE_K_POINTS) + 0.5) / _ORACLE_K_POINTS * km:
         p = replace(params, k=float(k))
         msg = compare_with_oracle(p, config, rel_tol=oracle_rel_tol)
@@ -267,24 +263,19 @@ def _regime_sample_ks(th, km: float) -> list[float]:
 
 def _check_threshold_bisection(params: ModelParams, km: float) -> CheckResult:
     th = regime_thresholds(params)
-
-    def diff(which):
-        def f(k: float) -> float:
-            prof = scenario_profits(replace(params, k=k))
-            if which == "13":
-                return prof.pi_s1 - prof.pi_s0
-            if which == "23":
-                return prof.pi_s2 - prof.pi_s0
-            return prof.pi_s1 - prof.pi_s2
-
-        return f
-
     worst = 0.0
     detail = []
-    for which, target in (("13", th.k_bar_13), ("23", th.k_bar_23), ("12", th.k_bar_12)):
+    # Each crossing is a root of one scenario-revenue difference.
+    for which, target, plus, minus in (("13", th.k_bar_13, "pi_s1", "pi_s0"),
+                                       ("23", th.k_bar_23, "pi_s2", "pi_s0"),
+                                       ("12", th.k_bar_12, "pi_s1", "pi_s2")):
         if not (0.0 < target < km):
             continue   # crossing not interior, nothing to bisect against
-        f = diff(which)
+
+        def f(k: float, plus=plus, minus=minus) -> float:
+            prof = scenario_profits(replace(params, k=k))
+            return getattr(prof, plus) - getattr(prof, minus)
+
         lo, hi = 0.0, km
         if (f(lo) > 0) == (f(hi) > 0):
             detail.append(f"k_bar_{which}: no sign change despite interior value {target!r}")
@@ -344,8 +335,6 @@ def _subsidy_checks(params: ModelParams) -> list[CheckResult]:
     out.append(CheckResult("subsidy-limit-continuity",
                            tiny.strategy.w1 == base.strategy.w1 and rel < 1e-6,
                            f"max rel drift {rel:.2e}"))
-
-    from .extensions import welfare_subsidized
 
     err = None
     try:

@@ -3,8 +3,9 @@
 theta, c and eta_cap each take five values from 1e-6 to 1e6; the fees sit
 at equal, zero, wide and narrow gaps (as shares of theta); the subsidy is
 zero or the whole follower fee; k is 0, k_max / 2 or k_max. Every case must
-be admissible, solve, pass the welfare cross-validation and give finite,
-sign-correct numbers. The oracle is not run here.
+be admissible, solve to a strategy that q1_star accepts, pass the welfare
+cross-validation and give finite, sign-correct numbers. The oracle is not
+run here.
 """
 
 import itertools
@@ -22,6 +23,7 @@ from fmgame import (
     welfare_for_equilibrium,
     welfare_mandate,
 )
+from fmgame.closed_form import q1_star
 
 SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6)
 FEE_SHARES = ((0.5, 0.5), (0.0, 0.0), (0.5, 0.2), (0.4, 0.1), (0.5, 0.0))
@@ -46,6 +48,7 @@ def _problems(p):
     w = welfare_for_equilibrium(p, eq)
     numbers = {
         "eta1": eq.strategy.eta1, "q1": eq.period1.effort, "q2": eq.period2.effort,
+        "q1_star": q1_star(p, eq.strategy),   # raises unless 0 <= eta1 <= eta_cap
         "revenue": eq.incumbent_profit, "spend": eq.subsidy_spend,
         "dev1": w.dev1, "dev2": w.dev2, "deployer": w.deployer,
         "consumer": w.consumer, "social": w.social,
@@ -57,10 +60,7 @@ def _problems(p):
                        integrated_social=v.social)
     out = [f"{name}={x!r}" for name, x in numbers.items()
            if not (math.isfinite(x) and x >= 0.0)]
-    # At k = k_max the dominate cap eta_bar_low equals eta_cap up to the
-    # cancellation in 2c - k (theta - w_low + s), which grows with eta_cap:
-    # it overshoots by up to 1.6e-10 relative at eta_cap = 1e6.
-    if eq.strategy.eta1 > p.eta_cap * (1.0 + 1e-9):
+    if eq.strategy.eta1 > p.eta_cap:
         out.append(f"eta1={eq.strategy.eta1!r} above eta_cap")
     if eq.incumbent_profit != w.dev1:
         out.append(f"revenue {eq.incumbent_profit!r} != dev1 {w.dev1!r}")

@@ -174,6 +174,15 @@ def test_subsidized_oracle_agreement():
     assert o.incumbent_profit == pytest.approx(e.incumbent_profit, rel=1e-5)
 
 
+def test_premium_deviation_guard_raises(monkeypatch):
+    # Past set_a's entry bound on k (28 / 28.125) a premium-fee incumbent
+    # keeps the deployer in period 2 outright. validate() rejects such k, so
+    # it is switched off here to reach the oracle's own guard.
+    monkeypatch.setattr("fmgame.oracle.require_valid", lambda params: None)
+    with pytest.raises(RuntimeError, match="premium-fee deviation won strictly"):
+        oracle_solve_game(replace(SET_A, k=1.5 * 28 / 28.125))
+
+
 def test_oracle_is_formula_blind():
     import fmgame.oracle as mod
 

@@ -2,9 +2,12 @@
 
 from dataclasses import replace
 
+import numpy as np
+
 from conftest import HARVEST_TO_DOMINATE, SET_A
-from fmgame import verify
-from fmgame.verify import _check_trap_root
+from fmgame import k_max, solve_integrated, verify
+from fmgame.closed_form import solve
+from fmgame.verify import _check_trap_root, run_verification
 
 
 class TestTrapRootCheck:
@@ -37,3 +40,26 @@ class TestTrapRootCheck:
         result = _check_trap_root(SET_A)
         assert not result.passed
         assert result.detail == "no root found, but the SW gap changes sign (-98.9 to +14.7)"
+
+
+def test_solve_guard_failure_is_a_named_fail(monkeypatch):
+    # solve raises when its threshold regime misses the revenue argmax; the
+    # argmax check turns that into its own FAIL line instead of aborting the
+    # run. The oracle is stubbed out with the closed forms to keep this fast.
+    km = k_max(SET_A)
+
+    def solve_or_raise(params):
+        if params.k == km:
+            raise RuntimeError("internal inconsistency: stub")
+        return solve(params)
+
+    monkeypatch.setattr(verify, "solve", solve_or_raise)
+    monkeypatch.setattr(verify, "compare_with_oracle", lambda params, config, rel_tol: None)
+    monkeypatch.setattr(verify, "oracle_solve_game", lambda params, config: solve(params))
+    monkeypatch.setattr(verify, "oracle_solve_integrated",
+                        lambda params, config: solve_integrated(params))
+    checks = {check.name: check for check in run_verification(SET_A)}
+    argmax = checks["regime-argmax-consistency"]
+    assert not argmax.passed
+    assert argmax.detail == f"k={np.float64(km)!r}: internal inconsistency: stub"
+    assert checks["oracle-equivalence"].passed
