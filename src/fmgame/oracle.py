@@ -16,11 +16,21 @@ Bisection is used only to refine the location of the retention boundary in
 openness, so threshold candidates are represented exactly rather than to
 grid resolution. If the premium-fee deviation ever strictly wins period 2,
 the admissibility bound on k was transcribed wrong and the oracle raises.
+
+Two of the four grid searches per fee do not depend on k: the period-1
+effort and the deployer's surplus from switching. They are cached for the
+two latest (params without k, fee, grid size) keys, so a sweep over k, as
+in ``fmgame verify``, runs them once per fee; only the two stay searches and
+the boundary bisection run at every k. Reuse changes no bits: every step of
+those searches is elementwise except the golden-section iteration count,
+which comes from the widest lane, and the eta_cap lane is the widest both on
+the grid and in the 2-lane search that gives the boundary its own lane.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,6 +95,27 @@ def _stay_gap(params: ModelParams, w1: float, eta1: float) -> float:
     return v_stay - v_switch
 
 
+def _k_free_lanes(params: ModelParams, w1: float, etas):
+    # The period-1 effort and the switch surplus at each openness in etas;
+    # neither reads params.k.
+    t = params.theta + params.s
+    q1 = oracle_best_effort(t - w1, 1.0 + etas, params.c)
+    q2_switch, v_switch = _surplus_at_best(
+        t - params.w_low, (1.0 + etas) * (1.0 + params.eta_cap), params.c)
+    return etas, q1, q2_switch, v_switch
+
+
+@functools.lru_cache(maxsize=2)
+def _k_free_grid(params: ModelParams, w1: float, n: int):
+    # _k_free_lanes on the n-point grid from eta_cap down to 0, for params
+    # with k = 0: one parameter set with both fees, as a k-sweep of the
+    # oracle asks for. The arrays are shared by every hit, so read-only.
+    lanes = _k_free_lanes(params, w1, np.linspace(params.eta_cap, 0.0, n))
+    for a in lanes:
+        a.flags.writeable = False
+    return lanes
+
+
 def oracle_solve_game(params: ModelParams, config: OracleConfig = OracleConfig()) -> Equilibrium:
     """Numeric subgame-perfect equilibrium by grid search over strategies.
 
@@ -92,6 +123,11 @@ def oracle_solve_game(params: ModelParams, config: OracleConfig = OracleConfig()
     boundary, so defend/dominate optima are located to bisection precision,
     not grid precision. Candidate order (premium fee first, openness
     descending within a fee) implements the documented tie preferences.
+
+    The period-1 effort and the switch surplus on the grid are reused from
+    an earlier call with the same params apart from k, fee and grid size;
+    the boundary lane is searched beside the eta_cap lane, so the result is
+    bit-identical to one search over the grid and the boundary together.
     """
     require_valid(params)
     c = params.c
@@ -106,25 +142,24 @@ def oracle_solve_game(params: ModelParams, config: OracleConfig = OracleConfig()
     best = None   # (profit, fee, eta1, won, w2, q1, q2)
 
     for w1 in fees:
-        etas = np.linspace(params.eta_cap, 0.0, config.eta_grid_points)
         # Refine the retention boundary and add it as an exact candidate.
         boundary = numerics.largest_true(
             lambda e: _stay_gap(params, w1, e) >= 0, 0.0, params.eta_cap)
-        etas = np.append(etas, boundary)
-
-        m1 = t - w1
-        q1 = oracle_best_effort(m1, 1.0 + etas, c)
+        grid = _k_free_grid(replace(params, k=0.0), w1, config.eta_grid_points)
+        # The eta_cap lane is the widest in both k-free searches, so this
+        # 2-lane call runs as many golden-section iterations as the grid call
+        # and gives the boundary lane the bits it would get inside it.
+        edge = _k_free_lanes(params, w1, np.array([params.eta_cap, boundary]))
+        etas, q1, q2_switch, v_switch = (np.append(g, e[-1]) for g, e in zip(grid, edge))
 
         d_stay = (1.0 + params.k * q1) * one2
-        d_switch = (1.0 + etas) * one2
         q2_stay_low, v_stay_low = _surplus_at_best(m2, d_stay, c)
         q2_stay_high, v_stay_high = _surplus_at_best(t - params.w_high, d_stay, c)
-        q2_switch, v_switch = _surplus_at_best(m2, d_switch, c)
 
         wins_low = v_stay_low >= v_switch
         # The boundary candidate keeps the scalar bisection's verdict, the
-        # deployer stays: the separate stay and switch searches above size
-        # their iteration counts from different widest lanes, so at the
+        # deployer stays: the separate stay and switch searches size their
+        # iteration counts from different widest lanes, so at the
         # boundary they can disagree in the last bit.
         wins_low[-1] = True
         wins_high = v_stay_high >= v_switch

@@ -288,8 +288,9 @@ def _check_threshold_bisection(params: ModelParams, km: float) -> CheckResult:
 
 
 def _check_trap_root(p0: ModelParams) -> CheckResult:
-    # A trap root must zero the SW gap (baseline minus mandate). Without one
-    # the gap must keep one sign on the binding range; the detail names it.
+    # A trap root must zero the SW gap (baseline minus mandate), or else be
+    # the jump in the gap where defend gives way to dominate. Without one the
+    # gap must keep one sign on the binding range; the detail names it.
     sw_mandate = welfare_mandate(replace(p0, k=0.0)).social
 
     def gap(k: float) -> float:
@@ -297,9 +298,23 @@ def _check_trap_root(p0: ModelParams) -> CheckResult:
 
     trap = openness_trap_threshold(p0)
     if trap is not None:
+        th = regime_thresholds(p0)
+        km = k_max(p0)
         err = abs(gap(trap))
-        ok = err < 1e-8 and regime_thresholds(p0).k_bar_1 < trap <= k_max(p0)
-        return CheckResult("trap-root", ok, f"k_bar={trap!r}, |gap|={err:.2e}")
+        detail = f"k_bar={trap!r}, |gap|={err:.2e}"
+        ok = th.k_bar_1 < trap <= km
+        if err < 1e-8:
+            return CheckResult("trap-root", ok, detail)
+        # Not a root: the scan must have bisected the jump at k_bar_2, to
+        # within bisect_root's stopping width, with the gap strictly of
+        # opposite signs at k_bar_2 (defend) and one ulp above it (dominate).
+        k2 = th.k_bar_2
+        if not (abs(trap - k2) <= 1e-13 and k2 < km):
+            return CheckResult("trap-root", False, detail)
+        below, above = gap(k2), gap(float(np.nextafter(k2, np.inf)))
+        jump = below < 0.0 < above or above < 0.0 < below
+        return CheckResult("trap-root", ok and jump, f"k_bar={trap!r}, jump at k_bar_2={k2!r} "
+                                                     f"(SW gap {below:+.3g} to {above:+.3g})")
     binding = _binding_range(p0)
     if binding is None:
         return CheckResult("trap-root", True, "mandate never binds")

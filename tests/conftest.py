@@ -25,6 +25,13 @@ HARVEST_TO_DOMINATE = ModelParams(
     theta=4.57628805724366, c=1.605753097823359, w_high=1.6029376739460552,
     w_low=0.22027977022845815, eta_cap=2.9987276235718907, k=0.552297844574712)
 
+# The SW gap has no root on the binding range: it jumps from -669 to +120 at
+# k_bar_2, where defend gives way to dominate, and the trap scan returns the
+# bisected jump.
+TRAP_AT_JUMP = ModelParams(
+    theta=8.65019867731569, c=0.46933839094107427, w_high=3.796751558642358,
+    w_low=0.910579393198743, eta_cap=1.312896890540933, k=0.0218)
+
 
 @pytest.fixture
 def set_a():

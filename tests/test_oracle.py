@@ -29,10 +29,10 @@ from fmgame.numerics import (
     scan_and_bisect,
     sign_change_brackets,
 )
-from fmgame.oracle import oracle_best_effort
+from fmgame.oracle import _k_free_grid, _k_free_lanes, oracle_best_effort
 from fmgame.verify import compare_with_oracle, random_valid_params
 
-from conftest import SET_A, SET_B
+from conftest import HARVEST_TO_DOMINATE, SET_A, SET_B
 
 
 class TestGoldenSection:
@@ -181,6 +181,75 @@ def test_premium_deviation_guard_raises(monkeypatch):
     monkeypatch.setattr("fmgame.oracle.require_valid", lambda params: None)
     with pytest.raises(RuntimeError, match="premium-fee deviation won strictly"):
         oracle_solve_game(replace(SET_A, k=1.5 * 28 / 28.125))
+
+
+class TestKFreeReuse:
+    """The k-free grid searches are computed once per parameter set and fee."""
+
+    @staticmethod
+    def _points():
+        points = [replace(base, k=float(k))
+                  for base in (SET_A, SET_B)
+                  for k in np.linspace(0.0, k_max(base), 10)]
+        points += [HARVEST_TO_DOMINATE, replace(SET_A, w_low=2.5, k=0.0)]
+        rng = np.random.default_rng(20261018)
+        points += [random_valid_params(rng, with_subsidy=i % 3 == 2) for i in range(20)]
+        return points
+
+    def test_reuse_changes_no_bits(self):
+        calls = [(p, OracleConfig()) for p in self._points()]
+        # verify's oracle-grid-refinement order: the coarse grid, then the fine one.
+        calls += [(SET_A, OracleConfig(eta_grid_points=5001)), (SET_A, OracleConfig())]
+        _k_free_grid.cache_clear()
+        warm = [repr(oracle_solve_game(p, config)) for p, config in calls]
+        assert _k_free_grid.cache_info().hits > 0
+        cold = []
+        for p, config in calls:
+            _k_free_grid.cache_clear()
+            cold.append(repr(oracle_solve_game(p, config)))
+        assert warm == cold
+
+    def test_boundary_lane_matches_the_grid_call(self):
+        # Reference: one call on the grid with the extra openness values
+        # appended, as the oracle searched before the grid was cached. A
+        # 2-lane call led by eta_cap must give each of them the same bits,
+        # and so must the oracle at its own optimum, often the boundary.
+        rng = np.random.default_rng(5)
+        for p in self._points()[::4]:
+            eq = oracle_solve_game(p)
+            extra = np.append(eq.strategy.eta1, rng.uniform(0.0, p.eta_cap, 8))
+            etas = np.append(np.linspace(p.eta_cap, 0.0, 10001), extra)
+            for w1 in (p.w_high, p.w_low):
+                whole = _k_free_lanes(p, w1, etas)
+                for j, eta in enumerate(extra):
+                    edge = _k_free_lanes(p, w1, np.array([p.eta_cap, eta]))
+                    assert [a[-1] for a in edge] == [b[10001 + j] for b in whole]
+                if w1 == eq.strategy.w1:
+                    assert eq.period1.effort == whole[1][10001]
+
+    def test_cached_arrays_are_read_only(self):
+        for a in _k_free_grid(replace(SET_A, k=0.0), SET_A.w_high, 101):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_cache_holds_at_most_two_entries(self):
+        config = OracleConfig(eta_grid_points=101)
+        for p in (SET_A, SET_B, replace(SET_A, theta=6.0)):
+            oracle_solve_game(p, config)
+        info = _k_free_grid.cache_info()
+        assert info.maxsize == 2
+        assert info.currsize == 2
+
+    def test_params_differing_in_s_or_eta_cap_share_no_entry(self):
+        config = OracleConfig(eta_grid_points=101)
+        _k_free_grid.cache_clear()
+        oracle_solve_game(SET_A, config)
+        oracle_solve_game(replace(SET_A, k=0.1), config)
+        assert _k_free_grid.cache_info()[:2] == (2, 2)   # (hits, misses)
+        oracle_solve_game(replace(SET_A, s=0.3), config)
+        assert _k_free_grid.cache_info()[:2] == (2, 4)
+        oracle_solve_game(replace(SET_A, eta_cap=1.4), config)
+        assert _k_free_grid.cache_info()[:2] == (2, 6)
 
 
 def test_oracle_is_formula_blind():

@@ -4,9 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from conftest import HARVEST_TO_DOMINATE, SET_A
+from conftest import HARVEST_TO_DOMINATE, SET_A, TRAP_AT_JUMP
 from fmgame import k_max, solve_integrated, verify
-from fmgame.closed_form import solve
+from fmgame.closed_form import regime_thresholds, solve
 from fmgame.verify import _check_trap_root, run_verification
 
 
@@ -15,6 +15,21 @@ class TestTrapRootCheck:
         result = _check_trap_root(SET_A)
         assert result.passed
         assert result.detail.startswith("k_bar=0.2567300309246")
+
+    def test_jump_at_k_bar_2_passes_as_a_jump(self):
+        result = _check_trap_root(TRAP_AT_JUMP)
+        assert result.passed
+        assert result.detail == ("k_bar=0.0687114618176639, jump at k_bar_2=0.06871146181768284 "
+                                 "(SW gap -669 to +120)")
+
+    def test_non_root_off_the_jump_fails(self, monkeypatch):
+        # Beside k_bar_2 by more than the bisection width the gap is -669,
+        # neither a root nor the jump.
+        k = regime_thresholds(TRAP_AT_JUMP).k_bar_2 - 1e-9
+        monkeypatch.setattr(verify, "openness_trap_threshold", lambda params: k)
+        result = _check_trap_root(TRAP_AT_JUMP)
+        assert not result.passed
+        assert result.detail == f"k_bar={k!r}, |gap|=6.69e+02"
 
     def test_no_root_where_the_mandate_lowers_welfare_throughout(self):
         result = _check_trap_root(HARVEST_TO_DOMINATE)
