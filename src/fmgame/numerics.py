@@ -63,17 +63,20 @@ def golden_max(f, lo, hi):
     width = np.max(b - a) if a.size else 0.0
     if width <= _GOLDEN_TOL:
         return (a + b) / 2.0
-    # Shrink every lane each iteration; recompute both probes (simple and
-    # branch-free, the objective is cheap).
+    # Shrink every lane each iteration and recompute both probes. Which end
+    # moves is a coin flip per lane, which makes np.where slow; arithmetic on
+    # a 0/1 float mask selects exactly, as x*1 + y*0 == x for finite x and y
+    # (a -0.0 bound may come back as +0.0), so brackets must be finite.
     a0, b0 = a.copy(), b.copy()
     n_iter = int(np.ceil(np.log(_GOLDEN_TOL / width) / np.log(_INVPHI))) + 1
     for _ in range(n_iter):
         d = _INVPHI * (b - a)
         x1 = b - d
         x2 = a + d
-        keep_left = f(x1) >= f(x2)
-        b = np.where(keep_left, x2, b)
-        a = np.where(keep_left, a, x1)
+        s = (f(x1) >= f(x2)).astype(float)
+        r = 1.0 - s
+        b = x2 * s + b * r
+        a = a * s + x1 * r
     mid = (a + b) / 2.0
     # Parabolic polish past the comparison-noise floor (see scalar variant).
     h = 1e-4 * (b0 - a0)

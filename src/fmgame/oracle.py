@@ -17,14 +17,16 @@ openness, so threshold candidates are represented exactly rather than to
 grid resolution. If the premium-fee deviation ever strictly wins period 2,
 the admissibility bound on k was transcribed wrong and the oracle raises.
 
-Two of the four grid searches per fee do not depend on k: the period-1
-effort and the deployer's surplus from switching. They are cached for the
-two latest (params without k, fee, grid size) keys, so a sweep over k, as
-in ``fmgame verify``, runs them once per fee; only the two stay searches and
-the boundary bisection run at every k. Reuse changes no bits: every step of
-those searches is elementwise except the golden-section iteration count,
-which comes from the widest lane, and the eta_cap lane is the widest both on
-the grid and in the 2-lane search that gives the boundary its own lane.
+Three of the grid searches do not depend on k: the period-1 effort for
+each fee and the deployer's surplus from switching, which reads no fee
+either. They are cached for the two latest (params without k, grid size)
+keys, so a sweep over k, as in ``fmgame verify``, runs them once per
+parameter set; only the two stay searches per fee and the boundary
+bisections run at every k. Reuse changes no bits: every step of those
+searches is elementwise except the golden-section iteration count, which
+comes from the widest lane, and the eta_cap lane is the widest both on the
+grid and in the small searches, led by eta_cap, that give the boundaries
+their own lanes.
 """
 
 from __future__ import annotations
@@ -95,25 +97,36 @@ def _stay_gap(params: ModelParams, w1: float, eta1: float) -> float:
     return v_stay - v_switch
 
 
-def _k_free_lanes(params: ModelParams, w1: float, etas):
-    # The period-1 effort and the switch surplus at each openness in etas;
-    # neither reads params.k.
-    t = params.theta + params.s
-    q1 = oracle_best_effort(t - w1, 1.0 + etas, params.c)
-    q2_switch, v_switch = _surplus_at_best(
-        t - params.w_low, (1.0 + etas) * (1.0 + params.eta_cap), params.c)
-    return etas, q1, q2_switch, v_switch
+def _fees(params: ModelParams) -> tuple[float, ...]:
+    # The period-1 fees the incumbent may quote, premium fee first.
+    return (params.w_high,) if params.w_low == params.w_high else (params.w_high, params.w_low)
+
+
+def _effort_lanes(params: ModelParams, w1: float, etas):
+    # The period-1 effort at each openness in etas; does not read params.k.
+    return oracle_best_effort(params.theta + params.s - w1, 1.0 + etas, params.c)
+
+
+def _switch_lanes(params: ModelParams, etas):
+    # The deployer's period-2 effort and surplus from switching at each
+    # openness in etas; reads neither params.k nor the period-1 fee.
+    return _surplus_at_best(params.theta + params.s - params.w_low,
+                            (1.0 + etas) * (1.0 + params.eta_cap), params.c)
 
 
 @functools.lru_cache(maxsize=2)
-def _k_free_grid(params: ModelParams, w1: float, n: int):
-    # _k_free_lanes on the n-point grid from eta_cap down to 0, for params
-    # with k = 0: one parameter set with both fees, as a k-sweep of the
-    # oracle asks for. The arrays are shared by every hit, so read-only.
-    lanes = _k_free_lanes(params, w1, np.linspace(params.eta_cap, 0.0, n))
-    for a in lanes:
+def _k_free_grid(params: ModelParams, n: int):
+    # The k-free lanes on the n-point grid from eta_cap down to 0, for params
+    # with k = 0: the grid, the switch lanes (shared by both fees) and the
+    # period-1 effort for each fee of _fees(params). Two entries hold the
+    # coarse and the fine grid of verify's refinement check. The arrays are
+    # shared by every hit, so read-only.
+    etas = np.linspace(params.eta_cap, 0.0, n)
+    switch = _switch_lanes(params, etas)
+    q1s = tuple(_effort_lanes(params, w1, etas) for w1 in _fees(params))
+    for a in (etas, *switch, *q1s):
         a.flags.writeable = False
-    return lanes
+    return etas, switch, q1s
 
 
 def oracle_solve_game(params: ModelParams, config: OracleConfig = OracleConfig()) -> Equilibrium:
@@ -124,10 +137,12 @@ def oracle_solve_game(params: ModelParams, config: OracleConfig = OracleConfig()
     not grid precision. Candidate order (premium fee first, openness
     descending within a fee) implements the documented tie preferences.
 
-    The period-1 effort and the switch surplus on the grid are reused from
-    an earlier call with the same params apart from k, fee and grid size;
-    the boundary lane is searched beside the eta_cap lane, so the result is
-    bit-identical to one search over the grid and the boundary together.
+    The period-1 efforts and the switch surplus on the grid are reused from
+    an earlier call with the same params apart from k and the same grid
+    size. The boundary lanes are searched beside the eta_cap lane, one
+    switch search for both fees' boundaries and one effort search per fee,
+    so the result is bit-identical to one search over the grid and the
+    boundary together.
     """
     require_valid(params)
     c = params.c
@@ -135,22 +150,26 @@ def oracle_solve_game(params: ModelParams, config: OracleConfig = OracleConfig()
     one2 = 1.0 + params.eta_cap
     m2 = t - params.w_low      # period-2 transaction fee is the follower fee
 
-    fees = [params.w_high]
-    if params.w_low != params.w_high:
-        fees.append(params.w_low)
+    fees = _fees(params)
+    # Refine each fee's retention boundary; it joins the grid as an exact
+    # candidate.
+    boundaries = [numerics.largest_true(
+        lambda e: _stay_gap(params, w1, e) >= 0, 0.0, params.eta_cap) for w1 in fees]
+    grid_etas, grid_switch, grid_q1s = _k_free_grid(
+        replace(params, k=0.0), config.eta_grid_points)
+    # The eta_cap lane is the widest in both k-free searches, so these calls
+    # led by it run as many golden-section iterations as the grid calls and
+    # give each boundary lane the bits it would get inside them.
+    edge = np.array([params.eta_cap, *boundaries])
+    edge_switch = _switch_lanes(params, edge)
 
     best = None   # (profit, fee, eta1, won, w2, q1, q2)
 
-    for w1 in fees:
-        # Refine the retention boundary and add it as an exact candidate.
-        boundary = numerics.largest_true(
-            lambda e: _stay_gap(params, w1, e) >= 0, 0.0, params.eta_cap)
-        grid = _k_free_grid(replace(params, k=0.0), w1, config.eta_grid_points)
-        # The eta_cap lane is the widest in both k-free searches, so this
-        # 2-lane call runs as many golden-section iterations as the grid call
-        # and gives the boundary lane the bits it would get inside it.
-        edge = _k_free_lanes(params, w1, np.array([params.eta_cap, boundary]))
-        etas, q1, q2_switch, v_switch = (np.append(g, e[-1]) for g, e in zip(grid, edge))
+    for j, (w1, grid_q1) in enumerate(zip(fees, grid_q1s), start=1):
+        # Lane j of the edge is this fee's boundary.
+        etas = np.append(grid_etas, edge[j])
+        q1 = np.append(grid_q1, _effort_lanes(params, w1, edge[[0, j]])[-1])
+        q2_switch, v_switch = (np.append(g, e[j]) for g, e in zip(grid_switch, edge_switch))
 
         d_stay = (1.0 + params.k * q1) * one2
         q2_stay_low, v_stay_low = _surplus_at_best(m2, d_stay, c)

@@ -7,10 +7,13 @@ make the cross-check circular.
 """
 
 import time
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmgame import (
     OracleConfig,
@@ -21,7 +24,10 @@ from fmgame import (
     solve_integrated,
     solve_subsidized,
 )
+from fmgame import numerics
 from fmgame.numerics import (
+    _GOLDEN_TOL,
+    _INVPHI,
     bisect_root,
     golden_max,
     golden_max_scalar,
@@ -29,7 +35,7 @@ from fmgame.numerics import (
     scan_and_bisect,
     sign_change_brackets,
 )
-from fmgame.oracle import _k_free_grid, _k_free_lanes, oracle_best_effort
+from fmgame.oracle import _effort_lanes, _k_free_grid, _switch_lanes, oracle_best_effort
 from fmgame.verify import compare_with_oracle, random_valid_params
 
 from conftest import HARVEST_TO_DOMINATE, SET_A, SET_B
@@ -55,6 +61,57 @@ class TestGoldenSection:
         xs = golden_max(f, np.array([0.0, 0.0]), np.array([3.0, 0.0]))
         assert xs[0] == pytest.approx(1.0, abs=1e-9)
         assert xs[1] == 0.0
+
+
+def _golden_max_where(f, lo, hi):
+    # golden_max with the bracket update written as np.where, the reference
+    # for its arithmetic select.
+    a = np.asarray(lo, dtype=float).copy()
+    b = np.asarray(hi, dtype=float).copy()
+    width = np.max(b - a) if a.size else 0.0
+    if width <= _GOLDEN_TOL:
+        return (a + b) / 2.0
+    a0, b0 = a.copy(), b.copy()
+    n_iter = int(np.ceil(np.log(_GOLDEN_TOL / width) / np.log(_INVPHI))) + 1
+    for _ in range(n_iter):
+        d = _INVPHI * (b - a)
+        x1 = b - d
+        x2 = a + d
+        keep_left = f(x1) >= f(x2)
+        b = np.where(keep_left, x2, b)
+        a = np.where(keep_left, a, x1)
+    mid = (a + b) / 2.0
+    h = 1e-4 * (b0 - a0)
+    y1, y2, y3 = f(mid - h), f(mid), f(mid + h)
+    den = y1 - 2.0 * y2 + y3
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = np.where(den < 0.0, 0.5 * h * (y1 - y3) / den, 0.0)
+    step = np.clip(np.nan_to_num(step, nan=0.0), -h, h)
+    xv = np.clip(mid + step, a0, b0)
+    yv = f(xv)
+    slack = 64.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(y2))
+    return np.where(yv >= y2 - slack, xv, mid)
+
+
+@given(n=st.integers(1, 10_003), seed=st.integers(0, 2**32 - 1),
+       log_widths=st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
+       lo_below_zero=st.booleans(), zero_width_share=st.sampled_from([0.0, 0.2, 1.0]))
+@settings(max_examples=40, deadline=None)
+def test_golden_max_select_matches_np_where(n, seed, log_widths, lo_below_zero,
+                                            zero_width_share):
+    rng = np.random.default_rng(seed)
+    width = 10.0 ** rng.uniform(min(log_widths), max(log_widths), n)
+    width[rng.random(n) < zero_width_share] = 0.0
+    lo = -(10.0 ** rng.uniform(-6.0, 6.0, n)) if lo_below_zero else np.zeros(n)
+    hi = lo + width
+    # A concave parabola in each lane, peaked inside the bracket or past
+    # either end of it.
+    peak = lo + width * rng.uniform(-0.25, 1.25, n)
+    curvature = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    f = lambda x: -curvature * (x - peak) ** 2
+    got = golden_max(f, lo, hi)
+    want = _golden_max_where(f, lo, hi)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestRootFinding:
@@ -211,26 +268,32 @@ class TestKFreeReuse:
 
     def test_boundary_lane_matches_the_grid_call(self):
         # Reference: one call on the grid with the extra openness values
-        # appended, as the oracle searched before the grid was cached. A
-        # 2-lane call led by eta_cap must give each of them the same bits,
-        # and so must the oracle at its own optimum, often the boundary.
+        # appended, as the oracle searched before the grid was cached. The
+        # calls led by eta_cap must give each of them the same bits, and so
+        # must the oracle at its own optimum, often a boundary.
         rng = np.random.default_rng(5)
         for p in self._points()[::4]:
             eq = oracle_solve_game(p)
             extra = np.append(eq.strategy.eta1, rng.uniform(0.0, p.eta_cap, 8))
             etas = np.append(np.linspace(p.eta_cap, 0.0, 10001), extra)
+            whole = _switch_lanes(p, etas)
+            edge = _switch_lanes(p, np.append(p.eta_cap, extra))
+            assert [list(a[1:]) for a in edge] == [list(b[10001:]) for b in whole]
             for w1 in (p.w_high, p.w_low):
-                whole = _k_free_lanes(p, w1, etas)
+                whole = _effort_lanes(p, w1, etas)
                 for j, eta in enumerate(extra):
-                    edge = _k_free_lanes(p, w1, np.array([p.eta_cap, eta]))
-                    assert [a[-1] for a in edge] == [b[10001 + j] for b in whole]
+                    edge = _effort_lanes(p, w1, np.array([p.eta_cap, eta]))
+                    assert edge[-1] == whole[10001 + j]
                 if w1 == eq.strategy.w1:
-                    assert eq.period1.effort == whole[1][10001]
+                    assert eq.period1.effort == whole[10001]
 
     def test_cached_arrays_are_read_only(self):
-        for a in _k_free_grid(replace(SET_A, k=0.0), SET_A.w_high, 101):
-            with pytest.raises(ValueError):
-                a[0] = 0.0
+        for p, n_fees in ((SET_A, 2), (replace(SET_A, w_low=2.5), 1)):
+            etas, switch, q1s = _k_free_grid(replace(p, k=0.0), 101)
+            assert len(switch) == 2 and len(q1s) == n_fees
+            for a in (etas, *switch, *q1s):
+                with pytest.raises(ValueError):
+                    a[0] = 0.0
 
     def test_cache_holds_at_most_two_entries(self):
         config = OracleConfig(eta_grid_points=101)
@@ -245,11 +308,45 @@ class TestKFreeReuse:
         _k_free_grid.cache_clear()
         oracle_solve_game(SET_A, config)
         oracle_solve_game(replace(SET_A, k=0.1), config)
-        assert _k_free_grid.cache_info()[:2] == (2, 2)   # (hits, misses)
+        assert _k_free_grid.cache_info()[:2] == (1, 1)   # (hits, misses)
         oracle_solve_game(replace(SET_A, s=0.3), config)
-        assert _k_free_grid.cache_info()[:2] == (2, 4)
+        assert _k_free_grid.cache_info()[:2] == (1, 2)
         oracle_solve_game(replace(SET_A, eta_cap=1.4), config)
-        assert _k_free_grid.cache_info()[:2] == (2, 6)
+        assert _k_free_grid.cache_info()[:2] == (1, 3)
+
+    def test_golden_searches_per_call(self, monkeypatch):
+        # Lane counts of the golden_max calls: 101 are the cached k-free grid
+        # searches, 102 the stay searches (grid plus boundary), and the small
+        # ones give the boundaries their k-free lanes: one switch search
+        # for both fees and one effort search per fee.
+        sizes = Counter()
+
+        def counting(f, lo, hi):
+            sizes[np.size(lo)] += 1
+            return golden_max(f, lo, hi)
+
+        monkeypatch.setattr(numerics, "golden_max", counting)
+        config = OracleConfig(eta_grid_points=101)
+        expected = [
+            (SET_A, {101: 3, 102: 4, 3: 1, 2: 2}),                    # cold
+            (replace(SET_A, k=0.1), {102: 4, 3: 1, 2: 2}),             # warm
+            (replace(SET_A, w_low=2.5, k=0.0), {101: 2, 102: 2, 2: 2}),  # equal fees
+        ]
+        _k_free_grid.cache_clear()
+        for p, want in expected:
+            sizes.clear()
+            oracle_solve_game(p, config)
+            assert sizes == want, p
+
+    def test_verify_grid_refinement_hits_the_cache(self):
+        # verify sweeps k on the default grid, then solves k = params.k on a
+        # coarse grid and on the default grid again; that last call is a hit.
+        _k_free_grid.cache_clear()
+        oracle_solve_game(replace(SET_A, k=0.1))
+        oracle_solve_game(SET_A, OracleConfig(eta_grid_points=5001))
+        hits, misses = _k_free_grid.cache_info()[:2]
+        oracle_solve_game(SET_A)
+        assert _k_free_grid.cache_info()[:2] == (hits + 1, misses)
 
 
 def test_oracle_is_formula_blind():
