@@ -22,11 +22,7 @@ each fee and the deployer's surplus from switching, which reads no fee
 either. They are cached for the two latest (params without k, grid size)
 keys, so a sweep over k, as in ``fmgame verify``, runs them once per
 parameter set; only the two stay searches per fee and the boundary
-bisections run at every k. Reuse changes no bits: every step of those
-searches is elementwise except the golden-section iteration count, which
-comes from the widest lane, and the eta_cap lane is the widest both on the
-grid and in the small searches, led by eta_cap, that give the boundaries
-their own lanes.
+bisections run at every k.
 """
 
 from __future__ import annotations
@@ -84,19 +80,6 @@ def _surplus_at_best(margin, denom, c):
     return q, margin * q - c * q * q / denom
 
 
-def _stay_gap(params: ModelParams, w1: float, eta1: float) -> float:
-    # Deployer's period-2 surplus advantage of staying (incumbent at the
-    # follower fee) over switching, at a scalar period-1 candidate.
-    t = params.theta + params.s
-    c = params.c
-    m2 = t - params.w_low
-    q1 = oracle_best_effort(t - w1, 1.0 + eta1, c)
-    one2 = 1.0 + params.eta_cap
-    _, v_stay = _surplus_at_best(m2, (1.0 + params.k * q1) * one2, c)
-    _, v_switch = _surplus_at_best(m2, (1.0 + eta1) * one2, c)
-    return v_stay - v_switch
-
-
 def _fees(params: ModelParams) -> tuple[float, ...]:
     # The period-1 fees the incumbent may quote, premium fee first.
     return (params.w_high,) if params.w_low == params.w_high else (params.w_high, params.w_low)
@@ -114,6 +97,20 @@ def _switch_lanes(params: ModelParams, etas):
                             (1.0 + etas) * (1.0 + params.eta_cap), params.c)
 
 
+def _stay_lanes(params: ModelParams, w2: float, q1):
+    # The deployer's period-2 effort and surplus from staying with the
+    # incumbent at fee w2, after period-1 efforts q1.
+    return _surplus_at_best(params.theta + params.s - w2,
+                            (1.0 + params.k * q1) * (1.0 + params.eta_cap), params.c)
+
+
+def _stay_gap(params: ModelParams, w1: float, eta1: float) -> float:
+    # Deployer's period-2 surplus advantage of staying (incumbent at the
+    # follower fee) over switching, at a scalar period-1 candidate.
+    q1 = _effort_lanes(params, w1, eta1)
+    return _stay_lanes(params, params.w_low, q1)[1] - _switch_lanes(params, eta1)[1]
+
+
 @functools.lru_cache(maxsize=2)
 def _k_free_grid(params: ModelParams, n: int):
     # The k-free lanes on the n-point grid from eta_cap down to 0, for params
@@ -129,80 +126,62 @@ def _k_free_grid(params: ModelParams, n: int):
     return etas, switch, q1s
 
 
+def _best_candidate(params: ModelParams, w1: float, etas, q1, switch):
+    # The best period-1 openness among etas (grid arrays or one scalar) at
+    # fee w1, given the period-1 efforts q1 and the switch effort and
+    # surplus there: the period-2 subgame played out, the deployer staying
+    # on ties. Returns (profit, fee, eta1, won, w2, q1, q2) of the first
+    # best lane.
+    q2_switch, v_switch = switch
+    q2_stay_low, v_stay_low = _stay_lanes(params, params.w_low, q1)
+    q2_stay_high, v_stay_high = _stay_lanes(params, params.w_high, q1)
+
+    wins_low = v_stay_low >= v_switch
+    wins_high = v_stay_high >= v_switch
+    if np.any(v_stay_high > v_switch + 1e-9 * np.maximum(1.0, np.abs(v_switch))):
+        raise RuntimeError(
+            "oracle: period-2 premium-fee deviation won strictly; "
+            "the k admissibility bound is wrong for these params"
+        )
+
+    rev_low = np.where(wins_low, params.w_low * q2_stay_low, -np.inf)
+    rev_high = np.where(wins_high, params.w_high * q2_stay_high, -np.inf)
+    # Ties between the two winning fees go to the follower fee.
+    pick_high = rev_high > rev_low
+    won = wins_low | wins_high
+    rev2 = np.where(won, np.where(pick_high, rev_high, rev_low), 0.0)
+    w2 = np.where(pick_high, params.w_high, params.w_low)
+    q2 = np.where(won, np.where(pick_high, q2_stay_high, q2_stay_low), q2_switch)
+
+    profit = w1 * q1 + rev2
+    i = int(np.argmax(profit))
+    profit, eta1, won, w2, q1, q2 = (np.ravel(a)[i] for a in (profit, etas, won, w2, q1, q2))
+    return float(profit), w1, float(eta1), bool(won), float(w2), float(q1), float(q2)
+
+
 def oracle_solve_game(params: ModelParams, config: OracleConfig = OracleConfig()) -> Equilibrium:
     """Numeric subgame-perfect equilibrium by grid search over strategies.
 
-    For each fee the openness grid is augmented with the bisected retention
-    boundary, so defend/dominate optima are located to bisection precision,
-    not grid precision. Candidate order (premium fee first, openness
-    descending within a fee) implements the documented tie preferences.
-
-    The period-1 efforts and the switch surplus on the grid are reused from
-    an earlier call with the same params apart from k and the same grid
-    size. The boundary lanes are searched beside the eta_cap lane, one
-    switch search for both fees' boundaries and one effort search per fee,
-    so the result is bit-identical to one search over the grid and the
-    boundary together.
+    For each fee the bisected retention boundary is a candidate beside the
+    openness grid, played out in the bisection's own scalar arithmetic, so
+    defend/dominate optima are located to bisection precision, not grid
+    precision. Candidate order (premium fee first, the grid in descending
+    openness before the boundary) implements the documented tie
+    preferences. The period-1 efforts and the switch surplus on the grid
+    are reused from an earlier call with the same params apart from k and
+    the same grid size.
     """
     require_valid(params)
-    c = params.c
-    t = params.theta + params.s
-    one2 = 1.0 + params.eta_cap
-    m2 = t - params.w_low      # period-2 transaction fee is the follower fee
-
-    fees = _fees(params)
-    # Refine each fee's retention boundary; it joins the grid as an exact
-    # candidate.
-    boundaries = [numerics.largest_true(
-        lambda e: _stay_gap(params, w1, e) >= 0, 0.0, params.eta_cap) for w1 in fees]
-    grid_etas, grid_switch, grid_q1s = _k_free_grid(
-        replace(params, k=0.0), config.eta_grid_points)
-    # The eta_cap lane is the widest in both k-free searches, so these calls
-    # led by it run as many golden-section iterations as the grid calls and
-    # give each boundary lane the bits it would get inside them.
-    edge = np.array([params.eta_cap, *boundaries])
-    edge_switch = _switch_lanes(params, edge)
-
+    etas, switch, q1s = _k_free_grid(replace(params, k=0.0), config.eta_grid_points)
     best = None   # (profit, fee, eta1, won, w2, q1, q2)
-
-    for j, (w1, grid_q1) in enumerate(zip(fees, grid_q1s), start=1):
-        # Lane j of the edge is this fee's boundary.
-        etas = np.append(grid_etas, edge[j])
-        q1 = np.append(grid_q1, _effort_lanes(params, w1, edge[[0, j]])[-1])
-        q2_switch, v_switch = (np.append(g, e[j]) for g, e in zip(grid_switch, edge_switch))
-
-        d_stay = (1.0 + params.k * q1) * one2
-        q2_stay_low, v_stay_low = _surplus_at_best(m2, d_stay, c)
-        q2_stay_high, v_stay_high = _surplus_at_best(t - params.w_high, d_stay, c)
-
-        wins_low = v_stay_low >= v_switch
-        # The boundary candidate keeps the scalar bisection's verdict, the
-        # deployer stays: the separate stay and switch searches size their
-        # iteration counts from different widest lanes, so at the
-        # boundary they can disagree in the last bit.
-        wins_low[-1] = True
-        wins_high = v_stay_high >= v_switch
-        if np.any(v_stay_high > v_switch + 1e-9 * np.maximum(1.0, np.abs(v_switch))):
-            raise RuntimeError(
-                "oracle: period-2 premium-fee deviation won strictly; "
-                "the k admissibility bound is wrong for these params"
-            )
-
-        rev_low = np.where(wins_low, params.w_low * q2_stay_low, -np.inf)
-        rev_high = np.where(wins_high, params.w_high * q2_stay_high, -np.inf)
-        # Ties between the two winning fees go to the follower fee.
-        pick_high = rev_high > rev_low
-        won = wins_low | wins_high
-        rev2 = np.where(won, np.where(pick_high, rev_high, rev_low), 0.0)
-        w2 = np.where(pick_high, params.w_high, params.w_low)
-        q2 = np.where(won, np.where(pick_high, q2_stay_high, q2_stay_low), q2_switch)
-
-        profit = w1 * q1 + rev2
-        i = int(np.argmax(profit))
-        cand = (float(profit[i]), w1, float(etas[i]), bool(won[i]), float(w2[i]),
-                float(q1[i]), float(q2[i]))
-        if best is None or cand[0] > best[0]:
-            best = cand
+    for w1, q1 in zip(_fees(params), q1s):
+        edge = numerics.largest_true(
+            lambda e: _stay_gap(params, w1, e) >= 0, 0.0, params.eta_cap)
+        for cand in (_best_candidate(params, w1, etas, q1, switch),
+                     _best_candidate(params, w1, edge, _effort_lanes(params, w1, edge),
+                                     _switch_lanes(params, edge))):
+            if best is None or cand[0] > best[0]:
+                best = cand
 
     profit, w1, eta1, won, w2, q1, q2 = best
     if won:

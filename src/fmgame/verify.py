@@ -31,6 +31,7 @@ from .oracle import OracleConfig, oracle_solve_game, oracle_solve_integrated
 from .params import ModelParams, Strategy, k_max, validate
 from .welfare import (
     _binding_range,
+    _trap_gap,
     openness_trap_threshold,
     welfare_baseline,
     welfare_mandate,
@@ -291,11 +292,7 @@ def _check_trap_root(p0: ModelParams) -> CheckResult:
     # A trap root must zero the SW gap (baseline minus mandate), or else be
     # the jump in the gap where defend gives way to dominate. Without one the
     # gap must keep one sign on the binding range; the detail names it.
-    sw_mandate = welfare_mandate(replace(p0, k=0.0)).social
-
-    def gap(k: float) -> float:
-        return welfare_baseline(replace(p0, k=k)).social - sw_mandate
-
+    gap = _trap_gap(p0)
     trap = openness_trap_threshold(p0)
     if trap is not None:
         th = regime_thresholds(p0)

@@ -190,12 +190,14 @@ def openness_trap_threshold(params: ModelParams) -> float | None:
     binding = _binding_range(params)
     if binding is None:
         return None   # the mandate never binds on the admissible range
+    return numerics.scan_and_bisect(_trap_gap(params), _k_grid(*binding))[0]
+
+
+def _trap_gap(params: ModelParams):
+    # f(k) = SW_baseline(k) - SW_mandate, the gap whose sign change is the
+    # openness trap; params.k is ignored.
     sw_mandate = welfare_mandate(replace(params, k=0.0)).social
-
-    def gap(k: float) -> float:
-        return welfare_baseline(replace(params, k=k)).social - sw_mandate
-
-    return numerics.scan_and_bisect(gap, _k_grid(*binding))[0]
+    return lambda k: welfare_baseline(replace(params, k=k)).social - sw_mandate
 
 
 def _binding_range(params: ModelParams) -> tuple[float, float] | None:
