@@ -55,11 +55,11 @@ def golden_max(f, lo, hi):
     """Golden-section maximizer of a unimodal f on [lo, hi], vectorized.
 
     lo and hi may be scalars or equal-shape arrays; f must accept arrays of
-    that shape. The final bracket midpoint is polished with a parabolic fit
-    (same shape result).
+    that shape. The probe arrays passed to f are buffers reused across
+    iterations, so f must neither keep nor mutate its argument. The final
+    bracket midpoint is polished with a parabolic fit (same shape result).
     """
-    a = np.asarray(lo, dtype=float).copy()
-    b = np.asarray(hi, dtype=float).copy()
+    a, b = (np.array(x, dtype=float) for x in np.broadcast_arrays(lo, hi))
     width = np.max(b - a) if a.size else 0.0
     if width <= _GOLDEN_TOL:
         return (a + b) / 2.0
@@ -67,16 +67,19 @@ def golden_max(f, lo, hi):
     # moves is a coin flip per lane, which makes np.where slow; arithmetic on
     # a 0/1 float mask selects exactly, as x*1 + y*0 == x for finite x and y
     # (a -0.0 bound may come back as +0.0), so brackets must be finite.
+    # Every step writes into preallocated buffers; `>=` casts its bool result
+    # straight into the float mask.
     a0, b0 = a.copy(), b.copy()
+    d, x1, x2, s, r = (np.empty_like(a) for _ in range(5))
     n_iter = int(np.ceil(np.log(_GOLDEN_TOL / width) / np.log(_INVPHI))) + 1
     for _ in range(n_iter):
-        d = _INVPHI * (b - a)
-        x1 = b - d
-        x2 = a + d
-        s = (f(x1) >= f(x2)).astype(float)
-        r = 1.0 - s
-        b = x2 * s + b * r
-        a = a * s + x1 * r
+        np.multiply(np.subtract(b, a, out=d), _INVPHI, out=d)
+        np.subtract(b, d, out=x1)
+        np.add(a, d, out=x2)
+        np.greater_equal(f(x1), f(x2), out=s)
+        np.subtract(1.0, s, out=r)
+        np.add(np.multiply(x2, s, out=x2), np.multiply(b, r, out=b), out=b)
+        np.add(np.multiply(a, s, out=a), np.multiply(x1, r, out=x1), out=a)
     mid = (a + b) / 2.0
     # Parabolic polish past the comparison-noise floor (see scalar variant).
     h = 1e-4 * (b0 - a0)
@@ -148,19 +151,36 @@ def scan_and_bisect(f, grid) -> tuple[float | None, int]:
     return root, len(brackets)
 
 
-def largest_true(pred, lo: float, hi: float) -> float:
+def largest_true(pred, lo: float, hi: float, cell=None) -> float:
     """Largest x in [lo, hi] with pred(x) true, given pred(lo) is true.
 
     Assumes pred flips at most once from true to false as x grows. Returns a
-    point on the true side of the boundary, within 1e-12 of it.
+    point on the true side of the boundary, within 1e-12 of it. An optional
+    cell (a, b) inside [lo, hi] guesses where pred flips. Its ends are
+    tested first; the bisection then takes the same steps as without the
+    cell, but answers every point that those tests decide without calling
+    pred, so a right guess leaves only the steps inside the cell.
     """
-    if pred(hi):
+    yes, no = -np.inf, np.inf   # pred holds up to yes and fails from no on
+    if cell is not None:
+        a, b = cell
+        if pred(b):
+            yes = b
+        elif pred(a):
+            yes, no = a, b
+        else:
+            no = a
+
+    def holds(x):
+        return x <= yes or (x < no and pred(x))
+
+    if holds(hi):
         return hi
-    if not pred(lo):
+    if not holds(lo):
         raise ValueError("pred(lo) must hold")
     while (hi - lo) > 1e-12:
         mid = 0.5 * (lo + hi)
-        if pred(mid):
+        if holds(mid):
             lo = mid
         else:
             hi = mid

@@ -14,8 +14,11 @@ numerics) and replays the game mechanics directly:
 
 Bisection is used only to refine the location of the retention boundary in
 openness, so threshold candidates are represented exactly rather than to
-grid resolution. If the premium-fee deviation ever strictly wins period 2,
-the admissibility bound on k was transcribed wrong and the oracle raises.
+grid resolution. The grid's own stay verdicts say which grid cell holds the
+boundary, so the bisection runs its scalar searches only inside that cell,
+after testing the cell's ends. If the premium-fee deviation ever strictly
+wins period 2, the admissibility bound on k was transcribed wrong and the
+oracle raises.
 
 Three of the grid searches do not depend on k: the period-1 effort for
 each fee and the deployer's surplus from switching, which reads no fee
@@ -50,6 +53,8 @@ def oracle_best_effort(margin, cost_denominator, c: float = 1.0):
     Golden-section search on [0, margin * denominator / c] (the objective is
     negative beyond that, and concave). Non-positive margins return 0.
     Accepts scalars or broadcastable arrays; scalar inputs give a float.
+    The search evaluates the same surplus factored as Q (margin - Q c/d),
+    with c/d divided out once per search.
     """
     if np.ndim(margin) == 0 and np.ndim(cost_denominator) == 0:
         m = float(margin)
@@ -58,9 +63,8 @@ def oracle_best_effort(margin, cost_denominator, c: float = 1.0):
             raise ValueError("cost denominator must be positive")
         if m <= 0:
             return 0.0
-        return numerics.golden_max_scalar(
-            lambda q: m * q - c * q * q / d, 0.0, m * d / c,
-        )
+        cd = c / d
+        return numerics.golden_max_scalar(lambda q: q * (m - q * cd), 0.0, m * d / c)
 
     m = np.asarray(margin, dtype=float)
     d = np.asarray(cost_denominator, dtype=float)
@@ -68,9 +72,11 @@ def oracle_best_effort(margin, cost_denominator, c: float = 1.0):
         raise ValueError("cost denominator must be positive")
     m, d = np.broadcast_arrays(m, d)
     hi = np.where(m > 0, m, 0.0) * d / c
+    cd = c / d
 
     def objective(q):
-        return m * q - c * q * q / d
+        v = q * cd
+        return np.multiply(q, np.subtract(m, v, out=v), out=v)
 
     return numerics.golden_max(objective, np.zeros_like(hi), hi)
 
@@ -131,7 +137,7 @@ def _best_candidate(params: ModelParams, w1: float, etas, q1, switch):
     # fee w1, given the period-1 efforts q1 and the switch effort and
     # surplus there: the period-2 subgame played out, the deployer staying
     # on ties. Returns (profit, fee, eta1, won, w2, q1, q2) of the first
-    # best lane.
+    # best lane, and the verdicts that the deployer stays at the follower fee.
     q2_switch, v_switch = switch
     q2_stay_low, v_stay_low = _stay_lanes(params, params.w_low, q1)
     q2_stay_high, v_stay_high = _stay_lanes(params, params.w_high, q1)
@@ -156,14 +162,31 @@ def _best_candidate(params: ModelParams, w1: float, etas, q1, switch):
     profit = w1 * q1 + rev2
     i = int(np.argmax(profit))
     profit, eta1, won, w2, q1, q2 = (np.ravel(a)[i] for a in (profit, etas, won, w2, q1, q2))
-    return float(profit), w1, float(eta1), bool(won), float(w2), float(q1), float(q2)
+    return (float(profit), w1, float(eta1), bool(won), float(w2), float(q1), float(q2)), wins_low
+
+
+def _retention_boundary(params: ModelParams, w1: float, etas, stays) -> float:
+    # The largest openness at which the deployer stays at the follower fee
+    # (_stay_gap >= 0), bisected on [0, eta_cap] with the cell of the
+    # descending grid etas where the grid's verdicts stays turn from switch
+    # to stay as largest_true's guess. Those vectorized verdicts can differ
+    # from _stay_gap's in the last bit, so largest_true tests the cell's ends
+    # with _stay_gap itself and searches on past an end that disagrees.
+    j = int(np.argmax(stays)) if stays.any() else len(etas) - 1
+    cell = None if j == 0 else (float(etas[j]), float(etas[j - 1]))
+    return numerics.largest_true(lambda e: _stay_gap(params, w1, e) >= 0,
+                                 0.0, params.eta_cap, cell)
 
 
 def oracle_solve_game(params: ModelParams, config: OracleConfig = OracleConfig()) -> Equilibrium:
     """Numeric subgame-perfect equilibrium by grid search over strategies.
 
-    For each fee the bisected retention boundary is a candidate beside the
-    openness grid, played out in the bisection's own scalar arithmetic, so
+    For each fee the openness grid is played out first. Where its stay
+    verdicts turn from switch to stay, one grid cell brackets the retention
+    boundary: largest_true tests the cell's ends with the scalar stay gap
+    and bisects inside it, taking the same steps as a bisection of
+    [0, eta_cap] would. The bisected boundary is a candidate beside the
+    grid, played out in the bisection's own scalar arithmetic, so
     defend/dominate optima are located to bisection precision, not grid
     precision. Candidate order (premium fee first, the grid in descending
     openness before the boundary) implements the documented tie
@@ -175,11 +198,11 @@ def oracle_solve_game(params: ModelParams, config: OracleConfig = OracleConfig()
     etas, switch, q1s = _k_free_grid(replace(params, k=0.0), config.eta_grid_points)
     best = None   # (profit, fee, eta1, won, w2, q1, q2)
     for w1, q1 in zip(_fees(params), q1s):
-        edge = numerics.largest_true(
-            lambda e: _stay_gap(params, w1, e) >= 0, 0.0, params.eta_cap)
-        for cand in (_best_candidate(params, w1, etas, q1, switch),
-                     _best_candidate(params, w1, edge, _effort_lanes(params, w1, edge),
-                                     _switch_lanes(params, edge))):
+        grid, stays = _best_candidate(params, w1, etas, q1, switch)
+        edge = _retention_boundary(params, w1, etas, stays)
+        boundary, _ = _best_candidate(params, w1, edge, _effort_lanes(params, w1, edge),
+                                      _switch_lanes(params, edge))
+        for cand in (grid, boundary):
             if best is None or cand[0] > best[0]:
                 best = cand
 

@@ -21,7 +21,9 @@ model quality (the data flywheel), with strength ``k``.
 Admissibility mirrors the model's maintained assumptions: fees ordered and
 capped at half the quality value, subsidy no larger than the follower fee,
 and ``k`` no larger than ``k_max``, the level at which a premium-fee
-incumbent could win period 2 on flywheel strength alone.
+incumbent could win period 2 on flywheel strength alone. A numeric
+condition rides along: the largest products the closed forms build from
+``theta``, ``c`` and ``eta_cap`` must stay well inside the float range.
 """
 
 from __future__ import annotations
@@ -116,6 +118,22 @@ def k_max(params: ModelParams) -> float:
 
 
 _FIELDS = ("theta", "c", "w_high", "w_low", "eta_cap", "k", "s")
+_LOG_1E300 = 300.0 * math.log(10.0)
+
+
+def _products_in_range(params: ModelParams) -> bool:
+    # The largest products the closed forms build, as logs so that the check
+    # cannot overflow itself, with t = theta + s; every margin lies between
+    # t/3 and t. They are t**3, alone and times 1 + eta_cap (k_max, k_bar_13),
+    # c t**2 (k_max), c**2 and (1 + eta_cap)**4 t**2, alone and over c**2
+    # (_row's consumer rows), and (1 + eta_cap)**2 c t**2 (the integrated
+    # profit). Each must lie in 1e-300..1e300, room for constants and sums.
+    lt = math.log(params.theta + params.s)
+    lc = math.log(params.c)
+    le = math.log1p(params.eta_cap)
+    logs = (3.0 * lt, 3.0 * lt + le, lc + 2.0 * lt, 2.0 * lc,
+            4.0 * le + 2.0 * lt, 4.0 * le + 2.0 * (lt - lc), 2.0 * le + lc + 2.0 * lt)
+    return -_LOG_1E300 <= min(logs) and max(logs) <= _LOG_1E300
 
 
 def validate(params: ModelParams) -> ValidationReport:
@@ -146,7 +164,10 @@ def validate(params: ModelParams) -> ValidationReport:
     elif params.s > params.w_low:
         v.append("s exceeds w_low")
 
-    # The k bound only makes sense once the structural conditions hold.
+    # The k bound only makes sense once the structural conditions hold, and
+    # k_max is one of the products checked first.
+    if not v and not _products_in_range(params):
+        v.append("magnitudes overflow or underflow the closed forms")
     if not v and params.k > k_max(params):
         v.append("k exceeds k_max")
     return ValidationReport(tuple(v))

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fmgame import (
@@ -36,7 +36,14 @@ from fmgame.numerics import (
     scan_and_bisect,
     sign_change_brackets,
 )
-from fmgame.oracle import _k_free_grid, _stay_gap, oracle_best_effort
+from fmgame.oracle import (
+    _best_candidate,
+    _fees,
+    _k_free_grid,
+    _retention_boundary,
+    _stay_gap,
+    oracle_best_effort,
+)
 from fmgame.verify import compare_with_oracle, random_valid_params
 
 from conftest import HARVEST_TO_DOMINATE, SET_A, SET_B
@@ -151,6 +158,25 @@ class TestRootFinding:
         assert edge == pytest.approx(0.7321, abs=1e-9)
         assert largest_true(lambda x: True, 0.0, 1.0) == 1.0
 
+    @pytest.mark.parametrize("cell", [(0.73, 0.74), (0.74, 0.75), (0.72, 0.73),
+                                      (0.0, 0.1), (0.9, 1.0)],
+                             ids=["right", "too_high", "too_low", "lowest", "highest"])
+    def test_largest_true_cell_takes_the_same_steps(self, cell):
+        # A guessed cell changes which points pred is called at, never the
+        # bisection's steps: right or wrong, the result is the same float.
+        calls = []
+
+        def pred(x):
+            calls.append(x)
+            return x <= 0.7321
+
+        want = largest_true(lambda x: x <= 0.7321, 0.0, 1.0)
+        assert largest_true(pred, 0.0, 1.0, cell) == want
+        if cell == (0.73, 0.74):
+            # A right guess calls pred only on the cell, its ends included.
+            assert all(0.73 <= x <= 0.74 for x in calls)
+            assert len(calls) < 40
+
 
 class TestBestEffort:
     def test_scalar_matches_vertex(self):
@@ -171,6 +197,22 @@ class TestBestEffort:
     def test_bad_denominator(self):
         with pytest.raises(ValueError):
             oracle_best_effort(1.0, 0.0)
+
+
+@given(m=st.floats(1e-3, 1e3), d=st.floats(1e-3, 1e3), c=st.floats(1e-3, 1e3))
+@settings(max_examples=200, deadline=None)
+def test_best_effort_finds_the_vertex(m, d, c):
+    # The searches evaluate the surplus factored as q (m - q c/d); both must
+    # still land on the vertex m d / (2c), which only this test knows. The
+    # bracket [0, m d / c] stays below 2**19, where golden_max_scalar's loop
+    # never ends (ROADMAP item 1), and above 1e-5: below about 1e-6 the
+    # searches stop at their absolute width of 1e-10, too wide for 1e-9
+    # relative, before the polish can reach the vertex.
+    assume(1e-5 <= m * d / c < 2.0**19)
+    want = m * d / (2.0 * c)
+    assert oracle_best_effort(m, d, c) == pytest.approx(want, rel=1e-9, abs=0.0)
+    lanes = oracle_best_effort(np.full(3, m), np.array([d, d, 1.0]), c)
+    assert lanes[0] == lanes[1] == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 class TestOracleAgreement:
@@ -281,6 +323,49 @@ class TestKFreeReuse:
             assert _stay_gap(p, eq.strategy.w1, eta1) >= 0, p
             assert eq.regime in (Regime.DEFEND, Regime.DOMINATE), p
         assert off_grid > 0
+
+    @staticmethod
+    def _boundaries(p, stub=None):
+        # For each fee: the retention boundary bracketed by the grid's stay
+        # verdicts (changed by stub when given), the full bisection of
+        # [0, eta_cap], and the grid cell that the verdicts pointed to.
+        etas, switch, q1s = _k_free_grid(replace(p, k=0.0), 10001)
+        out = []
+        for w1, q1 in zip(_fees(p), q1s):
+            stays = _best_candidate(p, w1, etas, q1, switch)[1]
+            if stub is not None:
+                stays = stub(stays.copy())
+            full = largest_true(lambda e: _stay_gap(p, w1, e) >= 0, 0.0, p.eta_cap)
+            j = int(np.argmax(stays))
+            out.append((_retention_boundary(p, w1, etas, stays), full, etas[j]))
+        return out
+
+    def test_grid_bracketed_boundary_matches_full_bisection(self):
+        for p in self._points():
+            for bracketed, full, _ in self._boundaries(p):
+                assert abs(bracketed - full) <= 1e-12, p
+
+    @pytest.mark.parametrize("too_high", [True, False], ids=["cell_too_high", "cell_too_low"])
+    def test_wrong_grid_verdict_falls_back(self, too_high):
+        # A grid verdict one cell off, as in the last-bit disagreement at
+        # set_b with k = k_max: an extra stay just above the flip puts the
+        # guessed cell one too high, a lost stay just below it one too low.
+        # The cell's ends are tested with _stay_gap, and the bisection goes
+        # on past the end that disagrees.
+        def stub(stays):
+            j = int(np.argmax(stays))   # the highest stay on the descending grid
+            if too_high:
+                stays[j - 1] = True
+            else:
+                stays[j] = False
+            return stays
+
+        p = replace(SET_A, k=0.2)   # defend: both boundaries inside the grid
+        step = p.eta_cap / 10000
+        for bracketed, full, guess in self._boundaries(p, stub):
+            assert abs(bracketed - full) <= 1e-12
+            # The guessed cell [guess, guess + step] misses the boundary.
+            assert full < guess if too_high else full > guess + 0.5 * step
 
     def test_cached_arrays_are_read_only(self):
         for p, n_fees in ((SET_A, 2), (replace(SET_A, w_low=2.5), 1)):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmgame import InvalidParams, ModelParams, k_max, require_valid, validate
+from fmgame.cli import main
 
 from conftest import SET_A, SET_B
 
@@ -54,6 +55,31 @@ def test_rejections(kwargs, needle):
     assert any(needle in v for v in report.violations), report.violations
     with pytest.raises(InvalidParams):
         require_valid(p)
+
+
+OUT_OF_RANGE = "magnitudes overflow or underflow the closed forms"
+
+
+@pytest.mark.parametrize("kwargs", [
+    # k_bar_1 is inf - inf (NaN) and the incumbent's profit inf.
+    dict(theta=1e160, c=1.0, w_high=4e159, w_low=1e159, eta_cap=1.0),
+    # k_max underflows to 0.0.
+    dict(theta=1e150, c=1.0, w_high=4e149, w_low=1e149, eta_cap=1.0),
+    # c * c is 0.0: solve raised ZeroDivisionError.
+    dict(theta=5.0, c=1e-200, w_high=2.5, w_low=0.5, eta_cap=1.5),
+    # c * c is subnormal: the welfare consumer surplus was inf.
+    dict(theta=5.0, c=1e-160, w_high=2.5, w_low=0.5, eta_cap=1.5),
+    # three margins underflow to 0.0: k_max, and so validate, raised
+    # ZeroDivisionError.
+    dict(theta=1e-110, c=1.0, w_high=4e-111, w_low=1e-111, eta_cap=1.0),
+], ids=["theta_1e160", "theta_1e150", "c_1e-200", "c_1e-160", "theta_1e-110"])
+def test_magnitudes_out_of_range_are_named(kwargs, tmp_path, capsys):
+    p = ModelParams(k=0.0, s=0.0, **kwargs)
+    assert validate(p).violations == (OUT_OF_RANGE,)
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text("".join(f"{name} = {value!r}\n" for name, value in vars(p).items()))
+    assert main(["solve", "--config", str(cfg)]) == 3
+    assert OUT_OF_RANGE in capsys.readouterr().err
 
 
 def test_report_collects_multiple_violations():
