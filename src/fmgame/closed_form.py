@@ -130,7 +130,7 @@ def eta_bar_low(params: ModelParams) -> float:
 
 
 def _eta_bar(params: ModelParams, w1: float) -> float:
-    margin = params.theta - w1 + params.s
+    margin = params.theta + params.s - w1   # _row's and validate()'s rounding
     den = 2.0 * params.c - params.k * margin
     if den <= 0.0:
         raise ValueError("retention threshold undefined: 2c - k (theta - w1 + s) <= 0")
@@ -163,15 +163,16 @@ def _row(params: ModelParams, regime: Regime) -> _Row:
                     winner=Winner.ENTRANT, revenue=one * m_h * w_h / c2,
                     dev2=one * one * m_l * w_l / c2, deployer=one * deployer_num / (4.0 * c),
                     consumer=one * one * (m_h * m_h + one * one * m_l * m_l) / (8.0 * c * c))
+    # At a k_max set by the openness cap, eta_bar_low can round past eta_cap,
+    # and so can eta_bar_high where the fees are too small to move t - w.
     if regime is Regime.DEFEND:
         d_h = c2 - params.k * m_h
-        return _Row(w1=w_h, eta1=eta_bar_high(params), q1=m_h / d_h, q2=one * m_l / d_h,
+        return _Row(w1=w_h, eta1=min(eta_bar_high(params), eta), q1=m_h / d_h, q2=one * m_l / d_h,
                     winner=Winner.INCUMBENT, revenue=(w_h * m_h + one * w_l * m_l) / d_h,
                     dev2=0.0, deployer=deployer_num / (2.0 * d_h),
                     consumer=((2.0 + eta * (2.0 + eta)) * t * t + w_h * w_h
                               + one * one * w_l * w_l - 2.0 * t * (w_h + one * one * w_l))
                     / (2.0 * d_h * d_h))
-    # At a k_max set by the openness cap, eta_bar_low can round past eta_cap.
     d_l = c2 - params.k * m_l
     return _Row(w1=w_l, eta1=min(eta_bar_low(params), eta), q1=m_l / d_l, q2=one * m_l / d_l,
                 winner=Winner.INCUMBENT, revenue=(2.0 + eta) * w_l * m_l / d_l,
@@ -245,23 +246,6 @@ def _thresholds(params: ModelParams) -> RegimeThresholds:
     )
 
 
-def _regime_from_thresholds(params: ModelParams, th: RegimeThresholds) -> Regime:
-    if params.k <= th.k_bar_1:
-        return Regime.HARVEST
-    if params.k <= th.k_bar_2:
-        return Regime.DEFEND
-    return Regime.DOMINATE
-
-
-def _argmax_regime(profits: ScenarioProfits) -> Regime:
-    # Tie order: harvest > defend > dominate (weak inequalities encode it).
-    if profits.pi_s0 >= profits.pi_s1 and profits.pi_s0 >= profits.pi_s2:
-        return Regime.HARVEST
-    if profits.pi_s1 >= profits.pi_s2:
-        return Regime.DEFEND
-    return Regime.DOMINATE
-
-
 def equilibrium_for_regime(params: ModelParams, regime: Regime) -> Equilibrium:
     """Equilibrium objects for an imposed regime (the openness mandate forces harvest).
 
@@ -298,22 +282,21 @@ def solve(params: ModelParams) -> Equilibrium:
     """
     require_valid(params)
     rows = {regime: _row(params, regime) for regime in Regime}
-    profits = ScenarioProfits(*(row.revenue for row in rows.values()))
-    th = _thresholds(params)   # valid params pass the k-free check too
-    if math.isnan(th.k_bar_1) or math.isnan(th.k_bar_2):
-        regime = _argmax_regime(profits)
-    else:
-        regime = _regime_from_thresholds(params, th)
-        # Built-in consistency check: the threshold-selected strategy must
-        # attain the scenario-profit maximum (up to tie tolerance).
-        chosen = rows[regime].revenue
-        best = max(profits.pi_s0, profits.pi_s1, profits.pi_s2)
-        scale = max(1.0, abs(best))
-        if chosen < best - _CONSISTENCY_TOL * scale:
-            raise RuntimeError(
-                "internal inconsistency: threshold regime %s has revenue %r "
-                "but scenario argmax is %r" % (regime.value, chosen, best)
-            )
+    # No admitted threshold is NaN: Python raises on a float division by
+    # zero, and validate() bounds every product, so nothing overflows to inf.
+    th = _thresholds(params)
+    regime = (Regime.HARVEST if params.k <= th.k_bar_1
+              else Regime.DEFEND if params.k <= th.k_bar_2 else Regime.DOMINATE)
+    # Built-in consistency check: the threshold-selected strategy must
+    # attain the scenario-profit maximum (up to tie tolerance).
+    chosen = rows[regime].revenue
+    best = max(row.revenue for row in rows.values())
+    scale = max(1.0, abs(best))
+    if chosen < best - _CONSISTENCY_TOL * scale:
+        raise RuntimeError(
+            "internal inconsistency: threshold regime %s has revenue %r "
+            "but scenario argmax is %r" % (regime.value, chosen, best)
+        )
     return _equilibrium(params, regime, rows[regime])
 
 

@@ -11,12 +11,15 @@ consumers, or society gain flips at flywheel thresholds located numerically.
 
 The adoption subsidy pays the deployer s per unit of usage in both periods;
 developers still receive their full fee. All margins shift from theta - w
-to theta - w + s, which shifts both regime thresholds upward: the subsidy
-extends the harvest range (everyone gains, the entrant's arrival is what
-the extra engagement feeds) but it also extends the defend range, where the
-incumbent strategically *contracts* openness that the baseline would have
-conceded, and efforts plus social welfare fall. Subsidy outlays are
-reported separately, never silently netted out of social welfare.
+to theta - w + s, which moves both regime thresholds. Where both move up,
+as on set_b, the subsidy extends the harvest range (everyone gains, the
+entrant's arrival is what the extra engagement feeds) but it also extends
+the defend range, where the incumbent strategically *contracts* openness
+that the baseline would have conceded, and efforts plus social welfare
+fall. On many other admissible parameter sets both move down; the condition
+that decides the direction is open (ROADMAP.md, open item 2). Subsidy
+outlays are reported separately, never silently netted out of social
+welfare.
 """
 
 from __future__ import annotations
@@ -200,7 +203,8 @@ def solve_subsidized(params: ModelParams) -> SubsidizedEquilibrium:
 
     Same backward induction as the baseline with every deployer margin
     shifted to theta - w + s (developers keep their full fee, the
-    government covers s). Regime thresholds shift upward with s. Also
+    government covers s). The regime thresholds move with s: up on set_b,
+    down on many other parameter sets (ROADMAP.md, open item 2). Also
     reports the subsidy outlay s * (alpha1 + alpha2) and the shifted
     thresholds. Accepts s = 0, where it reduces exactly to the baseline.
     """

@@ -21,9 +21,13 @@ model quality (the data flywheel), with strength ``k``.
 Admissibility mirrors the model's maintained assumptions: fees ordered and
 capped at half the quality value, subsidy no larger than the follower fee,
 and ``k`` no larger than ``k_max``, the level at which a premium-fee
-incumbent could win period 2 on flywheel strength alone. A numeric
-condition rides along: the largest products the closed forms build from
-``theta``, ``c`` and ``eta_cap`` must stay well inside the float range.
+incumbent could win period 2 on flywheel strength alone. Numeric conditions
+ride along, so that the closed forms can evaluate every admitted point: the
+largest products and smallest denominators they build (among them those of
+``k_bar_13`` and ``k_bar_23``, the dominate row's squared retention margin
+near ``k_max`` and the integrated ``(1 + eta_cap) k``) stay well inside the
+float range, and the retention margin ``2c - k (theta - w_low + s)`` is
+positive, which ``k_max`` loses to rounding only for huge ``eta_cap``.
 """
 
 from __future__ import annotations
@@ -122,17 +126,24 @@ _LOG_1E300 = 300.0 * math.log(10.0)
 
 
 def _products_in_range(params: ModelParams) -> bool:
-    # The largest products the closed forms build, as logs so that the check
-    # cannot overflow itself, with t = theta + s; every margin lies between
-    # t/3 and t. They are t**3, alone and times 1 + eta_cap (k_max, k_bar_13),
-    # c t**2 (k_max), c**2 and (1 + eta_cap)**4 t**2, alone and over c**2
-    # (_row's consumer rows), and (1 + eta_cap)**2 c t**2 (the integrated
-    # profit). Each must lie in 1e-300..1e300, room for constants and sums.
+    # The largest products and smallest denominators the closed forms build,
+    # as logs so that the check cannot overflow itself, with t = theta + s;
+    # every margin lies between t/3 and t. In order: t**3, alone and times
+    # 1 + eta_cap (k_max, k_bar_13); c t**2 (k_max); c**2 and (1 + eta_cap)**4
+    # t**2, alone and over c**2 (_row's consumer rows); (1 + eta_cap)**2 c t**2
+    # (integrated profit); (c / (1 + eta_cap))**2 (d_l**2 at k_max);
+    # (1 + eta_cap) c / t (integrated (1 + eta_cap) k); for w_high > 0,
+    # (1 + eta_cap) t**2 w_high and (1 + eta_cap) t w_high (k_bar_13, k_bar_23).
+    # Each must lie in 1e-300..1e300, room for constants and sums.
     lt = math.log(params.theta + params.s)
     lc = math.log(params.c)
     le = math.log1p(params.eta_cap)
-    logs = (3.0 * lt, 3.0 * lt + le, lc + 2.0 * lt, 2.0 * lc,
-            4.0 * le + 2.0 * lt, 4.0 * le + 2.0 * (lt - lc), 2.0 * le + lc + 2.0 * lt)
+    logs = [3.0 * lt, 3.0 * lt + le, lc + 2.0 * lt, 2.0 * lc,
+            4.0 * le + 2.0 * lt, 4.0 * le + 2.0 * (lt - lc), 2.0 * le + lc + 2.0 * lt,
+            2.0 * (lc - le), le + lc - lt]
+    if params.w_high > 0.0:
+        lw = math.log(params.w_high)
+        logs += [le + 2.0 * lt + lw, le + lt + lw]
     return -_LOG_1E300 <= min(logs) and max(logs) <= _LOG_1E300
 
 
@@ -170,6 +181,10 @@ def validate(params: ModelParams) -> ValidationReport:
         v.append("magnitudes overflow or underflow the closed forms")
     if not v and params.k > k_max(params):
         v.append("k exceeds k_max")
+    # Positive for every k <= k_max in exact arithmetic; it fails only where
+    # eta_cap / (1 + eta_cap) is 1 to within rounding in k_max's cap bound.
+    if not v and 2.0 * params.c - params.k * (params.theta + params.s - params.w_low) <= 0.0:
+        v.append("retention threshold undefined: 2c - k (theta - w_low + s) <= 0")
     return ValidationReport(tuple(v))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from .closed_form import solve
 from .extensions import solve_integrated, solve_subsidized
 from .params import ModelParams, validate
-from .welfare import mandate_equilibrium, welfare_for_equilibrium
+from .welfare import _k_grid, mandate_equilibrium, welfare_for_equilibrium
 
 _KEYS = ("theta", "c", "w_high", "w_low", "eta_cap", "k", "s")
 
@@ -114,10 +114,6 @@ def _fmt(x) -> str:
     return f"{v:.12g}"
 
 
-def _grid(lo: float, hi: float, steps: int) -> list[float]:
-    return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
-
-
 def _base_cells(params: ModelParams):
     eq = solve(params)
     w = welfare_for_equilibrium(params, eq)
@@ -133,7 +129,7 @@ def run_sweep(params: ModelParams, spec: SweepSpec) -> tuple[tuple[str, ...], li
     spec.check()
     cols = sweep_columns(spec.scenario)
     rows: list[list[str]] = []
-    for value in _grid(spec.lo, spec.hi, spec.steps):
+    for value in _k_grid(spec.lo, spec.hi, spec.steps):
         p = replace(params, **{spec.parameter: value})
         if spec.scenario in ("mandate", "integration"):
             p = replace(p, s=0.0)

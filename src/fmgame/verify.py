@@ -163,9 +163,9 @@ def run_verification(params: ModelParams, oracle_rel_tol: float = 1e-5) -> list[
     # Regime choice equals the scenario-revenue argmax on a dense k grid:
     # solve's own guard, which raises where the two disagree.
     mismatch = None
-    for k in np.linspace(0.0, km, 201):
+    for k in np.linspace(0.0, km, 201).tolist():
         try:
-            solve(replace(params, k=float(k)))
+            solve(replace(params, k=k))
         except RuntimeError as exc:
             mismatch = f"k={k!r}: {exc}"
             break
@@ -192,8 +192,8 @@ def run_verification(params: ModelParams, oracle_rel_tol: float = 1e-5) -> list[
 
     # Integrated efforts dominate decentralized period-1 effort.
     dom_fail = None
-    for k in np.linspace(0.0, km0, 41):
-        p = replace(p0, k=float(k))
+    for k in np.linspace(0.0, km0, 41).tolist():
+        p = replace(p0, k=k)
         v = solve_integrated(p)
         q1_dec = solve_baseline(p).period1.effort
         if not (v.q1v > q1_dec and v.q2v >= v.q1v - 1e-12):

@@ -92,10 +92,10 @@ class PolicyComparison:
         return self.counterfactual.delta(self.baseline)
 
 
-def _k_grid(lo: float, hi: float) -> list[float]:
-    """Uniform scan grid on [lo, hi] whose last point is exactly hi."""
+def _k_grid(lo: float, hi: float, points: int = _K_GRID_POINTS) -> list[float]:
+    """Uniform grid of points on [lo, hi] whose last point is exactly hi."""
     # lo + (hi - lo) * n / n can round past hi, and a k above k_max is invalid.
-    n = _K_GRID_POINTS - 1
+    n = points - 1
     return [lo + (hi - lo) * i / n for i in range(n)] + [hi]
 
 

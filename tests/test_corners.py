@@ -4,19 +4,22 @@ theta, c and eta_cap each take five values from 1e-6 to 1e6; the fees sit
 at equal, zero, wide and narrow gaps (as shares of theta); the subsidy is
 zero or the whole follower fee; k is 0, k_max / 2 or k_max. Every case must
 be admissible, solve to a strategy that q1_star accepts, pass the welfare
-cross-validation and give finite, sign-correct numbers. The oracle is not
-run here.
+cross-validation and give finite, sign-correct numbers. A seeded fuzz then
+draws magnitudes across most of the float range and holds every point that
+validate() admits to the same checks. The oracle is not run here.
 """
 
 import itertools
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from fmgame import (
     ModelParams,
     k_max,
+    regime_thresholds,
     solve_integrated,
     solve_subsidized,
     validate,
@@ -79,3 +82,61 @@ def test_corner_cases_solve(fee_shares, subsidized):
             failures.append(f"{p}: {'; '.join(problems)}")
     assert n == 375
     assert not failures, f"{len(failures)} of {n} cases fail:\n" + "\n".join(failures[:10])
+
+
+@pytest.mark.parametrize("p", [
+    # The fees are below half an ulp of theta, so theta - w_high rounds to
+    # theta - w_low and defend's eta_bar_high rounds past eta_cap at k_max,
+    # as the dominate row's eta_bar_low can.
+    ModelParams(theta=9.761027269260147e+19, c=444658487143.2741, w_high=104.69278386909856,
+                w_low=1.2791201220451475e-146, eta_cap=1.0625468147706904e-18,
+                k=9.680752776150201e-27),
+    # theta - w_low + s and (theta + s) - w_low round apart here; with the
+    # first, _eta_bar found no positive 2c - k (theta - w_low + s) at a k
+    # that validate() admits.
+    ModelParams(theta=4.544839320431816e-70, c=5.791585943098816e+146,
+                w_high=2.272419660215908e-70, w_low=1.2197855743849597e-70,
+                eta_cap=1.4569920148198327e+77, k=3.3375227731849546e+216,
+                s=1.455358718762481e-71),
+], ids=["defend_eta1_rounds_past_cap", "margin_rounding_order"])
+def test_rounding_corners_at_k_max_solve(p):
+    assert p.k == k_max(p)
+    assert _problems(p) == []
+
+
+def _fuzz_cases(rng, draws):
+    # Log-uniform magnitudes; fees at theta / 2, a uniform share of it or a
+    # log-uniform one down to subnormal (and 0.0); w_low at 0, a tiny or a
+    # uniform share of w_high, or equal to it; s = 0 or up to w_low.
+    for _ in range(draws):
+        theta = 10.0 ** rng.uniform(-120.0, 120.0)
+        share = (0.5, rng.uniform(0.0, 0.5), 10.0 ** rng.uniform(-330.0, math.log10(0.5)))
+        w_high = theta * share[rng.integers(3)]
+        w_low = w_high * (0.0, 10.0 ** rng.uniform(-330.0, -1.0), rng.uniform(), 1.0)[rng.integers(4)]
+        p = ModelParams(theta=theta, c=10.0 ** rng.uniform(-170.0, 170.0), w_high=w_high,
+                        w_low=w_low, eta_cap=10.0 ** rng.uniform(-20.0, 80.0), k=0.0,
+                        s=w_low * rng.uniform() if rng.integers(2) else 0.0)
+        if validate(p).ok:
+            km = k_max(p)
+            for k in (0.0, km / 2.0, km):
+                yield replace(p, k=k)
+
+
+def test_admitted_fuzz_points_solve():
+    failures = []
+    n = 0
+    for p in _fuzz_cases(np.random.default_rng(20261018), 2000):
+        if not validate(p).ok:
+            continue
+        n += 1
+        try:
+            problems = _problems(p)
+            th = regime_thresholds(p)
+            if math.isnan(th.k_bar_1) or math.isnan(th.k_bar_2):
+                problems.append(f"k_bar_1={th.k_bar_1!r}, k_bar_2={th.k_bar_2!r}")
+        except (ArithmeticError, ValueError, RuntimeError) as exc:
+            problems = [f"{type(exc).__name__}: {exc}"]
+        if problems:
+            failures.append(f"{p}: {'; '.join(problems)}")
+    assert n > 2000
+    assert not failures, f"{len(failures)} of {n} admitted points fail:\n" + "\n".join(failures[:10])

@@ -72,14 +72,47 @@ OUT_OF_RANGE = "magnitudes overflow or underflow the closed forms"
     # three margins underflow to 0.0: k_max, and so validate, raised
     # ZeroDivisionError.
     dict(theta=1e-110, c=1.0, w_high=4e-111, w_low=1e-111, eta_cap=1.0),
-], ids=["theta_1e160", "theta_1e150", "c_1e-200", "c_1e-160", "theta_1e-110"])
+    # k_bar_13's denominator (1 + eta_cap) t**2 w_high underflows to 0.0:
+    # _thresholds raised ZeroDivisionError.
+    dict(theta=1e-90, c=1.0, w_high=1e-300, w_low=0.0, eta_cap=1.0),
+    # (1 + eta_cap) c / t overflows: the integrated social welfare was inf.
+    dict(theta=6.474382102492079e-94, c=8.220683237502901e+144,
+         w_high=6.364497305543015e-95, w_low=0.0, eta_cap=1.6427034853097896e+76),
+    # (c / (1 + eta_cap))**2 underflows: at k_max the dominate row's d_l**2
+    # was 0.0 and solve raised ZeroDivisionError.
+    dict(theta=1e-31, c=1e-149, w_high=4e-32, w_low=1e-32, eta_cap=1e14),
+], ids=["theta_1e160", "theta_1e150", "c_1e-200", "c_1e-160", "theta_1e-110",
+        "w_high_1e-300", "eta_cap_1e76", "c_1e-149_eta_cap_1e14"])
 def test_magnitudes_out_of_range_are_named(kwargs, tmp_path, capsys):
     p = ModelParams(k=0.0, s=0.0, **kwargs)
     assert validate(p).violations == (OUT_OF_RANGE,)
+    _assert_solve_exits_3(p, OUT_OF_RANGE, tmp_path, capsys)
+
+
+def _assert_solve_exits_3(p, violation, tmp_path, capsys):
     cfg = tmp_path / "params.cfg"
     cfg.write_text("".join(f"{name} = {value!r}\n" for name, value in vars(p).items()))
     assert main(["solve", "--config", str(cfg)]) == 3
-    assert OUT_OF_RANGE in capsys.readouterr().err
+    assert violation in capsys.readouterr().err
+
+
+RETENTION = "retention threshold undefined: 2c - k (theta - w_low + s) <= 0"
+
+
+@pytest.mark.parametrize("kwargs", [
+    # eta_cap / (1 + eta_cap) rounds to 1 in k_max's cap bound, so at k_max
+    # the dominate row's 2c - k (theta - w_low + s) is 0.0 or below: solve
+    # exited 3 from inside _eta_bar, or raised ZeroDivisionError.
+    dict(theta=5.0, c=1.0, w_high=2.5, w_low=0.5, eta_cap=1e17, s=0.0),
+    dict(theta=148.95361552369062, c=7.38689810400399e-71, w_high=70.09380343487865,
+         w_low=19.35633321496728, eta_cap=2.488817755839764e+34, s=5.384300874737148),
+], ids=["eta_cap_1e17", "eta_cap_2e34"])
+def test_retention_margin_lost_to_rounding_is_named(kwargs, tmp_path, capsys):
+    p = ModelParams(k=0.0, **kwargs)
+    assert validate(p).ok
+    p = replace(p, k=k_max(p))
+    assert validate(p).violations == (RETENTION,)
+    _assert_solve_exits_3(p, RETENTION, tmp_path, capsys)
 
 
 def test_report_collects_multiple_violations():

@@ -259,6 +259,15 @@ class TestCliCommands:
         assert main(args + ["--out", str(again)]) == 0
         assert again.read_bytes() == data
 
+    def test_sweep_ends_exactly_at_hi(self, capsys):
+        # --hi is k_max of set_a; lo + (hi - lo) * 9 / 9 rounds past it.
+        args = ["sweep", "--config", CFG_A, "--param", "k",
+                "--lo", "0.02", "--hi", "0.26666666666666666", "--steps", "10"]
+        assert main(args) == 0
+        last = capsys.readouterr().out.splitlines()[-1].split(",")
+        assert last[0] == "0.266666666667"
+        assert last[-1] == "ok"
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = main(["solve", "--config", str(tmp_path / "absent.cfg")])
         err = capsys.readouterr().err

@@ -2,8 +2,6 @@
 
 from dataclasses import replace
 
-import numpy as np
-
 from conftest import HARVEST_TO_DOMINATE, SET_A, TRAP_AT_JUMP
 from fmgame import k_max, solve_integrated, verify
 from fmgame.closed_form import regime_thresholds, solve
@@ -76,5 +74,5 @@ def test_solve_guard_failure_is_a_named_fail(monkeypatch):
     checks = {check.name: check for check in run_verification(SET_A)}
     argmax = checks["regime-argmax-consistency"]
     assert not argmax.passed
-    assert argmax.detail == f"k={np.float64(km)!r}: internal inconsistency: stub"
+    assert argmax.detail == f"k={km!r}: internal inconsistency: stub"
     assert checks["oracle-equivalence"].passed
