@@ -2,8 +2,8 @@
 """Pay deployers per unit of engagement and watch the incumbent respond.
 
 A per-engagement subsidy s fattens the deployer's margin on either model,
-which relaxes the incumbent's retention constraint and pushes both regime
-breakpoints outward. That shift is the whole story:
+which moves both regime breakpoints. On this parameter set both move
+outward, and that shift is the whole story:
 
 - in the band where the subsidy delays the harvest->defend switch, the
   incumbent stays maximally open at the high fee and every player gains;
@@ -29,15 +29,15 @@ PARAMS = ModelParams(theta=5.0, c=1.0, w_high=2.5, w_low=0.8, eta_cap=1.5,
 
 def main() -> None:
     th0 = regime_thresholds(replace(PARAMS, s=0.0))
-    sub = solve_subsidized(PARAMS)
+    th = regime_thresholds(PARAMS)
     print("Breakpoints without vs with the subsidy:")
-    print(f"  harvest->defend:  {th0.k_bar_1:.6f} -> {sub.k_bar_1g:.6f}")
-    print(f"  defend->dominate: {th0.k_bar_2:.6f} -> {sub.k_bar_2g:.6f}\n")
+    print(f"  harvest->defend:  {th0.k_bar_1:.6f} -> {th.k_bar_1:.6f}")
+    print(f"  defend->dominate: {th0.k_bar_2:.6f} -> {th.k_bar_2:.6f}\n")
 
     probes = (
         0.5 * th0.k_bar_1,                      # harvest either way
-        0.5 * (th0.k_bar_1 + sub.k_bar_1g),     # delayed defend: all win
-        0.5 * (th0.k_bar_2 + sub.k_bar_2g),     # delayed dominate: capture
+        0.5 * (th0.k_bar_1 + th.k_bar_1),       # delayed defend: all win
+        0.5 * (th0.k_bar_2 + th.k_bar_2),       # delayed dominate: capture
         PARAMS.k,                               # dominate either way
     )
     header = (f"{'k':>7} {'region':<17} {'d_deployer':>11} {'d_consumer':>11} "

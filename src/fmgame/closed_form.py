@@ -246,15 +246,6 @@ def _thresholds(params: ModelParams) -> RegimeThresholds:
     )
 
 
-def equilibrium_for_regime(params: ModelParams, regime: Regime) -> Equilibrium:
-    """Equilibrium objects for an imposed regime (the openness mandate forces harvest).
-
-    params are not validated here: callers check them first, as
-    mandate_equilibrium does with require_valid.
-    """
-    return _equilibrium(params, regime, _row(params, regime))
-
-
 def _equilibrium(params: ModelParams, regime: Regime, row: _Row) -> Equilibrium:
     return Equilibrium(
         regime=regime,

@@ -11,27 +11,27 @@ consumers, or society gain flips at flywheel thresholds located numerically.
 
 The adoption subsidy pays the deployer s per unit of usage in both periods;
 developers still receive their full fee. All margins shift from theta - w
-to theta - w + s, which moves both regime thresholds. Where both move up,
-as on set_b, the subsidy extends the harvest range (everyone gains, the
-entrant's arrival is what the extra engagement feeds) but it also extends
-the defend range, where the incumbent strategically *contracts* openness
-that the baseline would have conceded, and efforts plus social welfare
-fall. On many other admissible parameter sets both move down; the condition
-that decides the direction is open (ROADMAP.md, open item 2). Subsidy
-outlays are reported separately, never silently netted out of social
-welfare.
+to theta - w + s, which moves both regime thresholds, and the comparison
+names its region by the pair of regimes it solves. Where the thresholds
+move up, as on set_b, the subsidy extends the harvest range (everyone
+gains, the entrant's arrival is what the extra engagement feeds) but it
+also extends the defend range, where the incumbent strategically
+*contracts* openness that the baseline would have conceded, and efforts
+plus social welfare fall. On many other admissible parameter sets they
+move down, and the subsidy tips harvest into defend, or harvest or defend
+into dominate (ROADMAP.md, open item 2). Subsidy outlays are reported
+separately, never silently netted out of social welfare.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, replace
 
 from . import numerics
-from .closed_form import Equilibrium, regime_thresholds, solve, solve_baseline
+from .closed_form import Equilibrium, solve, solve_baseline
 from .outcomes import IntegratedOutcome
-from .params import InvalidParams, ModelParams, ValidationReport, k_max, require_valid
+from .params import InvalidParams, ModelParams, Regime, ValidationReport, k_max, require_valid
 from .welfare import (
     _CROSS_TOL,
     PolicyComparison,
@@ -44,11 +44,9 @@ from .welfare import (
 
 @dataclass(frozen=True)
 class SubsidizedEquilibrium(Equilibrium):
-    """Equilibrium of the subsidized game plus the shifted thresholds."""
+    """Equilibrium of the subsidized game plus the subsidy outlay."""
 
     subsidy_spend: float = 0.0
-    k_bar_1g: float = math.nan
-    k_bar_2g: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -61,7 +59,6 @@ class ThresholdCrossing:
 
     value: float | None
     status: str
-    n_crossings: int = 0
 
 
 @dataclass(frozen=True)
@@ -111,17 +108,6 @@ def solve_integrated(params: ModelParams) -> IntegratedOutcome:
     )
 
 
-def _decentralized_quantities(params: ModelParams, k: float) -> tuple[float, float, float]:
-    w = welfare_baseline(replace(params, k=k))
-    chain = w.dev1 + w.deployer
-    return chain, w.consumer, w.social
-
-
-def _integrated_quantities(params: ModelParams, k: float) -> tuple[float, float, float]:
-    v = solve_integrated(replace(params, k=k))
-    return v.profit, v.consumer, v.social
-
-
 def integration_thresholds(params: ModelParams) -> IntegrationThresholds:
     """Locate the k thresholds where integration starts to pay.
 
@@ -130,8 +116,7 @@ def integration_thresholds(params: ModelParams) -> IntegrationThresholds:
     consumer surplus, and social welfare (all four components vs merged
     profit + consumer surplus; the entrant's foreclosed revenue counts
     against integration). Each difference is scanned over [0, k_max] and
-    the root is bisected; the scan verifies rather than assumes a single
-    sign change and reports how many were seen. params.k is ignored.
+    the last root is bisected. params.k is ignored.
     """
     require_valid(params)
     if params.s != 0.0:
@@ -141,20 +126,22 @@ def integration_thresholds(params: ModelParams) -> IntegrationThresholds:
     # All three differences come from the same two solves at each k.
     @functools.lru_cache(maxsize=None)
     def diffs(k: float) -> tuple[float, ...]:
-        return tuple(a - b for a, b in zip(_integrated_quantities(params, k),
-                                           _decentralized_quantities(params, k)))
+        p = replace(params, k=k)
+        v = solve_integrated(p)
+        w = welfare_baseline(p)
+        return v.profit - (w.dev1 + w.deployer), v.consumer - w.consumer, v.social - w.social
 
     results = []
     for idx in range(3):
         def diff(k: float, _i=idx) -> float:
             return diffs(k)[_i]
 
-        root, n = numerics.scan_and_bisect(diff, grid)
+        root = numerics.scan_and_bisect(diff, grid)
         if root is None:
             status = "always" if diff(grid[0]) > 0 else "never"
         else:
             status = "crossing"
-        results.append(ThresholdCrossing(value=root, status=status, n_crossings=n))
+        results.append(ThresholdCrossing(value=root, status=status))
     return IntegrationThresholds(chain=results[0], consumer=results[1], social=results[2])
 
 
@@ -203,20 +190,13 @@ def solve_subsidized(params: ModelParams) -> SubsidizedEquilibrium:
 
     Same backward induction as the baseline with every deployer margin
     shifted to theta - w + s (developers keep their full fee, the
-    government covers s). The regime thresholds move with s: up on set_b,
-    down on many other parameter sets (ROADMAP.md, open item 2). Also
-    reports the subsidy outlay s * (alpha1 + alpha2) and the shifted
-    thresholds. Accepts s = 0, where it reduces exactly to the baseline.
+    government covers s), plus the subsidy outlay s * (alpha1 + alpha2).
+    Accepts s = 0, where it reduces exactly to the baseline.
     """
     eq = solve(params)
-    th = regime_thresholds(params)
     spend = params.s * (eq.period1.engagement + eq.period2.engagement)
-    return SubsidizedEquilibrium(
-        **vars(eq),   # shallow: asdict would turn the PeriodOutcomes into dicts
-        subsidy_spend=spend,
-        k_bar_1g=th.k_bar_1,
-        k_bar_2g=th.k_bar_2,
-    )
+    # shallow: asdict would turn the PeriodOutcomes into dicts
+    return SubsidizedEquilibrium(**vars(eq), subsidy_spend=spend)
 
 
 def welfare_subsidized(params: ModelParams) -> WelfareBreakdown:
@@ -225,15 +205,26 @@ def welfare_subsidized(params: ModelParams) -> WelfareBreakdown:
     return welfare_for_equilibrium(params, eq)
 
 
+# Subsidy region by (baseline regime, subsidized regime); any other pair is "other".
+_SUBSIDY_REGIONS = {
+    (Regime.HARVEST, Regime.HARVEST): "harvest_both",
+    (Regime.DEFEND, Regime.HARVEST): "subsidy_all_win",
+    (Regime.DOMINATE, Regime.DEFEND): "subsidy_capture",
+    (Regime.HARVEST, Regime.DEFEND): "subsidy_defends",
+    (Regime.HARVEST, Regime.DOMINATE): "subsidy_dominates",
+    (Regime.DEFEND, Regime.DOMINATE): "subsidy_dominates",
+}
+
+
 def subsidy_comparison(params: ModelParams) -> PolicyComparison:
     """Baseline (s = 0) vs subsidized welfare at the params' own k.
 
-    Classifies k into the four diagnostic intervals: below the baseline's
-    first threshold (harvest either way, pure uplift), between the baseline
-    and subsidized first thresholds (the subsidy flips defend back to
-    harvest, every component gains), between the baseline and subsidized
-    second thresholds (the subsidy flips dominate back to defend, efforts
-    and welfare fall, the incumbent captures the transfer), or elsewhere.
+    The region names the pair of regimes the two games play: "harvest_both",
+    "subsidy_all_win" (defend becomes harvest, every component gains),
+    "subsidy_capture" (dominate becomes defend, efforts and welfare fall, the
+    incumbent captures the transfer), "subsidy_defends" (harvest becomes
+    defend), "subsidy_dominates" (harvest or defend becomes dominate) or
+    "other" (any other pair).
     """
     require_valid(params)
     if params.s <= 0.0:
@@ -243,20 +234,9 @@ def subsidy_comparison(params: ModelParams) -> PolicyComparison:
     base = welfare_for_equilibrium(base_params, base_eq)
     sub_eq = solve_subsidized(params)
     counter = welfare_for_equilibrium(params, sub_eq)
-
-    th0 = regime_thresholds(base_params)
-    if params.k <= th0.k_bar_1:
-        region = "harvest_both"
-    elif params.k < sub_eq.k_bar_1g:
-        region = "subsidy_all_win"
-    elif th0.k_bar_2 < params.k < sub_eq.k_bar_2g:
-        region = "subsidy_capture"
-    else:
-        region = "other"
-
     return PolicyComparison(
         intervention="subsidy",
-        region=region,
+        region=_SUBSIDY_REGIONS.get((base_eq.regime, sub_eq.regime), "other"),
         baseline_equilibrium=base_eq,
         baseline=base,
         counterfactual=counter,

@@ -137,18 +137,17 @@ def sign_change_brackets(f, grid) -> list[tuple[float, float]]:
     return out
 
 
-def scan_and_bisect(f, grid) -> tuple[float | None, int]:
+def scan_and_bisect(f, grid) -> float | None:
     """Scan a grid for sign changes of f and bisect the last bracket.
 
-    Returns (root, number of brackets); root is None when f never changes
-    sign on the grid, and an exact zero at a grid point is returned as is.
+    Returns None when f never changes sign on the grid; an exact zero at a
+    grid point is returned as is.
     """
     brackets = sign_change_brackets(f, grid)
     if not brackets:
-        return None, 0
+        return None
     lo, hi = brackets[-1]
-    root = lo if lo == hi else bisect_root(f, lo, hi)
-    return root, len(brackets)
+    return lo if lo == hi else bisect_root(f, lo, hi)
 
 
 def largest_true(pred, lo: float, hi: float, cell=None) -> float:

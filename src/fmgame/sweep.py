@@ -80,6 +80,8 @@ class SweepSpec:
             raise ConfigError("sweep requires steps >= 2")
         if self.scenario not in _SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
+        if self.parameter == "s" and self.scenario in ("mandate", "integration"):
+            raise ConfigError(f"the {self.scenario} scenario is solved at s = 0; sweep k instead")
 
 
 _BASE_COLS = ("k", "s", "regime", "w1", "eta1", "Q1", "Q2", "pi_dev1", "pi_dev2",

@@ -328,12 +328,11 @@ def _check_trap_root(p0: ModelParams) -> CheckResult:
 def _subsidy_checks(params: ModelParams) -> list[CheckResult]:
     out: list[CheckResult] = []
     p0 = replace(params, s=0.0)
-    th0 = regime_thresholds(p0)
-    sub = solve_subsidized(params)
-    ok = sub.k_bar_1g > th0.k_bar_1 and sub.k_bar_2g > th0.k_bar_2
+    th0, th = regime_thresholds(p0), regime_thresholds(params)
+    ok = th.k_bar_1 > th0.k_bar_1 and th.k_bar_2 > th0.k_bar_2
     out.append(CheckResult(
         "subsidy-threshold-shift", ok,
-        f"k_bar_1 {th0.k_bar_1!r}->{sub.k_bar_1g!r}, k_bar_2 {th0.k_bar_2!r}->{sub.k_bar_2g!r}",
+        f"k_bar_1 {th0.k_bar_1!r}->{th.k_bar_1!r}, k_bar_2 {th0.k_bar_2!r}->{th.k_bar_2!r}",
     ))
 
     tiny = solve_subsidized(replace(params, s=1e-8))

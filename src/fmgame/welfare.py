@@ -34,8 +34,8 @@ from .closed_form import (
     Equilibrium,
     Regime,
     Winner,
+    _equilibrium,
     _row,
-    equilibrium_for_regime,
     regime_thresholds,
     solve_baseline,
 )
@@ -164,7 +164,7 @@ def mandate_equilibrium(params: ModelParams) -> Equilibrium:
     require_valid(params)
     if params.s != 0.0:
         raise InvalidParams(ValidationReport(("mandate analysis requires s = 0",)))
-    return equilibrium_for_regime(params, Regime.HARVEST)
+    return _equilibrium(params, Regime.HARVEST, _row(params, Regime.HARVEST))
 
 
 def welfare_mandate(params: ModelParams) -> WelfareBreakdown:
@@ -190,7 +190,7 @@ def openness_trap_threshold(params: ModelParams) -> float | None:
     binding = _binding_range(params)
     if binding is None:
         return None   # the mandate never binds on the admissible range
-    return numerics.scan_and_bisect(_trap_gap(params), _k_grid(*binding))[0]
+    return numerics.scan_and_bisect(_trap_gap(params), _k_grid(*binding))
 
 
 def _trap_gap(params: ModelParams):

@@ -32,6 +32,23 @@ TRAP_AT_JUMP = ModelParams(
     theta=8.65019867731569, c=0.46933839094107427, w_high=3.796751558642358,
     w_low=0.910579393198743, eta_cap=1.312896890540933, k=0.0218)
 
+# Subsidized points where the subsidy lowers the regime thresholds and tips
+# the baseline regime inward: harvest to defend (social welfare falls by
+# 122.8), harvest to dominate (falls by 125.2) and defend to dominate (rises
+# by 123.7).
+SUBSIDY_HARVEST_TO_DEFEND = ModelParams(
+    theta=8.545742692236544, c=0.6663070646954797, w_high=1.4883064333360665,
+    w_low=0.2994575882420953, eta_cap=0.6858103637000721, k=0.03218,
+    s=0.13160949265562163)
+SUBSIDY_HARVEST_TO_DOMINATE = ModelParams(
+    theta=6.7283452551268255, c=2.3153112407351686, w_high=3.1405816262864765,
+    w_low=0.7459586864879115, eta_cap=2.8475173222033106, k=0.38672002625454044,
+    s=0.6924261169147244)
+SUBSIDY_DEFEND_TO_DOMINATE = ModelParams(
+    theta=5.269760412273154, c=1.2544414377993713, w_high=1.7079455080214827,
+    w_low=0.5370468146296269, eta_cap=2.2142924842804126, k=0.30095228202198626,
+    s=0.3612225880361752)
+
 
 @pytest.fixture
 def set_a():

@@ -187,9 +187,9 @@ def test_criterion_5_vertical_integration():
 def test_criterion_6_subsidy_regime_shift():
     with criterion(6, "set B thresholds shift out; win-win and capture bands strict"):
         th0 = regime_thresholds(replace(SET_B, s=0.0))
-        sub = solve_subsidized(SET_B)
-        assert sub.k_bar_1g > th0.k_bar_1
-        assert sub.k_bar_2g > th0.k_bar_2
+        th = regime_thresholds(SET_B)
+        assert th.k_bar_1 > th0.k_bar_1
+        assert th.k_bar_2 > th0.k_bar_2
 
         def pair(k: float):
             base = solve_baseline(replace(SET_B, k=k, s=0.0))
@@ -200,14 +200,14 @@ def test_criterion_6_subsidy_regime_shift():
 
         # Regime-delay band: every surplus component strictly improves.
         for i in range(5):
-            k = th0.k_bar_1 + (sub.k_bar_1g - th0.k_bar_1) * (i + 1) / 6.0
+            k = th0.k_bar_1 + (th.k_bar_1 - th0.k_bar_1) * (i + 1) / 6.0
             _, _, wb, ws = pair(k)
             for name in ("dev1", "dev2", "deployer", "consumer"):
                 assert getattr(ws, name) - getattr(wb, name) > 1e-9, (name, k)
 
         # Capture band: both efforts and social welfare strictly fall.
         for i in range(5):
-            k = th0.k_bar_2 + (sub.k_bar_2g - th0.k_bar_2) * (i + 1) / 6.0
+            k = th0.k_bar_2 + (th.k_bar_2 - th0.k_bar_2) * (i + 1) / 6.0
             base, subs, wb, ws = pair(k)
             assert base.period1.effort - subs.period1.effort > 1e-9, k
             assert base.period2.effort - subs.period2.effort > 1e-9, k

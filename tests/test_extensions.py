@@ -22,7 +22,14 @@ from fmgame import (
     welfare_subsidized,
 )
 
-from conftest import INTEGRATION_SCAN_OVERSHOOT, SET_A, SET_B
+from conftest import (
+    INTEGRATION_SCAN_OVERSHOOT,
+    SET_A,
+    SET_B,
+    SUBSIDY_DEFEND_TO_DOMINATE,
+    SUBSIDY_HARVEST_TO_DEFEND,
+    SUBSIDY_HARVEST_TO_DOMINATE,
+)
 
 
 class TestIntegratedOutcome:
@@ -58,7 +65,6 @@ class TestIntegrationThresholds:
         # 31.25 + 97.65625 k = 43.359375 at exactly k = 0.124
         assert th.chain.status == "crossing"
         assert th.chain.value == pytest.approx(0.124, abs=1e-9)
-        assert th.chain.n_crossings == 1
 
     def test_consumer_threshold(self):
         th = integration_thresholds(SET_A)
@@ -140,12 +146,12 @@ class TestSubsidizedEquilibrium:
         assert eq.subsidy_spend == pytest.approx(SET_B.s * total, rel=1e-12)
 
     def test_shifted_thresholds(self):
-        eq = solve_subsidized(SET_B)
+        th = regime_thresholds(SET_B)
         th0 = regime_thresholds(replace(SET_B, s=0.0))
-        assert eq.k_bar_1g == pytest.approx(0.065777777777778, abs=1e-9)
-        assert eq.k_bar_2g == pytest.approx(44.0 / 235.0, abs=1e-9)
-        assert eq.k_bar_1g > th0.k_bar_1
-        assert eq.k_bar_2g > th0.k_bar_2
+        assert th.k_bar_1 == pytest.approx(0.065777777777778, abs=1e-9)
+        assert th.k_bar_2 == pytest.approx(44.0 / 235.0, abs=1e-9)
+        assert th.k_bar_1 > th0.k_bar_1
+        assert th.k_bar_2 > th0.k_bar_2
 
     def test_subsidized_retention_cap(self):
         assert eta_bar_high(SET_B) == pytest.approx(3.0 / 7.0, abs=1e-12)
@@ -164,10 +170,20 @@ class TestSubsidizedEquilibrium:
 
 class TestSubsidyComparison:
     def test_region_labels(self):
-        assert subsidy_comparison(replace(SET_B, k=0.03)).region == "harvest_both"
-        assert subsidy_comparison(replace(SET_B, k=0.058)).region == "subsidy_all_win"
-        assert subsidy_comparison(replace(SET_B, k=0.1836)).region == "subsidy_capture"
-        assert subsidy_comparison(SET_B).region == "other"
+        H, D, X = Regime.HARVEST, Regime.DEFEND, Regime.DOMINATE
+        for params, base_regime, sub_regime, region in (
+            (replace(SET_B, k=0.03), H, H, "harvest_both"),
+            (replace(SET_B, k=0.058), D, H, "subsidy_all_win"),
+            (replace(SET_B, k=0.1836), X, D, "subsidy_capture"),
+            (SET_B, X, X, "other"),
+            (SUBSIDY_HARVEST_TO_DEFEND, H, D, "subsidy_defends"),
+            (SUBSIDY_HARVEST_TO_DOMINATE, H, X, "subsidy_dominates"),
+            (SUBSIDY_DEFEND_TO_DOMINATE, D, X, "subsidy_dominates"),
+        ):
+            cmp = subsidy_comparison(params)
+            assert cmp.baseline_equilibrium.regime is base_regime, region
+            assert solve_subsidized(params).regime is sub_regime, region
+            assert cmp.region == region
 
     def test_all_win_interval(self):
         cmp = subsidy_comparison(replace(SET_B, k=0.058))

@@ -143,15 +143,18 @@ class TestRootFinding:
         assert (1.0, 1.0) in out
 
     def test_scan_and_bisect_without_sign_change(self):
-        assert scan_and_bisect(lambda x: x * x + 1.0, [0.0, 1.0, 2.0]) == (None, 0)
+        assert scan_and_bisect(lambda x: x * x + 1.0, [0.0, 1.0, 2.0]) is None
 
     def test_scan_and_bisect_exact_zero_on_grid(self):
-        assert scan_and_bisect(lambda x: x - 1.0, [0.0, 1.0, 2.0]) == (1.0, 1)
+        assert scan_and_bisect(lambda x: x - 1.0, [0.0, 1.0, 2.0]) == 1.0
 
     def test_scan_and_bisect_returns_last_root(self):
-        root, n = scan_and_bisect(lambda x: (x - 1.5) * (x - 2.5), [0.0, 1.0, 2.0, 3.0])
-        assert n == 2
-        assert root == pytest.approx(2.5, abs=1e-12)
+        def f(x):
+            return (x - 1.5) * (x - 2.5)
+
+        grid = [0.0, 1.0, 2.0, 3.0]
+        assert len(sign_change_brackets(f, grid)) == 2
+        assert scan_and_bisect(f, grid) == pytest.approx(2.5, abs=1e-12)
 
     def test_largest_true(self):
         edge = largest_true(lambda x: x <= 0.7321, 0.0, 1.0)
