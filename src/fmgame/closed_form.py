@@ -24,6 +24,13 @@ once, in _row.
 
 All formulas take the subsidy into account through the deployer's net
 margin (theta - w + s); the baseline game is the s = 0 special case.
+
+The same expressions evaluate a whole grid at once: k or s of the params
+handed to _row, _thresholds and _solve may be a float array (never both),
+and where the scalar code branches on the regime the array code selects
+per element (numerics.select and choose), so every element carries the bits
+of its own scalar solve. numpy's element-wise + - * / round as Python's
+float operations do.
 """
 
 from __future__ import annotations
@@ -32,6 +39,9 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
 
+import numpy as np
+
+from . import numerics
 from .outcomes import Equilibrium, PeriodOutcome
 from .params import (
     InvalidParams,
@@ -132,7 +142,7 @@ def eta_bar_low(params: ModelParams) -> float:
 def _eta_bar(params: ModelParams, w1: float) -> float:
     margin = params.theta + params.s - w1   # _row's and validate()'s rounding
     den = 2.0 * params.c - params.k * margin
-    if den <= 0.0:
+    if numerics.any_true(den <= 0.0):
         raise ValueError("retention threshold undefined: 2c - k (theta - w1 + s) <= 0")
     return params.k * margin / den
 
@@ -141,6 +151,9 @@ def _eta_bar(params: ModelParams, w1: float) -> float:
 # period-2 effort and developer, the incumbent's two-period fee revenue (also
 # the dev1 welfare entry) and the rest of the appendix welfare row.
 _Row = namedtuple("_Row", "w1 eta1 q1 q2 winner revenue dev2 deployer consumer")
+
+# Regime i of the element-wise choices; indexed by an int, it gives the member.
+_REGIMES = np.array(tuple(Regime), dtype=object)
 
 
 def _row(params: ModelParams, regime: Regime) -> _Row:
@@ -167,17 +180,33 @@ def _row(params: ModelParams, regime: Regime) -> _Row:
     # and so can eta_bar_high where the fees are too small to move t - w.
     if regime is Regime.DEFEND:
         d_h = c2 - params.k * m_h
-        return _Row(w1=w_h, eta1=min(eta_bar_high(params), eta), q1=m_h / d_h, q2=one * m_l / d_h,
+        return _Row(w1=w_h, eta1=numerics.smaller(eta_bar_high(params), eta), q1=m_h / d_h, q2=one * m_l / d_h,
                     winner=Winner.INCUMBENT, revenue=(w_h * m_h + one * w_l * m_l) / d_h,
                     dev2=0.0, deployer=deployer_num / (2.0 * d_h),
                     consumer=((2.0 + eta * (2.0 + eta)) * t * t + w_h * w_h
                               + one * one * w_l * w_l - 2.0 * t * (w_h + one * one * w_l))
                     / (2.0 * d_h * d_h))
     d_l = c2 - params.k * m_l
-    return _Row(w1=w_l, eta1=min(eta_bar_low(params), eta), q1=m_l / d_l, q2=one * m_l / d_l,
+    return _Row(w1=w_l, eta1=numerics.smaller(eta_bar_low(params), eta), q1=m_l / d_l, q2=one * m_l / d_l,
                 winner=Winner.INCUMBENT, revenue=(2.0 + eta) * w_l * m_l / d_l,
                 dev2=0.0, deployer=(2.0 + eta) * m_l * m_l / (2.0 * d_l),
                 consumer=(2.0 + eta * (2.0 + eta)) * m_l * m_l / (2.0 * d_l * d_l))
+
+
+def _pick_row(index, rows: list[_Row]) -> _Row:
+    # rows[index]; field by field per element when index is an array.
+    if isinstance(index, np.ndarray):
+        return _Row(*(numerics.choose(index, field) for field in zip(*rows)))
+    return rows[index]
+
+
+def _played_row(params: ModelParams, regime) -> _Row:
+    """The regime's _row; on an array of regimes, each element's own row."""
+    if isinstance(regime, Regime):
+        return _row(params, regime)
+    order = list(Regime)
+    index = np.array([order.index(r) for r in regime.tolist()], dtype=int)
+    return _pick_row(index, [_row(params, r) for r in order])
 
 
 def scenario_profits(params: ModelParams) -> ScenarioProfits:
@@ -230,15 +259,13 @@ def _thresholds(params: ModelParams) -> RegimeThresholds:
         )
         k_23 = c2 * (1.0 / m_l - (2.0 + eta) * w_l / ((1.0 + eta) * m_h * w_h))
 
+    # NaN where the denominator vanishes: x / nan is nan and raises nothing.
     den = (t - w_h - w_l) * (w_h - w_l)
-    if den == 0.0:
-        eta_prime = math.nan
-    else:
-        eta_prime = (m_h * m_h + w_l * (w_h - w_l)) / den
+    eta_prime = (m_h * m_h + w_l * (w_h - w_l)) / numerics.select(den == 0.0, math.nan, den)
 
     return RegimeThresholds(
-        k_bar_1=min(k_13, k_23),
-        k_bar_2=max(k_12, k_23),
+        k_bar_1=numerics.smaller(k_13, k_23),
+        k_bar_2=numerics.larger(k_12, k_23),
         k_bar_12=k_12,
         k_bar_13=k_13,
         k_bar_23=k_23,
@@ -265,30 +292,43 @@ def _equilibrium(params: ModelParams, regime: Regime, row: _Row) -> Equilibrium:
 def solve(params: ModelParams) -> Equilibrium:
     """Subgame-perfect equilibrium for any admissible subsidy s.
 
-    Raises InvalidParams unless params pass validate() (require_valid);
-    solve_baseline adds its s == 0 check on top. Regime selection compares
-    k to (k_bar_1, k_bar_2), ties resolved toward the lower-k regime; the
-    choice is cross-checked against the scenario revenue argmax and a
-    RuntimeError flags any disagreement. Each regime's row is built once.
+    Raises InvalidParams unless params pass validate() (require_valid, at
+    every point of a grid); solve_baseline adds its s == 0 check on top.
+    Regime selection compares k to (k_bar_1, k_bar_2), ties resolved toward
+    the lower-k regime; the choice is cross-checked against the scenario
+    revenue argmax and a RuntimeError flags any disagreement. Each regime's
+    row is built once. With k or s an array, every field of the result is
+    an array (or a scalar shared by all points), the regime an array of
+    Regime members.
     """
     require_valid(params)
-    rows = {regime: _row(params, regime) for regime in Regime}
+    return _solve(params)
+
+
+def _solve(params: ModelParams) -> Equilibrium:
+    # solve without the validation, for grids whose points the caller has
+    # validated one by one.
+    rows = [_row(params, regime) for regime in Regime]
     # No admitted threshold is NaN: Python raises on a float division by
     # zero, and validate() bounds every product, so nothing overflows to inf.
     th = _thresholds(params)
-    regime = (Regime.HARVEST if params.k <= th.k_bar_1
-              else Regime.DEFEND if params.k <= th.k_bar_2 else Regime.DOMINATE)
+    index = numerics.select(params.k <= th.k_bar_1, 0,
+                            numerics.select(params.k <= th.k_bar_2, 1, 2))
+    regime = _REGIMES[index]
+    row = _pick_row(index, rows)
     # Built-in consistency check: the threshold-selected strategy must
     # attain the scenario-profit maximum (up to tie tolerance).
-    chosen = rows[regime].revenue
-    best = max(row.revenue for row in rows.values())
-    scale = max(1.0, abs(best))
-    if chosen < best - _CONSISTENCY_TOL * scale:
+    chosen = row.revenue
+    best = numerics.larger(numerics.larger(rows[0].revenue, rows[1].revenue), rows[2].revenue)
+    scale = numerics.larger(1.0, abs(best))
+    bad = chosen < best - _CONSISTENCY_TOL * scale
+    if numerics.any_true(bad):
+        regime, chosen, best = numerics.first_where(bad, regime, chosen, best)
         raise RuntimeError(
             "internal inconsistency: threshold regime %s has revenue %r "
             "but scenario argmax is %r" % (regime.value, chosen, best)
         )
-    return _equilibrium(params, regime, rows[regime])
+    return _equilibrium(params, regime, row)
 
 
 def solve_baseline(params: ModelParams) -> Equilibrium:

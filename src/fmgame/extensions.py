@@ -25,19 +25,19 @@ separately, never silently netted out of social welfare.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import numerics
-from .closed_form import Equilibrium, solve, solve_baseline
+from .closed_form import Equilibrium, _solve, solve, solve_baseline
 from .outcomes import IntegratedOutcome
 from .params import InvalidParams, ModelParams, Regime, ValidationReport, k_max, require_valid
 from .welfare import (
-    _CROSS_TOL,
     PolicyComparison,
     WelfareBreakdown,
+    _first_drift,
     _k_grid,
-    welfare_baseline,
     welfare_for_equilibrium,
 )
 
@@ -78,28 +78,36 @@ def solve_integrated(params: ModelParams) -> IntegratedOutcome:
     myopic, matching the decentralized deployer), so the period-1 effort
     ignores its own flywheel payoff. Fees are internal transfers and the
     subsidy plays no role. Profit and consumer surplus are cross-checked
-    against a rebuild from the efforts.
+    against a rebuild from the efforts. k may be an array (see solve).
     """
     require_valid(params)
+    return _integrated(params)
+
+
+def _integrated(params: ModelParams) -> IntegratedOutcome:
+    # solve_integrated without the validation, for validated grids.
     th, c, k = params.theta, params.c, params.k
     one = 1.0 + params.eta_cap
     q1v = one * th / (2.0 * c)
     q2v = one * (2.0 * c + k * th * one) * th / (4.0 * c * c)
 
     profit = one * (4.0 * c + one * k * th) * th * th / (8.0 * c * c)
-    consumer = one * one * th * th * (1.0 + (1.0 + one * k * th / (2.0 * c)) ** 2) / (8.0 * c * c)
+    # Squared by a product, never by ** 2: Python's ** calls C pow, numpy's
+    # multiplies, and the two may round apart.
+    lift = 1.0 + one * k * th / (2.0 * c)
+    consumer = one * one * th * th * (1.0 + lift * lift) / (8.0 * c * c)
 
     # Rebuild both from the efforts; abort on drift.
     d2 = (1.0 + k * q1v) * one
     profit_rebuilt = (th * q1v - c * q1v * q1v / one) + (th * q2v - c * q2v * q2v / d2)
     consumer_rebuilt = 0.5 * (q1v * q1v + q2v * q2v)
-    for name, a, b in (("profit", profit, profit_rebuilt),
-                       ("consumer", consumer, consumer_rebuilt)):
-        if abs(a - b) > _CROSS_TOL * max(1.0, abs(a), abs(b)):
-            raise RuntimeError(
-                "integrated %s cross-validation failed: closed form %r vs rebuild %r"
-                % (name, a, b)
-            )
+    failure = _first_drift((profit, consumer), (profit_rebuilt, consumer_rebuilt))
+    if failure is not None:
+        i, a, b = failure
+        raise RuntimeError(
+            "integrated %s cross-validation failed: closed form %r vs rebuild %r"
+            % (("profit", "consumer")[i], a, b)
+        )
 
     return IntegratedOutcome(
         eta1v=params.eta_cap, eta2v=params.eta_cap,
@@ -115,26 +123,20 @@ def integration_thresholds(params: ModelParams) -> IntegrationThresholds:
     chain profit (incumbent revenue + deployer surplus vs merged profit),
     consumer surplus, and social welfare (all four components vs merged
     profit + consumer surplus; the entrant's foreclosed revenue counts
-    against integration). Each difference is scanned over [0, k_max] and
-    the last root is bisected. params.k is ignored.
+    against integration). Each difference is scanned over [0, k_max],
+    evaluated once on the whole grid as an array (one array pass serves all
+    three), and the last root is bisected on floats. params.k is ignored.
     """
     require_valid(params)
     if params.s != 0.0:
         raise InvalidParams(ValidationReport(("integration analysis requires s = 0",)))
     grid = _k_grid(0.0, k_max(params))
-
-    # All three differences come from the same two solves at each k.
-    @functools.lru_cache(maxsize=None)
-    def diffs(k: float) -> tuple[float, ...]:
-        p = replace(params, k=k)
-        v = solve_integrated(p)
-        w = welfare_baseline(p)
-        return v.profit - (w.dev1 + w.deployer), v.consumer - w.consumer, v.social - w.social
+    gaps = _integration_gaps(params)
 
     results = []
     for idx in range(3):
-        def diff(k: float, _i=idx) -> float:
-            return diffs(k)[_i]
+        def diff(k, _i=idx):
+            return gaps(k)[_i]
 
         root = numerics.scan_and_bisect(diff, grid)
         if root is None:
@@ -143,6 +145,26 @@ def integration_thresholds(params: ModelParams) -> IntegrationThresholds:
             status = "crossing"
         results.append(ThresholdCrossing(value=root, status=status))
     return IntegrationThresholds(chain=results[0], consumer=results[1], social=results[2])
+
+
+def _integration_gaps(params: ModelParams):
+    # Integrated minus decentralized chain profit, consumer surplus and
+    # social welfare at k, a float or an array; params.k is ignored, and s
+    # is 0 (the callers check). All three come from the same two solves, so
+    # each k (or grid) is solved once.
+    solved: dict = {}
+
+    def gaps(k):
+        key = k.tobytes() if isinstance(k, np.ndarray) else k
+        if key not in solved:
+            p = replace(params, k=k)
+            v = solve_integrated(p)
+            w = welfare_for_equilibrium(p, _solve(p))   # p is validated
+            solved[key] = (v.profit - (w.dev1 + w.deployer), v.consumer - w.consumer,
+                           v.social - w.social)
+        return solved[key]
+
+    return gaps
 
 
 def _gains(crossing: ThresholdCrossing, k: float) -> bool:
@@ -191,9 +213,14 @@ def solve_subsidized(params: ModelParams) -> SubsidizedEquilibrium:
     Same backward induction as the baseline with every deployer margin
     shifted to theta - w + s (developers keep their full fee, the
     government covers s), plus the subsidy outlay s * (alpha1 + alpha2).
-    Accepts s = 0, where it reduces exactly to the baseline.
+    Accepts s = 0, where it reduces exactly to the baseline. k or s may be
+    an array (see solve).
     """
-    eq = solve(params)
+    return _with_outlay(params, solve(params))
+
+
+def _with_outlay(params: ModelParams, eq: Equilibrium) -> SubsidizedEquilibrium:
+    # The equilibrium plus the subsidy outlay s * (alpha1 + alpha2).
     spend = params.s * (eq.period1.engagement + eq.period2.engagement)
     # shallow: asdict would turn the PeriodOutcomes into dicts
     return SubsidizedEquilibrium(**vars(eq), subsidy_spend=spend)

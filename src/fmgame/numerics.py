@@ -1,10 +1,13 @@
 """Small numeric utilities shared by the solvers and the brute-force oracle.
 
 Only generic routines live here (golden-section maximization, bisection,
-grid scans); nothing in this module knows about the game.
+grid scans, and the element-wise choices that let one expression run on a
+float or on an array); nothing in this module knows about the game.
 """
 
 from __future__ import annotations
+
+from enum import Enum
 
 import numpy as np
 
@@ -121,27 +124,32 @@ def bisect_root(f, lo: float, hi: float, xtol: float = 1e-13) -> float:
 
 
 def sign_change_brackets(f, grid) -> list[tuple[float, float]]:
-    """Scan a monotone grid and collect [x_i, x_{i+1}] brackets where f changes sign."""
+    """Scan a monotone grid and collect [x_i, x_{i+1}] brackets where f changes sign.
+
+    f is called once, on the whole grid as a float array, and must return
+    the array of its values there; a division by zero or an invalid
+    operation in that call raises FloatingPointError, as it raises on
+    floats. An exact zero at a grid point is its own degenerate bracket.
+    """
     xs = np.asarray(grid, dtype=float)
-    vals = np.array([f(x) for x in xs])
-    out = []
-    for i in range(len(xs) - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            # Treat an exact zero as its own (degenerate) bracket.
-            out.append((float(xs[i]), float(xs[i])))
-        elif (a > 0) != (b > 0):
-            out.append((float(xs[i]), float(xs[i + 1])))
-    if vals[-1] == 0.0:
-        out.append((float(xs[-1]), float(xs[-1])))
+    with np.errstate(divide="raise", invalid="raise"):
+        vals = np.broadcast_to(f(xs), xs.shape)
+    zero = vals == 0.0
+    positive = vals > 0
+    starts = np.flatnonzero(zero[:-1] | (positive[:-1] != positive[1:]))
+    x = xs.tolist()
+    out = [(x[i], x[i] if zero[i] else x[i + 1]) for i in starts.tolist()]
+    if zero[-1]:
+        out.append((x[-1], x[-1]))
     return out
 
 
 def scan_and_bisect(f, grid) -> float | None:
     """Scan a grid for sign changes of f and bisect the last bracket.
 
-    Returns None when f never changes sign on the grid; an exact zero at a
-    grid point is returned as is.
+    f takes the whole grid as an array for the scan (sign_change_brackets)
+    and a float at each bisection step. Returns None when f never changes
+    sign on the grid; an exact zero at a grid point is returned as is.
     """
     brackets = sign_change_brackets(f, grid)
     if not brackets:
@@ -184,3 +192,55 @@ def largest_true(pred, lo: float, hi: float, cell=None) -> float:
         else:
             hi = mid
     return lo
+
+
+def select(cond, a, b):
+    """``a if cond else b``, element by element when cond is an array."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+def smaller(a, b):
+    """``min(a, b)``, element by element when either is an array."""
+    less = b < a
+    if isinstance(less, np.ndarray):
+        return np.where(less, b, a)
+    return b if less else a
+
+
+def larger(a, b):
+    """``max(a, b)``, element by element when either is an array."""
+    more = b > a
+    if isinstance(more, np.ndarray):
+        return np.where(more, b, a)
+    return b if more else a
+
+
+def any_true(cond) -> bool:
+    """Whether cond holds, at any element when it is an array."""
+    return bool(cond.any()) if isinstance(cond, np.ndarray) else bool(cond)
+
+
+def first_where(cond, *values) -> tuple:
+    """The values at the first element where cond holds, as Python scalars.
+
+    Values that are not arrays are returned as they are, and so is every
+    value when cond is not an array.
+    """
+    if not isinstance(cond, np.ndarray):
+        return values
+    i = int(np.argmax(cond))
+    return tuple(v.tolist()[i] if isinstance(v, np.ndarray) else v for v in values)
+
+
+def choose(index, options):
+    """``options[index]``, element by element when index is an integer array.
+
+    On arrays each option is a scalar or an array of the index's shape;
+    enum members are kept as objects.
+    """
+    if not isinstance(index, np.ndarray):
+        return options[index]
+    return np.choose(index, [np.asarray(o, dtype=object if isinstance(o, Enum) else None)
+                             for o in options])

@@ -7,17 +7,22 @@ the experiment. Sweeps move one symbol (k or s) over a uniform grid and
 emit one row per point; numbers are serialized with 12 significant digits,
 LF line endings, and '.' decimals, so repeated runs are byte-identical.
 Points that leave the admissible region are kept in the output with the
-violation named in the status column rather than silently dropped.
+violation named in the status column rather than silently dropped. Every
+point is validated on its own; the admitted ones are then solved together,
+as arrays over the swept symbol (closed_form), with the bits that each
+point's own scalar solve gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .closed_form import solve
-from .extensions import solve_integrated, solve_subsidized
-from .params import ModelParams, validate
-from .welfare import _k_grid, mandate_equilibrium, welfare_for_equilibrium
+import numpy as np
+
+from .closed_form import _solve
+from .extensions import _integrated, _with_outlay
+from .params import ModelParams, Regime, _grid_points, validate
+from .welfare import _k_grid, _mandate_equilibrium, welfare_for_equilibrium
 
 _KEYS = ("theta", "c", "w_high", "w_low", "eta_cap", "k", "s")
 
@@ -108,64 +113,74 @@ def sweep_columns(scenario: str) -> tuple[str, ...]:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
+    if isinstance(x, Regime):
+        return x.value
     v = float(x)
     if v == 0.0:
         v = 0.0   # collapse negative zero
     return f"{v:.12g}"
 
 
-def _base_cells(params: ModelParams):
-    eq = solve(params)
-    w = welfare_for_equilibrium(params, eq)
-    return [
-        params.k, params.s, eq.regime.value, eq.strategy.w1, eq.strategy.eta1,
-        eq.period1.effort, eq.period2.effort,
-        w.dev1, w.dev2, w.deployer, w.consumer, w.social,
-    ], w
-
-
 def run_sweep(params: ModelParams, spec: SweepSpec) -> tuple[tuple[str, ...], list[list[str]]]:
-    """Evaluate the sweep and return (columns, formatted rows)."""
+    """Evaluate the sweep and return (columns, formatted rows).
+
+    Each grid point is validated; the admitted points are solved in one
+    array pass (under np.errstate, so that a division by zero raises as it
+    does on floats), with solve's argmax guard and the welfare
+    cross-validation applied to every one of them. A sweep costs about one
+    validate() per point plus the formatting of its cells.
+    """
     spec.check()
     cols = sweep_columns(spec.scenario)
-    rows: list[list[str]] = []
-    for value in _k_grid(spec.lo, spec.hi, spec.steps):
-        p = replace(params, **{spec.parameter: value})
-        if spec.scenario in ("mandate", "integration"):
-            p = replace(p, s=0.0)
-        base_p = replace(p, s=0.0) if spec.scenario == "subsidy" else p
-        report = validate(base_p)
+    if spec.scenario in ("mandate", "integration"):
+        params = replace(params, s=0.0)
+    grid = np.array(_k_grid(spec.lo, spec.hi, spec.steps))
+    points = _grid_points(replace(params, **{spec.parameter: grid}))
+    reports = []
+    for p in points:
+        report = validate(replace(p, s=0.0) if spec.scenario == "subsidy" else p)
         if report.ok and spec.scenario == "subsidy":
             report = validate(p)
-        if not report.ok:
-            pad = ["" for _ in range(len(cols) - 3)]
-            rows.append([_fmt(p.k), _fmt(p.s)] + pad + ["; ".join(report.violations)])
-            continue
+        reports.append(report)
+    admitted = np.array([report.ok for report in reports])
+    solved = iter(_solved_rows(replace(params, **{spec.parameter: grid[admitted]}), spec.scenario)
+                  if admitted.any() else ())
+    pad = ["" for _ in range(len(cols) - 3)]
+    return cols, [next(solved) if report.ok
+                  else [_fmt(p.k), _fmt(p.s)] + pad + ["; ".join(report.violations)]
+                  for p, report in zip(points, reports)]
 
-        cells, w_base = _base_cells(base_p)
-        if spec.scenario == "subsidy":
-            cells[1] = p.s    # report the swept subsidy, baseline cells are s=0
-        if spec.scenario == "mandate":
-            eq = mandate_equilibrium(p)
-            w = welfare_for_equilibrium(p, eq)
-            cells += [eq.period1.effort, eq.period2.effort,
-                      w.dev1, w.dev2, w.deployer, w.consumer, w.social]
-        elif spec.scenario == "integration":
-            v = solve_integrated(p)
-            cells += [w_base.dev1 + w_base.deployer, v.q1v, v.q2v,
-                      v.profit, v.consumer, v.social]
-        elif spec.scenario == "subsidy":
-            sub = solve_subsidized(p)
+
+def _solved_rows(p: ModelParams, scenario: str) -> list[list[str]]:
+    # The formatted rows of validated points: k or s of p is their array.
+    base_p = replace(p, s=0.0) if scenario == "subsidy" else p
+    with np.errstate(divide="raise", invalid="raise"):
+        eq = _solve(base_p)
+        w = welfare_for_equilibrium(base_p, eq)
+        # p.s is the swept subsidy; the baseline cells are the s = 0 game.
+        cells = [p.k, p.s, eq.regime, eq.strategy.w1, eq.strategy.eta1,
+                 eq.period1.effort, eq.period2.effort,
+                 w.dev1, w.dev2, w.deployer, w.consumer, w.social]
+        if scenario == "mandate":
+            m = _mandate_equilibrium(p)
+            wm = welfare_for_equilibrium(p, m)
+            cells += [m.period1.effort, m.period2.effort,
+                      wm.dev1, wm.dev2, wm.deployer, wm.consumer, wm.social]
+        elif scenario == "integration":
+            v = _integrated(p)
+            cells += [w.dev1 + w.deployer, v.q1v, v.q2v, v.profit, v.consumer, v.social]
+        elif scenario == "subsidy":
+            sub = _with_outlay(p, _solve(p))
             ws = welfare_for_equilibrium(p, sub)
-            cells += [sub.regime.value, sub.strategy.w1, sub.strategy.eta1,
+            cells += [sub.regime, sub.strategy.w1, sub.strategy.eta1,
                       sub.period1.effort, sub.period2.effort,
                       ws.dev1, ws.dev2, ws.deployer, ws.consumer, ws.social,
                       sub.subsidy_spend]
-        cells.append("ok")
-        rows.append([_fmt(c) for c in cells])
-    return cols, rows
+    # A cell is an array over the points, or one value that they share.
+    n = max(np.size(p.k), np.size(p.s))
+    columns = [[_fmt(v) for v in c.tolist()] if isinstance(c, np.ndarray) else [_fmt(c)] * n
+               for c in cells]
+    return [row + ["ok"] for row in map(list, zip(*columns))]
 
 
 def write_csv(cols, rows, stream) -> None:

@@ -14,7 +14,8 @@ regime's play and revenue, and once rebuilt here from the equilibrium
 efforts (fee revenue = w * alpha, deployer surplus = margin * alpha - cost,
 consumer surplus from engagements). The two routes must agree to 1e-6
 relative; a mismatch aborts with the offending component and regime named,
-since it means a table row or the regime mapping was mistranscribed.
+since it means a table row or the regime mapping was mistranscribed. Both
+routes also run on a grid of k or s, element by element (closed_form).
 
 The mandate counterfactual pins period-1 openness at the cap. The incumbent
 then cannot defend the deployer at any admissible flywheel strength, so the
@@ -22,11 +23,13 @@ harvest outcome obtains regardless of k. For strong flywheels the baseline
 would have delivered the dominate outcome, whose efforts grow without the
 openness distortion; past a threshold k the mandate therefore lowers
 deployer surplus, consumer surplus, and social welfare. That threshold is
-located by bisection.
+located by scanning a k grid in one array pass and bisecting on floats.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, replace
 
 from . import numerics
@@ -35,8 +38,10 @@ from .closed_form import (
     Regime,
     Winner,
     _equilibrium,
+    _played_row,
     _row,
     regime_thresholds,
+    solve,
     solve_baseline,
 )
 from .params import InvalidParams, ModelParams, ValidationReport, k_max, require_valid
@@ -108,14 +113,12 @@ def _rebuilt_components(params: ModelParams, eq: Equilibrium) -> tuple[float, fl
     w1 = eq.strategy.w1
     w2 = eq.w2
 
-    if eq.winner2 is Winner.INCUMBENT:
-        dev1 = w1 * a1 + w2 * a2
-        dev2 = 0.0
-        d2_eff = (1.0 + params.k * a1) * (1.0 + eq.eta2)
-    else:
-        dev1 = w1 * a1
-        dev2 = w2 * a2
-        d2_eff = (1.0 + eq.strategy.eta1) * (1.0 + eq.eta2_tilde)
+    # Against the value: numpy would turn the member itself into its str().
+    incumbent = eq.winner2 == Winner.INCUMBENT.value
+    dev1 = numerics.select(incumbent, w1 * a1 + w2 * a2, w1 * a1)
+    dev2 = numerics.select(incumbent, 0.0, w2 * a2)
+    d2_eff = numerics.select(incumbent, (1.0 + params.k * a1) * (1.0 + eq.eta2),
+                             (1.0 + eq.strategy.eta1) * (1.0 + eq.eta2_tilde))
 
     d1_eff = 1.0 + eq.strategy.eta1
     deployer = ((t - w1) * a1 - c * a1 * a1 / d1_eff) \
@@ -133,18 +136,38 @@ def welfare_for_equilibrium(params: ModelParams, eq: Equilibrium) -> WelfareBrea
     Evaluates the regime's closed-form table row and cross-validates it
     against the rebuild from efforts; raises RuntimeError naming the first
     disagreeing component if the two routes drift beyond 1e-6 relative.
+    On a grid (an equilibrium solved with k or s an array) both routes run
+    per element, and the first disagreeing point is named.
     """
-    row = _row(params, eq.regime)
+    row = _played_row(params, eq.regime)
     table = (row.revenue, row.dev2, row.deployer, row.consumer)
-    rebuilt = _rebuilt_components(params, eq)
-    for name, a, b in zip(_COMPONENT_NAMES, table, rebuilt):
-        scale = max(1.0, abs(a), abs(b))
-        if abs(a - b) > _CROSS_TOL * scale:
-            raise RuntimeError(
-                "welfare cross-validation failed for component %r in regime %r: "
-                "table %r vs rebuild %r" % (name, eq.regime.value, a, b)
-            )
+    failure = _first_drift(table, _rebuilt_components(params, eq), eq.regime)
+    if failure is not None:
+        i, a, b, regime = failure
+        raise RuntimeError(
+            "welfare cross-validation failed for component %r in regime %r: "
+            "table %r vs rebuild %r" % (_COMPONENT_NAMES[i], regime.value, a, b)
+        )
     return WelfareBreakdown.from_components(*table)
+
+
+def _drift(a, b):
+    # Whether two routes to one quantity disagree beyond _CROSS_TOL relative.
+    return abs(a - b) > _CROSS_TOL * numerics.larger(numerics.larger(1.0, abs(a)), abs(b))
+
+
+def _first_drift(table: tuple, rebuilt: tuple, *context):
+    # None when every component of the two routes agrees at every point.
+    # Else (component index, table value, rebuilt value, *context) at the
+    # first point where one drifts, for its first drifting component: what
+    # the point's own scalar check reports.
+    bad = functools.reduce(operator.or_, map(_drift, table, rebuilt))
+    if not numerics.any_true(bad):
+        return None
+    n = len(table)
+    values = numerics.first_where(bad, *table, *rebuilt, *context)
+    i = next(i for i in range(n) if _drift(values[i], values[n + i]))
+    return (i, values[i], values[n + i], *values[2 * n:])
 
 
 def welfare_baseline(params: ModelParams) -> WelfareBreakdown:
@@ -159,11 +182,16 @@ def mandate_equilibrium(params: ModelParams) -> Equilibrium:
     Full openness hands the entrant the whole spillover, so the incumbent
     cannot retain the deployer at any admissible k; the harvest outcome
     obtains regardless of the flywheel strength, and the premium fee is the
-    incumbent's best remaining choice.
+    incumbent's best remaining choice. k may be an array (see solve).
     """
     require_valid(params)
     if params.s != 0.0:
         raise InvalidParams(ValidationReport(("mandate analysis requires s = 0",)))
+    return _mandate_equilibrium(params)
+
+
+def _mandate_equilibrium(params: ModelParams) -> Equilibrium:
+    # mandate_equilibrium without its checks, for validated s = 0 grids.
     return _equilibrium(params, Regime.HARVEST, _row(params, Regime.HARVEST))
 
 
@@ -177,8 +205,9 @@ def openness_trap_threshold(params: ModelParams) -> float | None:
     """Flywheel strength past which the mandate lowers social welfare.
 
     Scans (k_bar_1, k_max] for sign changes of
-    f(k) = SW_baseline(k) - SW_mandate and bisects the final bracket to a
-    k-resolution of 1e-13 (so the SW gap at the root is far below 1e-8).
+    f(k) = SW_baseline(k) - SW_mandate, evaluating f once on the whole grid
+    as an array, and bisects the final bracket on floats to a k-resolution
+    of 1e-13 (so the SW gap at the root is far below 1e-8).
     Returns None when f never changes sign on the binding range: either the
     mandate helps everywhere it binds, or it hurts everywhere it binds (as
     when the baseline goes straight from harvest to dominate). k is the
@@ -195,9 +224,15 @@ def openness_trap_threshold(params: ModelParams) -> float | None:
 
 def _trap_gap(params: ModelParams):
     # f(k) = SW_baseline(k) - SW_mandate, the gap whose sign change is the
-    # openness trap; params.k is ignored.
+    # openness trap, for k a float or an array; params.k is ignored, and s
+    # is 0 (the callers check).
     sw_mandate = welfare_mandate(replace(params, k=0.0)).social
-    return lambda k: welfare_baseline(replace(params, k=k)).social - sw_mandate
+
+    def gap(k):
+        p = replace(params, k=k)
+        return welfare_for_equilibrium(p, solve(p)).social - sw_mandate
+
+    return gap
 
 
 def _binding_range(params: ModelParams) -> tuple[float, float] | None:

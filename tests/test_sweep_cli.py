@@ -322,10 +322,13 @@ VERIFY_SET_A = (
     "PASS mandate-welfare-flat\n"
     "PASS trap-root: k_bar=0.25673003092465707, |gap|=3.34e-11\n"
     "PASS integration-effort-dominance\n"
+    "PASS integration-thresholds: chain k_bar=0.1240000000000255, |diff|=2.49e-12; "
+    "consumer k_bar=0.17226495451672974, |diff|=3.41e-12; "
+    "social k_bar=0.17607999200159924, |diff|=2.27e-13\n"
     "PASS integrated-oracle-agreement\n"
     "PASS oracle-equivalence: 100 k-points at rel tol 1e-05\n"
     "PASS oracle-grid-refinement\n"
-    "13/13 checks passed\n"
+    "14/14 checks passed\n"
 )
 
 VERIFY_SET_B = (
@@ -339,6 +342,11 @@ VERIFY_SET_B = (
     "PASS mandate-welfare-flat\n"
     "PASS trap-root: k_bar=0.27569035902715777, |gap|=2.16e-11\n"
     "PASS integration-effort-dominance\n"
+    "PASS integration-thresholds: "
+    "chain k_bar=0.049920000000021045, jump at k_bar_1=0.049920000000000006 (diff -3.16 to +14.9); "
+    "consumer k_bar=0.049920000000021045, jump at k_bar_1=0.049920000000000006 "
+    "(diff -37.9 to +36.6); "
+    "social k_bar=0.049920000000021045, jump at k_bar_1=0.049920000000000006 (diff -51.5 to +51.5)\n"
     "PASS integrated-oracle-agreement\n"
     "PASS oracle-equivalence: 100 k-points at rel tol 1e-05\n"
     "PASS oracle-grid-refinement\n"
@@ -346,7 +354,7 @@ VERIFY_SET_B = (
     "k_bar_2 0.17989417989417988->0.1872340425531915\n"
     "PASS subsidy-limit-continuity: max rel drift 4.11e-09\n"
     "PASS subsidy-welfare-cross-validation\n"
-    "16/16 checks passed\n"
+    "17/17 checks passed\n"
 )
 
 
