@@ -178,7 +178,11 @@ def _gains(crossing: ThresholdCrossing, k: float) -> bool:
 def integration_comparison(params: ModelParams) -> PolicyComparison:
     """Baseline vs integrated welfare at the params' own k.
 
-    The subsidy is irrelevant under integration (there is no fee left to
+    The region says whether the chain (incumbent plus deployer) and the
+    consumers gain: "lose_lose" (neither), "mixed" (one of them) or
+    "win_win" (both). A side gains when k is at or past the last threshold
+    that integration_thresholds locates for it, or when its status there is
+    "always". The subsidy is irrelevant under integration (there is no fee left to
     subsidize through), so the comparison is always against the s = 0
     baseline.
     """

@@ -203,18 +203,12 @@ def select(cond, a, b):
 
 def smaller(a, b):
     """``min(a, b)``, element by element when either is an array."""
-    less = b < a
-    if isinstance(less, np.ndarray):
-        return np.where(less, b, a)
-    return b if less else a
+    return select(b < a, b, a)
 
 
 def larger(a, b):
     """``max(a, b)``, element by element when either is an array."""
-    more = b > a
-    if isinstance(more, np.ndarray):
-        return np.where(more, b, a)
-    return b if more else a
+    return select(b > a, b, a)
 
 
 def any_true(cond) -> bool:

@@ -21,6 +21,7 @@ from fmgame import (
     welfare_baseline,
     welfare_subsidized,
 )
+from fmgame.verify import random_valid_params
 
 from conftest import (
     INTEGRATION_SCAN_OVERSHOOT,
@@ -119,6 +120,39 @@ class TestIntegrationComparison:
         cmp = integration_comparison(SET_B)
         base0 = welfare_baseline(replace(SET_B, s=0.0))
         assert cmp.baseline.social == pytest.approx(base0.social, rel=1e-12)
+
+
+def _gains_at(p, k):
+    # Whether the chain and the consumers gain at k by the signs of their
+    # differences; the comparison's region must say the same.
+    cmp = integration_comparison(replace(p, k=k))
+    base = cmp.baseline
+    chain = cmp.counterfactual.dev1 - (base.dev1 + base.deployer) > 0.0
+    consumer = cmp.delta.consumer > 0.0
+    assert cmp.region == ("lose_lose", "mixed", "win_win")[chain + consumer]
+    return chain, consumer
+
+
+def _route_points():
+    rng = np.random.default_rng(20261018)
+    return [SET_A, INTEGRATION_SCAN_OVERSHOOT] + [random_valid_params(rng) for _ in range(20)]
+
+
+@pytest.mark.parametrize("params", _route_points())
+def test_region_agrees_with_the_threshold_scan(params):
+    # The signs of the differences at k flip at each crossing that
+    # integration_thresholds locates and keep the side its status names
+    # without one, and the comparison's region agrees with them throughout.
+    th = integration_thresholds(params)
+    km = k_max(params)
+    for i, crossing in enumerate((th.chain, th.consumer)):
+        if crossing.status == "crossing":
+            h = 1e-6 * km
+            lo, hi = max(0.0, crossing.value - h), min(km, crossing.value + h)
+            assert _gains_at(params, lo)[i] != _gains_at(params, hi)[i]
+        else:
+            sides = {_gains_at(params, float(k))[i] for k in np.linspace(0.0, km, 5)}
+            assert sides == {crossing.status == "always"}
 
 
 class TestSubsidizedEquilibrium:

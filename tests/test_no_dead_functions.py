@@ -1,8 +1,9 @@
-"""Every module-level function in the package is exported or used somewhere.
+"""Every module-level function, class and constant in the package is used.
 
 A function that is neither in ``fmgame.__all__`` nor named anywhere in the
-source, tests, demos or bench outside its own ``def`` is dead code. So is a
-function-local name that is assigned but never read.
+source, tests, demos or bench outside its own ``def`` is dead code, and so
+is such a class or module-level constant outside its own definition. So is
+a function-local name that is assigned but never read.
 """
 
 import ast
@@ -16,10 +17,14 @@ REPO = Path(__file__).resolve().parents[1]
 PACKAGE = Path(fmgame.__file__).resolve().parent
 
 
+def _texts() -> list[str]:
+    return [path.read_text(encoding="utf-8")
+            for folder in ("src", "tests", "demos", "bench")
+            for path in sorted((REPO / folder).rglob("*.py"))]
+
+
 def test_no_dead_module_functions():
-    texts = [path.read_text(encoding="utf-8")
-             for folder in ("src", "tests", "demos", "bench")
-             for path in sorted((REPO / folder).rglob("*.py"))]
+    texts = _texts()
     dead = []
     for module in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(module.read_text(encoding="utf-8")).body:
@@ -31,6 +36,34 @@ def test_no_dead_module_functions():
             if uses == 0:
                 dead.append(f"{module.name}:{node.name}")
     assert not dead, "unused module-level functions: " + ", ".join(dead)
+
+
+def _module_names(tree) -> list[str]:
+    # Classes and the names that module-level assignments bind, once per binding.
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return names
+
+
+def test_no_dead_module_classes_or_constants():
+    # A name counts as used when it appears anywhere beyond its bindings;
+    # dunder names such as __all__ are read by Python itself.
+    texts = _texts()
+    dead = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        names = _module_names(ast.parse(module.read_text(encoding="utf-8")))
+        for name in sorted(set(names)):
+            if name in fmgame.__all__ or (name.startswith("__") and name.endswith("__")):
+                continue
+            found = sum(len(re.findall(rf"\b{re.escape(name)}\b", t)) for t in texts)
+            if found <= names.count(name):
+                dead.append(f"{module.name}:{name}")
+    assert not dead, "unused module-level classes or constants: " + ", ".join(dead)
 
 
 def _read_in_nested_scopes(table) -> set[str]:
