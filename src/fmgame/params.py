@@ -97,6 +97,11 @@ class InvalidParams(ValueError):
         self.report = report
         super().__init__("invalid parameters: " + "; ".join(report.violations))
 
+    def __reduce__(self):
+        # Rebuilt from its report, not from args (the message), so that it
+        # survives pickling, as from a worker process to its parent.
+        return type(self), (self.report,)
+
 
 def k_max(params: ModelParams) -> float:
     """Upper admissibility bound on the flywheel strength ``k``.

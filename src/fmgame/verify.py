@@ -7,12 +7,20 @@ profit differences, finite-difference monotonicity, rebuilds);
 The CLI ``verify`` command prints one PASS/FAIL line per property and
 exits nonzero on any failure; a check that raises is a FAIL of that check.
 Tests call :func:`run_verification` directly.
+
+``oracle-equivalence``, nearly all of a run's time, checks its k-points on
+forked worker processes, one per CPU this process may use
+(:func:`first_failure`); where that cannot be done they are checked
+serially in this process. Both routes print the same lines.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import os
+import threading
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -251,13 +259,11 @@ def run_verification(params: ModelParams, oracle_rel_tol: float = 1e-5) -> list[
     # endpoint grid can land exactly on a regime threshold, where the label
     # is a pure tie-break convention rather than a checkable prediction.
     with _guard(checks, "oracle-equivalence"):
-        fail = None
-        for k in (np.arange(_ORACLE_K_POINTS) + 0.5) / _ORACLE_K_POINTS * km:
-            p = replace(params, k=float(k))
-            msg = compare_with_oracle(p, config, rel_tol=oracle_rel_tol)
-            if msg is not None:
-                fail = f"k={float(k)!r}: {msg}"
-                break
+        points = [replace(params, k=float(k))
+                  for k in (np.arange(_ORACLE_K_POINTS) + 0.5) / _ORACLE_K_POINTS * km]
+        found = first_failure(lambda p: compare_with_oracle(p, config, rel_tol=oracle_rel_tol),
+                              points)
+        fail = None if found is None else f"k={points[found[0]].k!r}: {found[1]}"
         checks.append(CheckResult(
             "oracle-equivalence", fail is None,
             fail or f"{_ORACLE_K_POINTS} k-points at rel tol {oracle_rel_tol:g}",
@@ -278,6 +284,65 @@ def run_verification(params: ModelParams, oracle_rel_tol: float = 1e-5) -> list[
         _subsidy_checks(params, checks)
 
     return checks
+
+
+#: In a worker process of first_failure: the check and the points it runs.
+_WORKER_TASK = None
+
+
+def first_failure(check, points) -> tuple[int, str] | None:
+    """(index, message) of the first point where check returns a message.
+
+    None when check returns None at every point. The points are checked on
+    forked worker processes, one per CPU this process may use and at most
+    one per point, one point per task. Results are read in point order, so
+    the answer, and an exception (raised here as itself), are those of a
+    serial loop; the tasks after the first failure are cancelled. Where
+    fork or os.sched_getaffinity is missing, or only one CPU may be used,
+    the points are checked serially in this process. check need not
+    pickle: the workers inherit it, and any monkeypatch in force, from this
+    process.
+    """
+    import multiprocessing
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(points))
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return _first_message(map(check, points))
+    from concurrent.futures import ProcessPoolExecutor
+
+    # A forked worker receives the initializer and its arguments unpickled.
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               _take_task, (check, points, os.getpid()))
+    try:
+        futures = [pool.submit(_check_point, i) for i in range(len(points))]
+        return _first_message(future.result() for future in futures)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _first_message(messages) -> tuple[int, str] | None:
+    return next(((i, msg) for i, msg in enumerate(messages) if msg is not None), None)
+
+
+def _take_task(check, points, parent: int) -> None:
+    # A worker also ends once its parent is gone: one killed by a signal it
+    # cannot handle never shuts the pool down, and its idle workers would
+    # wait for tasks forever.
+    global _WORKER_TASK
+    _WORKER_TASK = check, points
+    threading.Thread(target=_exit_without, args=(parent,), daemon=True).start()
+
+
+def _exit_without(parent: int) -> None:
+    while os.getppid() == parent:
+        time.sleep(0.2)
+    os._exit(1)
+
+
+def _check_point(i: int) -> str | None:
+    check, points = _WORKER_TASK
+    return check(points[i])
 
 
 @contextlib.contextmanager

@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fmgame
 from fmgame import ModelParams
 
 # Reference point with a wide fee gap: all three regimes show up on a k-sweep.
@@ -63,3 +67,10 @@ def set_b():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+def child_env() -> dict:
+    """This environment for a child Python that imports fmgame from where
+    this process did, installed or not."""
+    path = [str(Path(fmgame.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}

@@ -35,6 +35,7 @@ from fmgame import (
     welfare_for_equilibrium,
     welfare_mandate,
 )
+from fmgame.verify import first_failure
 
 A0 = replace(SET_A, k=0.0)
 B0 = replace(SET_B, k=0.0, s=0.0)
@@ -102,14 +103,13 @@ def test_criterion_2_oracle_equivalence():
     with criterion(2, "oracle agrees on sweep + 100 random sets, profit 1e-5, <60s"):
         t0 = time.perf_counter()
         config = OracleConfig()
-        for k in np.linspace(0.0, 0.26, 200):
-            msg = compare_with_oracle(replace(SET_A, k=float(k)), config)
-            assert msg is None, f"k={float(k)}: {msg}"
+        sweep = [replace(SET_A, k=float(k)) for k in np.linspace(0.0, 0.26, 200)]
         rng = np.random.default_rng(20240811)
-        for i in range(100):
-            p = random_valid_params(rng, with_subsidy=(i % 10 < 3))
-            msg = compare_with_oracle(p, config)
-            assert msg is None, f"draw {i} ({p}): {msg}"
+        draws = [random_valid_params(rng, with_subsidy=(i % 10 < 3)) for i in range(100)]
+        labels = [f"k={p.k}" for p in sweep] + [f"draw {i} ({p})" for i, p in enumerate(draws)]
+        # On forked workers, one per CPU, as fmgame verify checks its k-points.
+        found = first_failure(lambda p: compare_with_oracle(p, config), sweep + draws)
+        assert found is None, f"{labels[found[0]]}: {found[1]}"
         assert time.perf_counter() - t0 < 60.0
 
 

@@ -1,6 +1,7 @@
 """Parameter validation and the admissibility bound on the flywheel strength."""
 
 import math
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -127,6 +128,15 @@ def test_invalid_params_carries_report():
         assert not exc.report.ok
     else:
         pytest.fail("expected InvalidParams")
+
+
+def test_invalid_params_survives_pickling():
+    # As an exception raised in a verify worker process reaches its parent.
+    exc = InvalidParams(validate(replace(SET_A, theta=-1.0, c=-1.0)))
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is InvalidParams
+    assert str(back) == str(exc) and back.args == exc.args
+    assert back.report == exc.report
 
 
 def _build(theta, c, w_high, low_frac, eta_cap):

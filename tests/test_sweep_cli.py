@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
 from io import StringIO
@@ -10,8 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import INTEGRATION_SCAN_OVERSHOOT, MANDATE_SCAN_OVERSHOOT, SET_A, SET_B
-import fmgame
+from conftest import (
+    INTEGRATION_SCAN_OVERSHOOT,
+    MANDATE_SCAN_OVERSHOOT,
+    SET_A,
+    SET_B,
+    child_env,
+)
 from fmgame import (
     ConfigError,
     SweepSpec,
@@ -297,15 +301,14 @@ class TestCliCommands:
         assert "lo < hi" in capsys.readouterr().err
 
     def test_module_entry_point(self):
-        # The child imports fmgame from where this process did, installed or not.
-        path = [str(Path(fmgame.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-        proc = subprocess.run(
-            [sys.executable, "-m", "fmgame.cli", "solve", "--config", CFG_A],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
-        )
+        proc = _run_module("solve", "--config", CFG_A)
         assert proc.returncode == 0
         assert "regime: defend" in proc.stdout
+
+
+def _run_module(*args: str, python_flags: tuple[str, ...] = ()):
+    return subprocess.run([sys.executable, *python_flags, "-m", "fmgame.cli", *args],
+                          capture_output=True, text=True, timeout=120, env=child_env())
 
 
 # The full verify report on each config. Its details come from float
@@ -362,6 +365,15 @@ class TestCliVerify:
     def test_set_a_all_checks_pass(self, capsys):
         assert main(["verify", "--config", CFG_A]) == 0
         assert capsys.readouterr().out == VERIFY_SET_A
+
+    def test_forked_workers_raise_no_deprecation_warning(self):
+        # Python 3.12+ warns when it forks a process that runs threads. The
+        # pool forks its workers before it starts a thread of its own, and
+        # OpenBLAS stops its threads at each fork.
+        proc = _run_module("verify", "--config", CFG_A,
+                           python_flags=("-W", "error::DeprecationWarning"))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == VERIFY_SET_A
 
     def test_set_b_includes_subsidy_checks(self, capsys):
         assert main(["verify", "--config", CFG_B]) == 0

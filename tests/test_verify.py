@@ -1,8 +1,16 @@
-"""The verify checks that can be run on their own, without the oracle, and their guard."""
+"""The verify checks that can be run on their own, without the oracle, and their guard;
+and the serial and the forked-worker routes of oracle-equivalence."""
 
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -13,14 +21,17 @@ from conftest import (
     SUBSIDY_HARVEST_TO_DEFEND,
     SUBSIDY_HARVEST_TO_DOMINATE,
     TRAP_AT_JUMP,
+    child_env,
 )
 from fmgame import (
+    InvalidParams,
     Regime,
     ThresholdCrossing,
     closed_form,
     integration_thresholds,
     k_max,
     solve_integrated,
+    validate,
     verify,
     welfare,
 )
@@ -30,6 +41,7 @@ from fmgame.verify import (
     _check_integration_thresholds,
     _check_threshold_shift,
     _check_trap_root,
+    first_failure,
     run_verification,
 )
 
@@ -83,6 +95,15 @@ class TestTrapRootCheck:
         assert result.detail == "no root found, but the SW gap changes sign (-98.9 to +14.7)"
 
 
+def _stub_oracle(monkeypatch, compare):
+    # The oracle replaced by the closed forms, and compare_with_oracle by
+    # compare, to keep a run_verification fast.
+    monkeypatch.setattr(verify, "compare_with_oracle", compare)
+    monkeypatch.setattr(verify, "oracle_solve_game", lambda params, config: solve(params))
+    monkeypatch.setattr(verify, "oracle_solve_integrated",
+                        lambda params, config: solve_integrated(params))
+
+
 def test_solve_guard_failure_is_a_named_fail(monkeypatch):
     # solve raises when its threshold regime misses the revenue argmax; the
     # argmax check turns that into its own FAIL line instead of aborting the
@@ -95,10 +116,7 @@ def test_solve_guard_failure_is_a_named_fail(monkeypatch):
         return solve(params)
 
     monkeypatch.setattr(verify, "solve", solve_or_raise)
-    monkeypatch.setattr(verify, "compare_with_oracle", lambda params, config, rel_tol: None)
-    monkeypatch.setattr(verify, "oracle_solve_game", lambda params, config: solve(params))
-    monkeypatch.setattr(verify, "oracle_solve_integrated",
-                        lambda params, config: solve_integrated(params))
+    _stub_oracle(monkeypatch, lambda params, config, rel_tol: None)
     checks = {check.name: check for check in run_verification(SET_A)}
     argmax = checks["regime-argmax-consistency"]
     assert not argmax.passed
@@ -191,12 +209,142 @@ def test_a_check_that_raises_is_its_own_named_fail(monkeypatch, capsys):
 
     monkeypatch.setattr(closed_form, "_row", mutant)
     monkeypatch.setattr(welfare, "_row", mutant)
-    monkeypatch.setattr(verify, "compare_with_oracle", lambda params, config, rel_tol: None)
-    monkeypatch.setattr(verify, "oracle_solve_game", lambda params, config: solve(params))
-    monkeypatch.setattr(verify, "oracle_solve_integrated",
-                        lambda params, config: solve_integrated(params))
+    _stub_oracle(monkeypatch, lambda params, config, rel_tol: None)
     assert main(["verify", "--config", str(REPO / "configs" / "set_a.cfg")]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert ("FAIL mandate-welfare-flat: raised RuntimeError: welfare cross-validation failed "
             "for component 'consumer' in regime 'harvest'") in "\n".join(lines)
     assert lines[-1] == "10/14 checks passed"
+
+
+# oracle-equivalence on forked workers (the pool route) and in this process
+# (the serial route, where one CPU may be used) must give the same results.
+
+def _use_cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.fixture(params=[1, 2], ids=["serial", "pool"])
+def route(request, monkeypatch):
+    _use_cpus(monkeypatch, request.param)
+    return request.param
+
+
+def _oracle_ks(params):
+    km = k_max(params)
+    return [float(k) for k in (np.arange(verify._ORACLE_K_POINTS) + 0.5)
+            / verify._ORACLE_K_POINTS * km]
+
+
+def test_routes_check_in_this_process_or_in_workers(route):
+    pids = first_failure(lambda point: str(os.getpid()), [0, 1])
+    assert pids[0] == 0
+    assert (int(pids[1]) == os.getpid()) == (route == 1)
+
+
+@pytest.mark.parametrize("params", [SET_A, SET_B], ids=["set_a", "set_b"])
+def test_both_routes_return_equal_checks(params, monkeypatch):
+    _use_cpus(monkeypatch, 1)
+    serial = run_verification(params)
+    _use_cpus(monkeypatch, 2)
+    assert run_verification(params) == serial
+    assert multiprocessing.active_children() == []
+
+
+def test_the_first_failing_k_point_is_named(route, monkeypatch):
+    # The 81st k-point fails at once, the 38th only later: a pool reads its
+    # results in k order, so the 38th is named, as in a serial loop.
+    ks = _oracle_ks(SET_A)
+
+    def compare(params, config, rel_tol):
+        if params.k == ks[37]:
+            time.sleep(0.3)
+            return "stub at the 38th"
+        return "stub at the 81st" if params.k == ks[80] else None
+
+    _stub_oracle(monkeypatch, compare)
+    check = {c.name: c for c in run_verification(SET_A)}["oracle-equivalence"]
+    assert not check.passed
+    assert check.detail == f"k={ks[37]!r}: stub at the 38th"
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("exc, line", [
+    (RuntimeError("stub"), "raised RuntimeError: stub"),
+    (InvalidParams(validate(replace(SET_A, c=-1.0))),
+     "raised InvalidParams: invalid parameters: c must be positive"),
+], ids=["RuntimeError", "InvalidParams"])
+def test_an_exception_at_one_k_point_is_the_checks_fail(route, monkeypatch, exc, line):
+    ks = _oracle_ks(SET_A)
+
+    def compare(params, config, rel_tol):
+        if params.k == ks[50]:
+            raise exc
+
+    _stub_oracle(monkeypatch, compare)
+    check = {c.name: c for c in run_verification(SET_A)}["oracle-equivalence"]
+    assert (check.passed, check.detail) == (False, line)
+    assert multiprocessing.active_children() == []
+
+
+class _Deadline(BaseException):
+    pass
+
+
+def _raise_deadline(signum, frame):
+    raise _Deadline()
+
+
+def test_an_interrupt_inside_oracle_equivalence_leaves_no_worker(route, monkeypatch):
+    # As a bench op is stopped at its deadline: SIGALRM raises a
+    # BaseException, here 0.3 s into a 100-point check of 5 s of work.
+    def arm_alarm(params, config):
+        # integrated-oracle-agreement, the check just before oracle-equivalence
+        signal.setitimer(signal.ITIMER_REAL, 0.3)
+        return solve_integrated(params)
+
+    def slow(params, config, rel_tol):
+        time.sleep(0.05)
+
+    _stub_oracle(monkeypatch, slow)
+    monkeypatch.setattr(verify, "oracle_solve_integrated", arm_alarm)
+    previous = signal.signal(signal.SIGALRM, _raise_deadline)
+    try:
+        with pytest.raises(_Deadline):
+            run_verification(SET_A)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+
+
+def _running(pid: int) -> bool:
+    # Neither gone nor a zombie (Linux /proc; elsewhere always False).
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def test_workers_end_when_their_parent_is_killed():
+    # SIGKILL gives the parent no chance to shut its pool down.
+    script = ("import os, time\n"
+              "os.sched_getaffinity = lambda pid: {0, 1}\n"
+              "from fmgame.verify import first_failure\n"
+              "def check(point):\n"
+              "    print(os.getpid(), flush=True)\n"
+              "    time.sleep(60)\n"
+              "first_failure(check, [0, 1])\n")
+    proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+                            env=child_env())
+    try:
+        workers = [int(proc.stdout.readline()) for _ in range(2)]
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+    deadline = time.monotonic() + 10.0
+    while any(map(_running, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(_running, workers))
