@@ -30,7 +30,8 @@ handed to _row, _thresholds and _solve may be a float array (never both),
 and where the scalar code branches on the regime the array code selects
 per element (numerics.select and choose), so every element carries the bits
 of its own scalar solve. numpy's element-wise + - * / round as Python's
-float operations do.
+float operations do. Grids go through these validation-free cores only;
+the public solvers validate one point and take float params.
 """
 
 from __future__ import annotations
@@ -292,22 +293,20 @@ def _equilibrium(params: ModelParams, regime: Regime, row: _Row) -> Equilibrium:
 def solve(params: ModelParams) -> Equilibrium:
     """Subgame-perfect equilibrium for any admissible subsidy s.
 
-    Raises InvalidParams unless params pass validate() (require_valid, at
-    every point of a grid); solve_baseline adds its s == 0 check on top.
-    Regime selection compares k to (k_bar_1, k_bar_2), ties resolved toward
-    the lower-k regime; the choice is cross-checked against the scenario
-    revenue argmax and a RuntimeError flags any disagreement. Each regime's
-    row is built once. With k or s an array, every field of the result is
-    an array (or a scalar shared by all points), the regime an array of
-    Regime members.
+    Raises InvalidParams unless params pass validate() (require_valid);
+    solve_baseline adds its s == 0 check on top. Regime selection compares
+    k to (k_bar_1, k_bar_2), ties resolved toward the lower-k regime; the
+    choice is cross-checked against the scenario revenue argmax and a
+    RuntimeError flags any disagreement. Each regime's row is built once.
     """
     require_valid(params)
     return _solve(params)
 
 
 def _solve(params: ModelParams) -> Equilibrium:
-    # solve without the validation, for grids whose points the caller has
-    # validated one by one.
+    # solve without the validation, for admitted points and grids. With k
+    # or s an array, every field of the result is an array (or a scalar
+    # shared by all points), the regime an array of Regime members.
     rows = [_row(params, regime) for regime in Regime]
     # No admitted threshold is NaN: Python raises on a float division by
     # zero, and validate() bounds every product, so nothing overflows to inf.

@@ -21,6 +21,9 @@ plus social welfare fall. On many other admissible parameter sets they
 move down, and the subsidy tips harvest into defend, or harvest or defend
 into dominate (ROADMAP.md, open item 2). Subsidy outlays are reported
 separately, never silently netted out of social welfare.
+
+Grids of k or s go through the validation-free cores (_integrated,
+_with_outlay), never through the public solvers.
 """
 
 from __future__ import annotations
@@ -29,15 +32,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import numerics
 from .closed_form import Equilibrium, _solve, solve, solve_baseline
 from .outcomes import IntegratedOutcome
 from .params import InvalidParams, ModelParams, Regime, ValidationReport, k_max, require_valid
 from .welfare import (
     PolicyComparison,
+    ThresholdCrossing,
     WelfareBreakdown,
     _first_drift,
-    _k_grid,
+    _last_crossing,
     welfare_for_equilibrium,
 )
 
@@ -47,18 +50,6 @@ class SubsidizedEquilibrium(Equilibrium):
     """Equilibrium of the subsidized game plus the subsidy outlay."""
 
     subsidy_spend: float = 0.0
-
-
-@dataclass(frozen=True)
-class ThresholdCrossing:
-    """One numerically located policy threshold in k.
-
-    status is "crossing" (value holds the root), "always" (the intervention
-    helps on the whole admissible range) or "never" (it never helps).
-    """
-
-    value: float | None
-    status: str
 
 
 @dataclass(frozen=True)
@@ -78,14 +69,15 @@ def solve_integrated(params: ModelParams) -> IntegratedOutcome:
     myopic, matching the decentralized deployer), so the period-1 effort
     ignores its own flywheel payoff. Fees are internal transfers and the
     subsidy plays no role. Profit and consumer surplus are cross-checked
-    against a rebuild from the efforts. k may be an array (see solve).
+    against a rebuild from the efforts.
     """
     require_valid(params)
     return _integrated(params)
 
 
 def _integrated(params: ModelParams) -> IntegratedOutcome:
-    # solve_integrated without the validation, for validated grids.
+    # solve_integrated without the validation, for admitted points and
+    # grids (k an array).
     th, c, k = params.theta, params.c, params.k
     one = 1.0 + params.eta_cap
     q1v = one * th / (2.0 * c)
@@ -123,43 +115,33 @@ def integration_thresholds(params: ModelParams) -> IntegrationThresholds:
     chain profit (incumbent revenue + deployer surplus vs merged profit),
     consumer surplus, and social welfare (all four components vs merged
     profit + consumer surplus; the entrant's foreclosed revenue counts
-    against integration). Each difference is scanned over [0, k_max],
-    evaluated once on the whole grid as an array (one array pass serves all
-    three), and the last root is bisected on floats. params.k is ignored.
+    against integration). Each difference is scanned over [0, k_max] by
+    welfare._last_crossing, evaluated once on the whole grid as an array
+    (one array pass serves all three), and the last root is bisected on
+    floats. params.k is ignored.
     """
     require_valid(params)
     if params.s != 0.0:
         raise InvalidParams(ValidationReport(("integration analysis requires s = 0",)))
-    grid = _k_grid(0.0, k_max(params))
     gaps = _integration_gaps(params)
-
-    results = []
-    for idx in range(3):
-        def diff(k, _i=idx):
-            return gaps(k)[_i]
-
-        root = numerics.scan_and_bisect(diff, grid)
-        if root is None:
-            status = "always" if diff(grid[0]) > 0 else "never"
-        else:
-            status = "crossing"
-        results.append(ThresholdCrossing(value=root, status=status))
-    return IntegrationThresholds(chain=results[0], consumer=results[1], social=results[2])
+    km = k_max(params)
+    return IntegrationThresholds(*(_last_crossing(params, lambda k, i=i: gaps(k)[i], 0.0, km)
+                                   for i in range(3)))
 
 
 def _integration_gaps(params: ModelParams):
     # Integrated minus decentralized chain profit, consumer surplus and
-    # social welfare at k, a float or an array; params.k is ignored, and s
-    # is 0 (the callers check). All three come from the same two solves, so
-    # each k (or grid) is solved once.
+    # social welfare at k, a float or an array; params.k is ignored, s is 0
+    # and every k is admitted (the callers check). All three come from the
+    # same two solves, so each k (or grid) is solved once.
     solved: dict = {}
 
     def gaps(k):
         key = k.tobytes() if isinstance(k, np.ndarray) else k
         if key not in solved:
             p = replace(params, k=k)
-            v = solve_integrated(p)
-            w = welfare_for_equilibrium(p, _solve(p))   # p is validated
+            v = _integrated(p)
+            w = welfare_for_equilibrium(p, _solve(p))
             solved[key] = (v.profit - (w.dev1 + w.deployer), v.consumer - w.consumer,
                            v.social - w.social)
         return solved[key]
@@ -217,8 +199,7 @@ def solve_subsidized(params: ModelParams) -> SubsidizedEquilibrium:
     Same backward induction as the baseline with every deployer margin
     shifted to theta - w + s (developers keep their full fee, the
     government covers s), plus the subsidy outlay s * (alpha1 + alpha2).
-    Accepts s = 0, where it reduces exactly to the baseline. k or s may be
-    an array (see solve).
+    Accepts s = 0, where it reduces exactly to the baseline.
     """
     return _with_outlay(params, solve(params))
 

@@ -33,10 +33,8 @@ positive, which ``k_max`` loses to rounding only for huge ``eta_cap``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 
 class Regime(str, Enum):
@@ -58,8 +56,9 @@ class Winner(str, Enum):
 class ModelParams:
     """Immutable parameter bundle for one game instance.
 
-    Where a solver says so, k or s (not both) may be a float array: a grid
-    of instances that differ only in that field.
+    The public solvers take float fields. The validation-free cores
+    (closed_form._solve and those built on it) also take k or s, not both,
+    as a float array: a grid of admitted instances.
     """
 
     theta: float
@@ -199,25 +198,8 @@ def validate(params: ModelParams) -> ValidationReport:
     return ValidationReport(tuple(v))
 
 
-def _grid_points(params: ModelParams) -> list[ModelParams]:
-    """The points of a grid: one per element where k or s is an array.
-
-    Params with float fields are their own single point.
-    """
-    for name in ("k", "s"):
-        values = getattr(params, name)
-        if isinstance(values, np.ndarray):
-            return [replace(params, **{name: v}) for v in values.tolist()]
-    return [params]
-
-
 def require_valid(params: ModelParams) -> None:
-    """Raise InvalidParams when validation reports any violation.
-
-    On a grid (k or s an array) every point is validated, and the first
-    point with a violation raises.
-    """
-    for point in _grid_points(params):
-        report = validate(point)
-        if not report.ok:
-            raise InvalidParams(report)
+    """Raise InvalidParams when validation reports any violation."""
+    report = validate(params)
+    if not report.ok:
+        raise InvalidParams(report)

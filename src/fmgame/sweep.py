@@ -21,7 +21,7 @@ import numpy as np
 
 from .closed_form import _solve
 from .extensions import _integrated, _with_outlay
-from .params import ModelParams, Regime, _grid_points, validate
+from .params import ModelParams, Regime, validate
 from .welfare import _k_grid, _mandate_equilibrium, welfare_for_equilibrium
 
 _KEYS = ("theta", "c", "w_high", "w_low", "eta_cap", "k", "s")
@@ -135,7 +135,7 @@ def run_sweep(params: ModelParams, spec: SweepSpec) -> tuple[tuple[str, ...], li
     if spec.scenario in ("mandate", "integration"):
         params = replace(params, s=0.0)
     grid = np.array(_k_grid(spec.lo, spec.hi, spec.steps))
-    points = _grid_points(replace(params, **{spec.parameter: grid}))
+    points = [replace(params, **{spec.parameter: v}) for v in grid.tolist()]
     reports = []
     for p in points:
         report = validate(replace(p, s=0.0) if spec.scenario == "subsidy" else p)

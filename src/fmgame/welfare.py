@@ -23,7 +23,8 @@ harvest outcome obtains regardless of k. For strong flywheels the baseline
 would have delivered the dominate outcome, whose efforts grow without the
 openness distortion; past a threshold k the mandate therefore lowers
 deployer surplus, consumer surplus, and social welfare. That threshold is
-located by scanning a k grid in one array pass and bisecting on floats.
+located by _last_crossing, which validates its k range once, scans it in
+one array pass through the validation-free cores and bisects on floats.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from .closed_form import (
     _equilibrium,
     _played_row,
     _row,
+    _solve,
     regime_thresholds,
-    solve,
     solve_baseline,
 )
 from .params import InvalidParams, ModelParams, ValidationReport, k_max, require_valid
@@ -51,6 +52,18 @@ _CROSS_TOL = 1e-6
 
 #: Grid points of the k scans that bracket policy thresholds.
 _K_GRID_POINTS = 512
+
+
+@dataclass(frozen=True)
+class ThresholdCrossing:
+    """One numerically located policy threshold in k.
+
+    status is "crossing" (value holds the root), "always" (the intervention
+    helps on the whole admissible range) or "never" (it never helps).
+    """
+
+    value: float | None
+    status: str
 
 
 @dataclass(frozen=True)
@@ -102,6 +115,23 @@ def _k_grid(lo: float, hi: float, points: int = _K_GRID_POINTS) -> list[float]:
     # lo + (hi - lo) * n / n can round past hi, and a k above k_max is invalid.
     n = points - 1
     return [lo + (hi - lo) * i / n for i in range(n)] + [hi]
+
+
+def _last_crossing(params: ModelParams, diff, lo: float, hi: float) -> ThresholdCrossing:
+    """Last sign change on [lo, hi], 0 <= lo, of diff (k a float or an array).
+
+    Without one, the status is "always" where diff(lo) > 0, else "never".
+    """
+    # Validating hi covers the range: params are admitted at their own k, and
+    # the checks that read k are k >= 0, k <= k_max and a retention margin
+    # 2c - k (theta - w_low + s) > 0 that shrinks as k grows. Where hi = k_max
+    # fails, only the margin does, as at the range's first failing point.
+    require_valid(replace(params, k=hi))
+    grid = _k_grid(lo, hi)
+    root = numerics.scan_and_bisect(diff, grid)
+    if root is not None:
+        return ThresholdCrossing(value=root, status="crossing")
+    return ThresholdCrossing(value=None, status="always" if diff(grid[0]) > 0 else "never")
 
 
 def _rebuilt_components(params: ModelParams, eq: Equilibrium) -> tuple[float, float, float, float]:
@@ -182,7 +212,7 @@ def mandate_equilibrium(params: ModelParams) -> Equilibrium:
     Full openness hands the entrant the whole spillover, so the incumbent
     cannot retain the deployer at any admissible k; the harvest outcome
     obtains regardless of the flywheel strength, and the premium fee is the
-    incumbent's best remaining choice. k may be an array (see solve).
+    incumbent's best remaining choice.
     """
     require_valid(params)
     if params.s != 0.0:
@@ -219,18 +249,18 @@ def openness_trap_threshold(params: ModelParams) -> float | None:
     binding = _binding_range(params)
     if binding is None:
         return None   # the mandate never binds on the admissible range
-    return numerics.scan_and_bisect(_trap_gap(params), _k_grid(*binding))
+    return _last_crossing(params, _trap_gap(params), *binding).value
 
 
 def _trap_gap(params: ModelParams):
     # f(k) = SW_baseline(k) - SW_mandate, the gap whose sign change is the
-    # openness trap, for k a float or an array; params.k is ignored, and s
-    # is 0 (the callers check).
+    # openness trap, for k a float or an array; params.k is ignored, s is 0
+    # and every k is admitted (the callers check).
     sw_mandate = welfare_mandate(replace(params, k=0.0)).social
 
     def gap(k):
         p = replace(params, k=k)
-        return welfare_for_equilibrium(p, solve(p)).social - sw_mandate
+        return welfare_for_equilibrium(p, _solve(p)).social - sw_mandate
 
     return gap
 

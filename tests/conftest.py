@@ -22,6 +22,11 @@ INTEGRATION_SCAN_OVERSHOOT = ModelParams(
     theta=4.60114343008928, c=0.66908296106346, w_high=1.1738065480743618,
     w_low=1.172261311798686, eta_cap=4.987912075987402, k=0.00017599219294659602)
 
+# Admitted at its own k, but at k_max eta_cap / (1 + eta_cap) rounds to 1
+# and the retention margin 2c - k (theta - w_low) is lost: both policy
+# scans, which reach k_max, raise "retention threshold undefined".
+RETENTION_LOST_AT_K_MAX = ModelParams(theta=5.0, c=1.0, w_high=2.5, w_low=0.5, eta_cap=1e16, k=0.1)
+
 # The baseline goes straight from harvest to dominate (no defend range): the
 # mandate lowers social welfare on the whole binding range (SW gap +5.86 at
 # its low end to +9.42 at k_max), so the trap scan finds no sign change.

@@ -27,6 +27,7 @@ from fmgame import (
     welfare_mandate,
 )
 from fmgame.closed_form import q1_star
+from fmgame.welfare import _k_grid
 
 SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6)
 FEE_SHARES = ((0.5, 0.5), (0.0, 0.0), (0.5, 0.2), (0.4, 0.1), (0.5, 0.0))
@@ -140,3 +141,26 @@ def test_admitted_fuzz_points_solve():
             failures.append(f"{p}: {'; '.join(problems)}")
     assert n > 2000
     assert not failures, f"{len(failures)} of {n} admitted points fail:\n" + "\n".join(failures[:10])
+
+
+def test_the_top_of_a_k_range_validates_all_of_it():
+    # The policy scans run at s = 0 and validate their k range [0, k_max]
+    # at k_max alone (welfare._last_crossing). At s = 0, on every admitted
+    # fuzz point, a coarse grid must agree: all of it admitted where k_max
+    # is, else its first failing point reports what k_max reports.
+    disagree = []
+    n = failing = 0
+    for p in _fuzz_cases(np.random.default_rng(20261018), 2000):
+        p = replace(p, s=0.0)
+        if not validate(p).ok:
+            continue
+        n += 1
+        km = k_max(p)
+        top = validate(replace(p, k=km))
+        failing += not top.ok
+        reports = [validate(replace(p, k=k)) for k in _k_grid(0.0, km, 9)]
+        first_bad = next((r for r in reports if not r.ok), None)
+        if first_bad != (None if top.ok else top):
+            disagree.append(f"{p}: top {top.violations}, grid {first_bad}")
+    assert n > 2500 and failing > 200
+    assert not disagree, f"{len(disagree)} of {n} points disagree:\n" + "\n".join(disagree[:10])

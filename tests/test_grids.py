@@ -6,6 +6,7 @@ cell, the bits of the scalar solve at each point, which the per-point loops
 below compute as the reference.
 """
 
+import sys
 from dataclasses import replace
 from enum import Enum
 
@@ -15,6 +16,7 @@ import pytest
 from conftest import (
     INTEGRATION_SCAN_OVERSHOOT,
     MANDATE_SCAN_OVERSHOOT,
+    RETENTION_LOST_AT_K_MAX,
     SET_A,
     SET_B,
     TRAP_AT_JUMP,
@@ -24,8 +26,10 @@ from fmgame import (
     Regime,
     SweepSpec,
     closed_form,
+    integration_thresholds,
     k_max,
     mandate_equilibrium,
+    openness_trap_threshold,
     random_valid_params,
     run_sweep,
     solve_integrated,
@@ -33,11 +37,11 @@ from fmgame import (
     validate,
     welfare_for_equilibrium,
 )
-from fmgame.closed_form import solve
-from fmgame.extensions import _integration_gaps
+from fmgame.closed_form import _solve, solve
+from fmgame.extensions import _integrated, _integration_gaps, _with_outlay
 from fmgame.numerics import sign_change_brackets
 from fmgame.sweep import _fmt
-from fmgame.welfare import _binding_range, _k_grid, _trap_gap
+from fmgame.welfare import _binding_range, _k_grid, _mandate_equilibrium, _trap_gap
 
 
 def _draws():
@@ -47,6 +51,10 @@ def _draws():
 
 def _bits(x) -> str:
     return x.value if isinstance(x, Enum) else float(x).hex()
+
+
+def _welfare_fields(w) -> tuple:
+    return w.dev1, w.dev2, w.deployer, w.consumer, w.social
 
 
 def _scalar_row(p, scenario: str) -> list[str]:
@@ -106,7 +114,8 @@ def test_sweep_cells_equal_the_per_point_solve(params):
 
 @pytest.mark.parametrize("params", _draws() + [SET_A, SET_B])
 def test_array_solve_and_welfare_carry_the_scalar_bits(params):
-    # Below the formatting: every field of every layer, as float bits. The
+    # Below the formatting: every field of every layer, as float bits, from
+    # the cores on the grid and from the public solvers at each point. The
     # s grid runs at a k that is admissible at every s.
     s_values = np.linspace(0.0, params.w_low, 13)
     k_s = 0.9 * min(k_max(replace(params, k=0.0, s=s)) for s in s_values.tolist())
@@ -115,26 +124,32 @@ def test_array_solve_and_welfare_carry_the_scalar_bits(params):
     for name, fixed, values in grids:
         grid = replace(fixed, **{name: values})
         points = [replace(fixed, **{name: v}) for v in values.tolist()]
+        # (core on the grid, public solver at a point, fields)
         layers = [
-            (solve, lambda eq: (eq.regime, eq.strategy.w1, eq.strategy.eta1, eq.period1.effort,
-                                eq.period1.fee_paid, eq.period2.effort, eq.winner2,
-                                eq.incumbent_profit)),
-            (lambda p: welfare_for_equilibrium(p, solve(p)),
-             lambda w: (w.dev1, w.dev2, w.deployer, w.consumer, w.social)),
-            (lambda p: solve_subsidized(p).subsidy_spend, lambda spend: (spend,)),
+            (_solve, solve,
+             lambda eq: (eq.regime, eq.strategy.w1, eq.strategy.eta1, eq.period1.effort,
+                         eq.period1.fee_paid, eq.period2.effort, eq.winner2,
+                         eq.incumbent_profit)),
+            (lambda p: welfare_for_equilibrium(p, _solve(p)),
+             lambda p: welfare_for_equilibrium(p, solve(p)), _welfare_fields),
+            (lambda p: _with_outlay(p, _solve(p)).subsidy_spend,
+             lambda p: solve_subsidized(p).subsidy_spend, lambda spend: (spend,)),
         ]
         if name == "k":   # the s = 0 analyses
             layers += [
                 (lambda p: welfare_for_equilibrium(replace(p, s=0.0),
+                                                   _mandate_equilibrium(replace(p, s=0.0))),
+                 lambda p: welfare_for_equilibrium(replace(p, s=0.0),
                                                    mandate_equilibrium(replace(p, s=0.0))),
-                 lambda w: (w.dev1, w.dev2, w.deployer, w.consumer, w.social)),
-                (lambda p: solve_integrated(replace(p, s=0.0)),
+                 _welfare_fields),
+                (lambda p: _integrated(replace(p, s=0.0)),
+                 lambda p: solve_integrated(replace(p, s=0.0)),
                  lambda v: (v.q1v, v.q2v, v.profit, v.consumer, v.social)),
             ]
-        for layer, fields in layers:
-            on_grid = fields(layer(grid))
+        for core, public, fields in layers:
+            on_grid = fields(core(grid))
             for i, point in enumerate(points):
-                expected = [_bits(x) for x in fields(layer(point))]
+                expected = [_bits(x) for x in fields(public(point))]
                 got = [_bits(x.tolist()[i] if isinstance(x, np.ndarray) else x) for x in on_grid]
                 assert got == expected, (name, i)
 
@@ -170,10 +185,29 @@ def test_scans_find_the_brackets_of_the_point_by_point_scan(params):
         assert sign_change_brackets(f, grid) == brackets
 
 
-def test_grid_validation_names_the_first_bad_point():
-    km = k_max(SET_A)
-    with pytest.raises(InvalidParams, match="k exceeds k_max"):
-        solve(replace(SET_A, k=np.array([0.0, km, 2.0 * km])))
+@pytest.mark.parametrize("scan", [integration_thresholds, openness_trap_threshold])
+def test_a_scan_validates_its_k_range_once(monkeypatch, scan):
+    # Its grid and bisection points run on the cores: only the params, the
+    # top of the scanned range and the scan's fixed points are validated.
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return validate(p)
+
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("fmgame") \
+                and getattr(module, "validate", None) is validate:
+            monkeypatch.setattr(module, "validate", counting)
+    scan(SET_A)
+    assert 0 < len(calls) <= 10
+
+
+@pytest.mark.parametrize("scan", [integration_thresholds, openness_trap_threshold])
+def test_a_scan_ending_at_a_rejected_k_max_raises_its_report(scan):
+    assert validate(RETENTION_LOST_AT_K_MAX).ok
+    with pytest.raises(InvalidParams, match="retention threshold undefined"):
+        scan(RETENTION_LOST_AT_K_MAX)
 
 
 def _scaled(*mutations):
@@ -202,9 +236,9 @@ def test_a_failing_grid_point_raises_the_scalar_message(monkeypatch, mutations):
     first = next(k for k in ks.tolist() if solve(replace(SET_A, k=k)).regime in regimes)
     monkeypatch.setattr(closed_form, "_row", _scaled(*mutations))
 
-    def message(p):
+    def message(p, solver):
         with pytest.raises(RuntimeError) as info:
-            welfare_for_equilibrium(p, solve(p))
+            welfare_for_equilibrium(p, solver(p))
         return str(info.value)
 
-    assert message(replace(SET_A, k=ks)) == message(replace(SET_A, k=first))
+    assert message(replace(SET_A, k=ks), _solve) == message(replace(SET_A, k=first), solve)

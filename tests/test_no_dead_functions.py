@@ -3,7 +3,8 @@
 A function that is neither in ``fmgame.__all__`` nor named anywhere in the
 source, tests, demos or bench outside its own ``def`` is dead code, and so
 is such a class or module-level constant outside its own definition. So is
-a function-local name that is assigned but never read.
+a function-local name that is assigned but never read, and a module-level
+import that its module never reads.
 """
 
 import ast
@@ -96,3 +97,24 @@ def test_no_unread_local_names():
               for entry in _unread_locals(symtable.symtable(
                   module.read_text(encoding="utf-8"), str(module), "exec"))]
     assert not unread, "local names assigned and never read: " + ", ".join(unread)
+
+
+def _unread_imports(tree) -> list[str]:
+    # Names that module-level imports bind and no expression of the module
+    # reads; "from __future__" imports are directives.
+    bound = {(alias.asname or alias.name).split(".")[0]
+             for node in tree.body
+             if isinstance(node, ast.Import)
+             or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+             for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(bound - read)
+
+
+def test_no_unread_module_imports():
+    # __init__.py imports to re-export.
+    unread = [f"{module.name}:{name}"
+              for module in sorted(PACKAGE.glob("*.py")) if module.name != "__init__.py"
+              for name in _unread_imports(ast.parse(module.read_text(encoding="utf-8")))]
+    assert not unread, "module-level imports never read: " + ", ".join(unread)

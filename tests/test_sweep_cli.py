@@ -12,6 +12,7 @@ import pytest
 from conftest import (
     INTEGRATION_SCAN_OVERSHOOT,
     MANDATE_SCAN_OVERSHOOT,
+    RETENTION_LOST_AT_K_MAX,
     SET_A,
     SET_B,
     child_env,
@@ -35,6 +36,12 @@ def _write_cfg(tmp_path: Path, text: str) -> str:
     path = tmp_path / "params.cfg"
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def _params_cfg(tmp_path: Path, params) -> str:
+    return _write_cfg(tmp_path, "".join(
+        f"{name}={getattr(params, name)!r}\n"
+        for name in ("theta", "c", "w_high", "w_low", "eta_cap", "k", "s")))
 
 
 GOOD_CFG = "theta=5\nc=1\nw_high=2.5\nw_low=0.5\neta_cap=1.5\nk=0.2\ns=0\n"
@@ -239,11 +246,17 @@ class TestCliCommands:
         ("integration", INTEGRATION_SCAN_OVERSHOOT),
     ], ids=["mandate", "integration"])
     def test_policy_exits_0_where_the_scan_reached_k_max(self, tmp_path, capsys, which, params):
-        cfg = _write_cfg(tmp_path, "".join(
-            f"{name}={getattr(params, name)!r}\n"
-            for name in ("theta", "c", "w_high", "w_low", "eta_cap", "k", "s")))
+        cfg = _params_cfg(tmp_path, params)
         assert main(["policy", which, "--config", cfg]) == 0
         assert f"policy: {which}" in capsys.readouterr().out
+
+    def test_policy_integration_exits_3_where_k_max_loses_the_retention_margin(
+            self, tmp_path, capsys):
+        cfg = _params_cfg(tmp_path, RETENTION_LOST_AT_K_MAX)
+        assert main(["policy", "integration", "--config", cfg]) == 3
+        assert capsys.readouterr().err == (
+            "error: invalid parameters: retention threshold undefined: "
+            "2c - k (theta - w_low + s) <= 0\n")
 
     def test_policy_subsidy_accounting(self, capsys):
         assert main(["policy", "subsidy", "--config", CFG_B]) == 0
