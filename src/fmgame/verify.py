@@ -4,9 +4,10 @@ Every property the closed forms promise is exercised here against the
 brute-force oracle or against an independent numeric route (bisection on
 profit differences, finite-difference monotonicity, rebuilds);
 ``regime-argmax-consistency`` runs solve's own argmax guard on a k grid.
-The CLI ``verify`` command prints one PASS/FAIL line per property and
-exits nonzero on any failure; a check that raises is a FAIL of that check.
-Tests call :func:`run_verification` directly.
+The checks are one table of (name, check) rows, one PASS/FAIL line each in
+the CLI ``verify`` command's order: ``_CHECKS``, then ``_SUBSIDY_CHECKS``
+where s > 0. One loop runs every row under one guard, so a check that raises
+is a FAIL of that check; any FAIL exits nonzero. Tests call run_verification.
 
 ``oracle-equivalence``, nearly all of a run's time, checks its k-points on
 forked worker processes, one per CPU this process may use
@@ -16,7 +17,6 @@ serially in this process. Both routes print the same lines.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 import threading
@@ -128,161 +128,20 @@ def compare_with_oracle(params: ModelParams, config: OracleConfig,
 def run_verification(params: ModelParams, oracle_rel_tol: float = 1e-5) -> list[CheckResult]:
     """Run the full invariant suite for one parameter set.
 
-    Every check runs under one guard: a check that raises is reported as a
-    FAIL of that check, with the exception in the detail, and the run goes
-    on with the next one.
+    After ``params-valid`` every row of the check table runs under one guard:
+    a check that raises is reported as a FAIL of that check, with the
+    exception in the detail, and the run goes on with the next one.
     """
-    config = OracleConfig()
-    checks: list[CheckResult] = []
-    rng = np.random.default_rng(20240811)
-
     report = validate(params)
-    checks.append(CheckResult("params-valid", report.ok, "; ".join(report.violations)))
+    checks = [CheckResult("params-valid", report.ok, "; ".join(report.violations))]
     if not report.ok:
         return checks
-
-    km = k_max(params)
-    with _guard(checks, "kmax-positive"):
-        checks.append(CheckResult("kmax-positive", km > 0 or params.w_high == params.w_low,
-                                  f"k_max={km!r}"))
-
-    # Deployer best response beats perturbations, both fees, random draws.
-    with _guard(checks, "best-response-optimality"):
-        bad = 0
-        t = params.theta + params.s
-        for _ in range(200):
-            w1 = params.w_high if rng.random() < 0.5 else params.w_low
-            eta1 = float(rng.uniform(0.0, params.eta_cap))
-            q = q1_star(params, Strategy(w1=w1, eta1=eta1))
-            margin = t - w1
-            den = 1.0 + eta1
-
-            def surplus(x):
-                return margin * x - params.c * x * x / den
-
-            for eps in (1e-4, 1e-2, 0.1):
-                if surplus(q) < surplus(q + eps) or surplus(q) < surplus(max(q - eps, 0.0)):
-                    bad += 1
-        checks.append(CheckResult("best-response-optimality", bad == 0,
-                                  f"{bad} perturbation wins" if bad else ""))
-
-    # At the retention boundary the deployer is exactly indifferent.
-    with _guard(checks, "retention-boundary-exact"):
-        worst = 0.0
-        for w1, eta_fn in ((params.w_high, eta_bar_high), (params.w_low, eta_bar_low)):
-            try:
-                boundary = eta_fn(params)
-            except ValueError:
-                continue
-            if boundary > params.eta_cap:
-                continue
-            a1 = q1_star(params, Strategy(w1=w1, eta1=boundary))
-            stay = period2_profit_incumbent(params, a1, params.w_low, params.eta_cap)
-            switch = period2_profit_entrant(params, boundary, params.eta_cap, params.w_low)
-            worst = max(worst, abs(stay - switch))
-        checks.append(CheckResult("retention-boundary-exact", worst < 1e-9,
-                                  f"max gap {worst:.2e}"))
-
-    # Thresholds equal independent bisection roots of the profit differences.
-    with _guard(checks, "threshold-bisection-match"):
-        checks.append(_check_threshold_bisection(params, km))
-
-    # Regime choice equals the scenario-revenue argmax on a dense k grid:
-    # solve's own guard, which raises where the two disagree.
-    with _guard(checks, "regime-argmax-consistency"):
-        mismatch = None
-        for k in np.linspace(0.0, km, 201).tolist():
-            try:
-                solve(replace(params, k=k))
-            except RuntimeError as exc:
-                mismatch = f"k={k!r}: {exc}"
-                break
-        checks.append(CheckResult("regime-argmax-consistency", mismatch is None,
-                                  mismatch or ""))
-
-    # Welfare tables agree with rebuilds in every regime reachable here.
-    p0 = replace(params, s=0.0)
-    km0 = k_max(p0)
-    with _guard(checks, "welfare-cross-validation"):
-        err = None
+    for name, check in _CHECKS + (_SUBSIDY_CHECKS if params.s > 0.0 else ()):
         try:
-            for k in _regime_sample_ks(regime_thresholds(p0), km0):
-                welfare_baseline(replace(p0, k=k))
-        except RuntimeError as exc:
-            err = str(exc)
-        checks.append(CheckResult("welfare-cross-validation", err is None, err or ""))
-
-    # Mandate welfare is flat in k.
-    with _guard(checks, "mandate-welfare-flat"):
-        wm_lo = welfare_mandate(replace(p0, k=0.0))
-        wm_hi = welfare_mandate(replace(p0, k=km0))
-        flat = abs(wm_lo.social - wm_hi.social) <= 1e-12 * max(1.0, abs(wm_lo.social))
-        checks.append(CheckResult("mandate-welfare-flat", flat))
-
-    with _guard(checks, "trap-root"):
-        checks.append(_check_trap_root(p0))
-
-    # Integrated efforts dominate decentralized period-1 effort.
-    with _guard(checks, "integration-effort-dominance"):
-        dom_fail = None
-        for k in np.linspace(0.0, km0, 41).tolist():
-            p = replace(p0, k=k)
-            v = solve_integrated(p)
-            q1_dec = solve_baseline(p).period1.effort
-            if not (v.q1v > q1_dec and v.q2v >= v.q1v - 1e-12):
-                dom_fail = f"k={k!r}: q1v={v.q1v!r}, q1={q1_dec!r}, q2v={v.q2v!r}"
-                break
-        checks.append(CheckResult("integration-effort-dominance", dom_fail is None,
-                                  dom_fail or ""))
-
-    with _guard(checks, "integration-thresholds"):
-        checks.append(_check_integration_thresholds(p0))
-
-    # Integrated oracle agrees with the closed form at this k.
-    with _guard(checks, "integrated-oracle-agreement"):
-        v = solve_integrated(p0)
-        vo = oracle_solve_integrated(p0, config)
-        eta_step = params.eta_cap / (config.eta_grid_points - 1)
-        ok = (
-            abs(vo.q1v - v.q1v) <= 1e-6 * max(1.0, v.q1v)
-            and abs(vo.q2v - v.q2v) <= 2.0 * eta_step * max(1.0, v.q2v)
-            and abs(vo.profit - v.profit) <= oracle_rel_tol * max(1.0, v.profit)
-            and vo.eta1v == params.eta_cap and vo.eta2v == params.eta_cap
-        )
-        checks.append(CheckResult(
-            "integrated-oracle-agreement", ok,
-            "" if ok else f"closed {v} vs oracle {vo}",
-        ))
-
-    # The big one: full-game oracle equivalence across the admissible k range.
-    # Cell midpoints rather than np.linspace endpoints: an evenly spaced
-    # endpoint grid can land exactly on a regime threshold, where the label
-    # is a pure tie-break convention rather than a checkable prediction.
-    with _guard(checks, "oracle-equivalence"):
-        points = [replace(params, k=float(k))
-                  for k in (np.arange(_ORACLE_K_POINTS) + 0.5) / _ORACLE_K_POINTS * km]
-        found = first_failure(lambda p: compare_with_oracle(p, config, rel_tol=oracle_rel_tol),
-                              points)
-        fail = None if found is None else f"k={points[found[0]].k!r}: {found[1]}"
-        checks.append(CheckResult(
-            "oracle-equivalence", fail is None,
-            fail or f"{_ORACLE_K_POINTS} k-points at rel tol {oracle_rel_tol:g}",
-        ))
-
-    # Doubling the openness grid must not move the oracle argmax materially.
-    with _guard(checks, "oracle-grid-refinement"):
-        coarse = replace(config, eta_grid_points=(config.eta_grid_points // 2) | 1)
-        e_coarse = oracle_solve_game(params, coarse)
-        e_fine = oracle_solve_game(params, config)
-        step = params.eta_cap / (coarse.eta_grid_points - 1)
-        ok = (e_coarse.strategy.w1 == e_fine.strategy.w1
-              and abs(e_coarse.strategy.eta1 - e_fine.strategy.eta1) <= step)
-        checks.append(CheckResult("oracle-grid-refinement", ok,
-                                  "" if ok else f"{e_coarse.strategy} vs {e_fine.strategy}"))
-
-    if params.s > 0.0:
-        _subsidy_checks(params, checks)
-
+            passed, detail = check(params, oracle_rel_tol)
+        except Exception as exc:   # reported, never swallowed: the run must go on
+            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+        checks.append(CheckResult(name, passed, detail))
     return checks
 
 
@@ -345,14 +204,47 @@ def _check_point(i: int) -> str | None:
     return check(points[i])
 
 
-@contextlib.contextmanager
-def _guard(checks: list[CheckResult], name: str):
-    # The one guard around every check: an exception raised inside the block
-    # is appended as that check's FAIL, and the run goes on.
-    try:
-        yield
-    except Exception as exc:   # reported, never swallowed: the run must go on
-        checks.append(CheckResult(name, False, f"raised {type(exc).__name__}: {exc}"))
+def _check_kmax_positive(params: ModelParams, oracle_rel_tol: float) -> tuple[bool, str]:
+    km = k_max(params)
+    return km > 0 or params.w_high == params.w_low, f"k_max={km!r}"
+
+
+def _check_best_response(params: ModelParams, oracle_rel_tol: float) -> tuple[bool, str]:
+    # Deployer best response beats perturbations, both fees, random draws.
+    rng = np.random.default_rng(20240811)
+    bad = 0
+    t = params.theta + params.s
+    for _ in range(200):
+        w1 = params.w_high if rng.random() < 0.5 else params.w_low
+        eta1 = float(rng.uniform(0.0, params.eta_cap))
+        q = q1_star(params, Strategy(w1=w1, eta1=eta1))
+        margin = t - w1
+        den = 1.0 + eta1
+
+        def surplus(x):
+            return margin * x - params.c * x * x / den
+
+        for eps in (1e-4, 1e-2, 0.1):
+            if surplus(q) < surplus(q + eps) or surplus(q) < surplus(max(q - eps, 0.0)):
+                bad += 1
+    return bad == 0, f"{bad} perturbation wins" if bad else ""
+
+
+def _check_retention_boundary(params: ModelParams, oracle_rel_tol: float) -> tuple[bool, str]:
+    # At the retention boundary the deployer is exactly indifferent.
+    worst = 0.0
+    for w1, eta_fn in ((params.w_high, eta_bar_high), (params.w_low, eta_bar_low)):
+        try:
+            boundary = eta_fn(params)
+        except ValueError:
+            continue
+        if boundary > params.eta_cap:
+            continue
+        a1 = q1_star(params, Strategy(w1=w1, eta1=boundary))
+        stay = period2_profit_incumbent(params, a1, params.w_low, params.eta_cap)
+        switch = period2_profit_entrant(params, boundary, params.eta_cap, params.w_low)
+        worst = max(worst, abs(stay - switch))
+    return worst < 1e-9, f"max gap {worst:.2e}"
 
 
 def _regime_sample_ks(th, km: float) -> list[float]:
@@ -368,8 +260,10 @@ def _regime_sample_ks(th, km: float) -> list[float]:
     return [k for k in ks if 0.0 <= k <= km] or [0.0]
 
 
-def _check_threshold_bisection(params: ModelParams, km: float) -> CheckResult:
+def _check_threshold_bisection(params: ModelParams, oracle_rel_tol: float) -> tuple[bool, str]:
+    # Thresholds equal independent bisection roots of the profit differences.
     th = regime_thresholds(params)
+    km = k_max(params)
     worst = 0.0
     detail = []
     # Each crossing is a root of one scenario-revenue difference.
@@ -390,14 +284,44 @@ def _check_threshold_bisection(params: ModelParams, km: float) -> CheckResult:
         root = numerics.bisect_root(f, lo, hi, xtol=1e-12)
         worst = max(worst, abs(root - target))
     ok = not detail and worst < 1e-9
-    return CheckResult("threshold-bisection-match", ok,
-                       "; ".join(detail) or f"max |root - formula| = {worst:.2e}")
+    return ok, "; ".join(detail) or f"max |root - formula| = {worst:.2e}"
 
 
-def _check_trap_root(p0: ModelParams) -> CheckResult:
+def _check_regime_argmax(params: ModelParams, oracle_rel_tol: float) -> tuple[bool, str]:
+    # Regime choice equals the scenario-revenue argmax on a dense k grid:
+    # solve's own guard, which raises where the two disagree.
+    for k in np.linspace(0.0, k_max(params), 201).tolist():
+        try:
+            solve(replace(params, k=k))
+        except RuntimeError as exc:
+            return False, f"k={k!r}: {exc}"
+    return True, ""
+
+
+def _check_baseline_welfare(params: ModelParams, oracle_rel_tol: float) -> tuple[bool, str]:
+    # Welfare tables agree with rebuilds in every regime reachable at s = 0.
+    p0 = replace(params, s=0.0)
+    try:
+        for k in _regime_sample_ks(regime_thresholds(p0), k_max(p0)):
+            welfare_baseline(replace(p0, k=k))
+    except RuntimeError as exc:
+        return False, str(exc)
+    return True, ""
+
+
+def _check_mandate_flat(params: ModelParams, oracle_rel_tol: float) -> tuple[bool, str]:
+    # Mandate welfare is flat in k.
+    p0 = replace(params, s=0.0)
+    wm_lo = welfare_mandate(replace(p0, k=0.0))
+    wm_hi = welfare_mandate(replace(p0, k=k_max(p0)))
+    return abs(wm_lo.social - wm_hi.social) <= 1e-12 * max(1.0, abs(wm_lo.social)), ""
+
+
+def _check_trap_root(params: ModelParams, oracle_rel_tol: float) -> tuple[bool, str]:
     # A trap root must zero the SW gap (baseline minus mandate), or else be
     # the jump in the gap where defend gives way to dominate. Without one the
     # gap must keep one sign on the binding range; the detail names it.
+    p0 = replace(params, s=0.0)
     gap = _trap_gap(p0)
     trap = openness_trap_threshold(p0)
     if trap is not None:
@@ -407,25 +331,22 @@ def _check_trap_root(p0: ModelParams) -> CheckResult:
         detail = f"k_bar={trap!r}, |gap|={err:.2e}"
         ok = th.k_bar_1 < trap <= km
         if err < 1e-8:
-            return CheckResult("trap-root", ok, detail)
+            return ok, detail
         # Not a root: it must be the jump where defend gives way to dominate.
         jump = _jump_at(gap, trap, [("k_bar_2", th.k_bar_2)], km)
         if jump is None:
-            return CheckResult("trap-root", False, detail)
+            return False, detail
         _, k2, below, above = jump
-        return CheckResult("trap-root", ok, f"k_bar={trap!r}, jump at k_bar_2={k2!r} "
-                                            f"(SW gap {below:+.3g} to {above:+.3g})")
+        return ok, f"k_bar={trap!r}, jump at k_bar_2={k2!r} (SW gap {below:+.3g} to {above:+.3g})"
     binding = _binding_range(p0)
     if binding is None:
-        return CheckResult("trap-root", True, "mandate never binds")
+        return True, "mandate never binds"
     lo, hi = (gap(k) for k in binding)
     ends = f"{lo:+.3g} to {hi:+.3g}"
     if (lo > 0) != (hi > 0):
-        return CheckResult("trap-root", False,
-                           f"no root found, but the SW gap changes sign ({ends})")
+        return False, f"no root found, but the SW gap changes sign ({ends})"
     effect = "lowers" if lo > 0 else "raises"
-    return CheckResult("trap-root", True, f"mandate {effect} social welfare on the "
-                                          f"whole binding range (SW gap {ends})")
+    return True, f"mandate {effect} social welfare on the whole binding range (SW gap {ends})"
 
 
 def _jump_at(f, root: float, jumps, km: float):
@@ -440,11 +361,24 @@ def _jump_at(f, root: float, jumps, km: float):
     return None
 
 
-def _check_integration_thresholds(p0: ModelParams) -> CheckResult:
+def _check_effort_dominance(params: ModelParams, oracle_rel_tol: float) -> tuple[bool, str]:
+    # Integrated efforts dominate decentralized period-1 effort.
+    p0 = replace(params, s=0.0)
+    for k in np.linspace(0.0, k_max(p0), 41).tolist():
+        p = replace(p0, k=k)
+        v = solve_integrated(p)
+        q1_dec = solve_baseline(p).period1.effort
+        if not (v.q1v > q1_dec and v.q2v >= v.q1v - 1e-12):
+            return False, f"k={k!r}: q1v={v.q1v!r}, q1={q1_dec!r}, q2v={v.q2v!r}"
+    return True, ""
+
+
+def _check_integration_thresholds(params: ModelParams, oracle_rel_tol: float) -> tuple[bool, str]:
     # trap-root's rule for each of integration_thresholds' three scans: a
     # crossing zeroes its difference (evaluated on a float) or is the jump
     # at k_bar_1 or k_bar_2; without one the difference keeps the sign its
     # status names on [0, k_max].
+    p0 = replace(params, s=0.0)
     gaps = _integration_gaps(p0)
     found = integration_thresholds(p0)
     th = regime_thresholds(p0)
@@ -474,7 +408,50 @@ def _check_integration_thresholds(p0: ModelParams) -> CheckResult:
             label, k, below, above = jump
             parts.append(f"{name} k_bar={root!r}, jump at {label}={k!r} "
                          f"(diff {below:+.3g} to {above:+.3g})")
-    return CheckResult("integration-thresholds", ok, "; ".join(parts))
+    return ok, "; ".join(parts)
+
+
+def _check_integrated_oracle(params: ModelParams, oracle_rel_tol: float) -> tuple[bool, str]:
+    # Integrated oracle agrees with the closed form at this k.
+    p0 = replace(params, s=0.0)
+    config = OracleConfig()
+    v = solve_integrated(p0)
+    vo = oracle_solve_integrated(p0, config)
+    eta_step = params.eta_cap / (config.eta_grid_points - 1)
+    ok = (
+        abs(vo.q1v - v.q1v) <= 1e-6 * max(1.0, v.q1v)
+        and abs(vo.q2v - v.q2v) <= 2.0 * eta_step * max(1.0, v.q2v)
+        and abs(vo.profit - v.profit) <= oracle_rel_tol * max(1.0, v.profit)
+        and vo.eta1v == params.eta_cap and vo.eta2v == params.eta_cap
+    )
+    return ok, "" if ok else f"closed {v} vs oracle {vo}"
+
+
+def _check_oracle_equivalence(params: ModelParams, oracle_rel_tol: float) -> tuple[bool, str]:
+    # The big one: full-game oracle equivalence across the admissible k range.
+    # Cell midpoints rather than np.linspace endpoints: an evenly spaced
+    # endpoint grid can land exactly on a regime threshold, where the label
+    # is a pure tie-break convention rather than a checkable prediction.
+    config = OracleConfig()
+    points = [replace(params, k=float(k))
+              for k in (np.arange(_ORACLE_K_POINTS) + 0.5) / _ORACLE_K_POINTS * k_max(params)]
+    found = first_failure(lambda p: compare_with_oracle(p, config, rel_tol=oracle_rel_tol),
+                          points)
+    if found is None:
+        return True, f"{_ORACLE_K_POINTS} k-points at rel tol {oracle_rel_tol:g}"
+    return False, f"k={points[found[0]].k!r}: {found[1]}"
+
+
+def _check_grid_refinement(params: ModelParams, oracle_rel_tol: float) -> tuple[bool, str]:
+    # Doubling the openness grid must not move the oracle argmax materially.
+    config = OracleConfig()
+    coarse = replace(config, eta_grid_points=(config.eta_grid_points // 2) | 1)
+    e_coarse = oracle_solve_game(params, coarse)
+    e_fine = oracle_solve_game(params, config)
+    step = params.eta_cap / (coarse.eta_grid_points - 1)
+    ok = (e_coarse.strategy.w1 == e_fine.strategy.w1
+          and abs(e_coarse.strategy.eta1 - e_fine.strategy.eta1) <= step)
+    return ok, "" if ok else f"{e_coarse.strategy} vs {e_fine.strategy}"
 
 
 # Which pairwise thresholds make up each binding one: k_bar_1 is the min of
@@ -513,7 +490,7 @@ def _slope_sign_on(params: ModelParams, piece: str, lo: float, hi: float) -> int
     return 1 if min(values) > 0.0 else -1 if max(values) < 0.0 else 0
 
 
-def _check_threshold_shift(params: ModelParams) -> CheckResult:
+def _check_threshold_shift(params: ModelParams, oracle_rel_tol: float) -> tuple[bool, str]:
     # Where both pieces of a binding threshold keep one sign of slope on
     # [theta, theta + s], the threshold moves that way from s = 0 to s (a
     # min or max of two increasing functions increases). Elsewhere the slope
@@ -545,30 +522,53 @@ def _check_threshold_shift(params: ModelParams) -> CheckResult:
         ok = ok and match
         notes.append(f"{name} slope {slope:.6g} {'matches' if match else 'differs from'} "
                      f"its central difference {central:.6g}")
-    return CheckResult("subsidy-threshold-shift", ok, "; ".join([detail] + notes))
+    return ok, "; ".join([detail] + notes)
 
 
-def _subsidy_checks(params: ModelParams, checks: list[CheckResult]) -> None:
-    with _guard(checks, "subsidy-threshold-shift"):
-        checks.append(_check_threshold_shift(params))
+def _check_subsidy_limit(params: ModelParams, oracle_rel_tol: float) -> tuple[bool, str]:
+    # As s falls to 0 the subsidized equilibrium meets the baseline one.
+    tiny = solve_subsidized(replace(params, s=1e-8))
+    base = solve_baseline(replace(params, s=0.0))
+    rel = max(
+        abs(tiny.strategy.eta1 - base.strategy.eta1),
+        abs(tiny.period1.effort - base.period1.effort) / max(1.0, base.period1.effort),
+        abs(tiny.period2.effort - base.period2.effort) / max(1.0, base.period2.effort),
+        abs(tiny.incumbent_profit - base.incumbent_profit) / max(1.0, base.incumbent_profit),
+    )
+    return tiny.strategy.w1 == base.strategy.w1 and rel < 1e-6, f"max rel drift {rel:.2e}"
 
-    with _guard(checks, "subsidy-limit-continuity"):
-        tiny = solve_subsidized(replace(params, s=1e-8))
-        base = solve_baseline(replace(params, s=0.0))
-        rel = max(
-            abs(tiny.strategy.eta1 - base.strategy.eta1),
-            abs(tiny.period1.effort - base.period1.effort) / max(1.0, base.period1.effort),
-            abs(tiny.period2.effort - base.period2.effort) / max(1.0, base.period2.effort),
-            abs(tiny.incumbent_profit - base.incumbent_profit) / max(1.0, base.incumbent_profit),
-        )
-        checks.append(CheckResult("subsidy-limit-continuity",
-                                  tiny.strategy.w1 == base.strategy.w1 and rel < 1e-6,
-                                  f"max rel drift {rel:.2e}"))
 
-    with _guard(checks, "subsidy-welfare-cross-validation"):
-        err = None
-        try:
-            welfare_subsidized(params)
-        except RuntimeError as exc:
-            err = str(exc)
-        checks.append(CheckResult("subsidy-welfare-cross-validation", err is None, err or ""))
+def _check_subsidy_welfare(params: ModelParams, oracle_rel_tol: float) -> tuple[bool, str]:
+    # The subsidized welfare table agrees with its rebuild.
+    try:
+        welfare_subsidized(params)
+    except RuntimeError as exc:
+        return False, str(exc)
+    return True, ""
+
+
+#: The checks run_verification runs after params-valid, as (name, check)
+#: rows in the order it prints them; check(params, oracle_rel_tol) returns
+#: (passed, detail).
+_CHECKS = (
+    ("kmax-positive", _check_kmax_positive),
+    ("best-response-optimality", _check_best_response),
+    ("retention-boundary-exact", _check_retention_boundary),
+    ("threshold-bisection-match", _check_threshold_bisection),
+    ("regime-argmax-consistency", _check_regime_argmax),
+    ("welfare-cross-validation", _check_baseline_welfare),
+    ("mandate-welfare-flat", _check_mandate_flat),
+    ("trap-root", _check_trap_root),
+    ("integration-effort-dominance", _check_effort_dominance),
+    ("integration-thresholds", _check_integration_thresholds),
+    ("integrated-oracle-agreement", _check_integrated_oracle),
+    ("oracle-equivalence", _check_oracle_equivalence),
+    ("oracle-grid-refinement", _check_grid_refinement),
+)
+
+#: The rows run after _CHECKS where s > 0.
+_SUBSIDY_CHECKS = (
+    ("subsidy-threshold-shift", _check_threshold_shift),
+    ("subsidy-limit-continuity", _check_subsidy_limit),
+    ("subsidy-welfare-cross-validation", _check_subsidy_welfare),
+)

@@ -42,57 +42,61 @@ from fmgame.verify import (
     _check_threshold_shift,
     _check_trap_root,
     first_failure,
+    random_valid_params,
     run_verification,
 )
 
 REPO = Path(__file__).resolve().parents[1]
 
+#: run_verification's default oracle tolerance, for the checks called alone.
+TOL = 1e-5
+
 
 class TestTrapRootCheck:
     def test_root_zeroes_the_gap(self):
-        result = _check_trap_root(SET_A)
-        assert result.passed
-        assert result.detail.startswith("k_bar=0.2567300309246")
+        passed, detail = _check_trap_root(SET_A, TOL)
+        assert passed
+        assert detail.startswith("k_bar=0.2567300309246")
 
     def test_jump_at_k_bar_2_passes_as_a_jump(self):
-        result = _check_trap_root(TRAP_AT_JUMP)
-        assert result.passed
-        assert result.detail == ("k_bar=0.0687114618176639, jump at k_bar_2=0.06871146181768284 "
-                                 "(SW gap -669 to +120)")
+        passed, detail = _check_trap_root(TRAP_AT_JUMP, TOL)
+        assert passed
+        assert detail == ("k_bar=0.0687114618176639, jump at k_bar_2=0.06871146181768284 "
+                          "(SW gap -669 to +120)")
 
     def test_non_root_off_the_jump_fails(self, monkeypatch):
         # Beside k_bar_2 by more than the bisection width the gap is -669,
         # neither a root nor the jump.
         k = regime_thresholds(TRAP_AT_JUMP).k_bar_2 - 1e-9
         monkeypatch.setattr(verify, "openness_trap_threshold", lambda params: k)
-        result = _check_trap_root(TRAP_AT_JUMP)
-        assert not result.passed
-        assert result.detail == f"k_bar={k!r}, |gap|=6.69e+02"
+        passed, detail = _check_trap_root(TRAP_AT_JUMP, TOL)
+        assert not passed
+        assert detail == f"k_bar={k!r}, |gap|=6.69e+02"
 
     def test_no_root_where_the_mandate_lowers_welfare_throughout(self):
-        result = _check_trap_root(HARVEST_TO_DOMINATE)
-        assert result.passed
-        assert result.detail == ("mandate lowers social welfare on the whole binding "
-                                 "range (SW gap +5.86 to +9.42)")
+        passed, detail = _check_trap_root(HARVEST_TO_DOMINATE, TOL)
+        assert passed
+        assert detail == ("mandate lowers social welfare on the whole binding "
+                          "range (SW gap +5.86 to +9.42)")
 
     def test_no_root_where_the_mandate_raises_welfare_throughout(self):
-        result = _check_trap_root(replace(SET_A, eta_cap=0.8, k=0.0))
-        assert result.passed
-        assert result.detail.startswith("mandate raises social welfare on the whole")
+        passed, detail = _check_trap_root(replace(SET_A, eta_cap=0.8, k=0.0), TOL)
+        assert passed
+        assert detail.startswith("mandate raises social welfare on the whole")
 
     def test_mandate_never_binds(self):
         # Equal fees: k_max = 0, so the binding range (k_bar_1, k_max] is empty.
-        result = _check_trap_root(replace(SET_A, w_low=2.5, k=0.0))
-        assert result.passed
-        assert result.detail == "mandate never binds"
+        passed, detail = _check_trap_root(replace(SET_A, w_low=2.5, k=0.0), TOL)
+        assert passed
+        assert detail == "mandate never binds"
 
     def test_missing_root_across_a_sign_change_fails(self, monkeypatch):
         # SET_A's gap changes sign on the binding range; a scan that reports
         # no root there must not pass.
         monkeypatch.setattr(verify, "openness_trap_threshold", lambda params: None)
-        result = _check_trap_root(SET_A)
-        assert not result.passed
-        assert result.detail == "no root found, but the SW gap changes sign (-98.9 to +14.7)"
+        passed, detail = _check_trap_root(SET_A, TOL)
+        assert not passed
+        assert detail == "no root found, but the SW gap changes sign (-98.9 to +14.7)"
 
 
 def _stub_oracle(monkeypatch, compare):
@@ -126,33 +130,33 @@ def test_solve_guard_failure_is_a_named_fail(monkeypatch):
 
 class TestIntegrationThresholdsCheck:
     def test_roots_zero_their_differences(self):
-        result = _check_integration_thresholds(SET_A)
-        assert result.passed
-        assert result.detail.startswith("chain k_bar=0.1240000000000255, |diff|=")
+        passed, detail = _check_integration_thresholds(SET_A, TOL)
+        assert passed
+        assert detail.startswith("chain k_bar=0.1240000000000255, |diff|=")
 
     def test_jumps_at_k_bar_1_pass_as_jumps(self):
         # set_b's three crossings lie within 1e-13 of its k_bar_1 = 0.04992.
-        result = _check_integration_thresholds(replace(SET_B, s=0.0))
-        assert result.passed
-        assert result.detail.count("jump at k_bar_1=0.049920000000000006") == 3
+        passed, detail = _check_integration_thresholds(replace(SET_B, s=0.0), TOL)
+        assert passed
+        assert detail.count("jump at k_bar_1=0.049920000000000006") == 3
 
     def test_shifted_root_fails(self, monkeypatch):
         found = integration_thresholds(SET_A)
         shifted = replace(found.consumer, value=found.consumer.value + 1e-3)
         monkeypatch.setattr(verify, "integration_thresholds",
                             lambda params: replace(found, consumer=shifted))
-        result = _check_integration_thresholds(SET_A)
-        assert not result.passed
-        assert f"consumer k_bar={shifted.value!r}, |diff|=" in result.detail
+        passed, detail = _check_integration_thresholds(SET_A, TOL)
+        assert not passed
+        assert f"consumer k_bar={shifted.value!r}, |diff|=" in detail
 
     def test_missing_root_across_a_sign_change_fails(self, monkeypatch):
         found = integration_thresholds(SET_A)
         always = ThresholdCrossing(value=None, status="always")
         monkeypatch.setattr(verify, "integration_thresholds",
                             lambda params: replace(found, social=always))
-        result = _check_integration_thresholds(SET_A)
-        assert not result.passed
-        assert "social always, but (diff -" in result.detail
+        passed, detail = _check_integration_thresholds(SET_A, TOL)
+        assert not passed
+        assert "social always, but (diff -" in detail
 
 
 class TestSubsidyThresholdShift:
@@ -160,19 +164,20 @@ class TestSubsidyThresholdShift:
         SET_B, SUBSIDY_HARVEST_TO_DEFEND, SUBSIDY_HARVEST_TO_DOMINATE, SUBSIDY_DEFEND_TO_DOMINATE,
     ], ids=["set_b", "harvest_to_defend", "harvest_to_dominate", "defend_to_dominate"])
     def test_valid_configs_pass(self, params):
-        assert _check_threshold_shift(params).passed
+        passed, _ = _check_threshold_shift(params, TOL)
+        assert passed
 
     def test_falling_thresholds_pass_where_their_slopes_are_negative(self):
         # Both pieces of each binding threshold fall on [theta, theta + s].
-        result = _check_threshold_shift(SUBSIDY_HARVEST_TO_DEFEND)
-        assert result.detail == ("k_bar_1 0.03242346795895074->0.03194491276921109, "
-                                 "k_bar_2 0.1444145643818461->0.1424353174985358")
+        _, detail = _check_threshold_shift(SUBSIDY_HARVEST_TO_DEFEND, TOL)
+        assert detail == ("k_bar_1 0.03242346795895074->0.03194491276921109, "
+                          "k_bar_2 0.1444145643818461->0.1424353174985358")
 
     def test_a_slope_changing_sign_is_checked_against_a_central_difference(self):
         # k_bar_12's slope changes sign on [theta, theta + s]; k_bar_23 binds.
-        result = _check_threshold_shift(SUBSIDY_HARVEST_TO_DOMINATE)
-        assert result.detail.endswith("k_bar_2 slope -0.0282939 matches its central "
-                                      "difference -0.0282939")
+        _, detail = _check_threshold_shift(SUBSIDY_HARVEST_TO_DOMINATE, TOL)
+        assert detail.endswith("k_bar_2 slope -0.0282939 matches its central "
+                               "difference -0.0282939")
 
     def test_a_threshold_moving_against_the_prediction_fails(self, monkeypatch):
         # set_b's k_bar_1 is predicted to rise; a patched one falls instead.
@@ -183,18 +188,19 @@ class TestSubsidyThresholdShift:
             return replace(th, k_bar_1=th.k_bar_1 - 0.02) if params.s > 0 else th
 
         monkeypatch.setattr(verify, "regime_thresholds", lowered)
-        result = _check_threshold_shift(SET_B)
-        assert result.name == "subsidy-threshold-shift" and not result.passed
-        assert result.detail.endswith("; k_bar_1 against its predicted rise")
+        passed, detail = _check_threshold_shift(SET_B, TOL)
+        assert dict(verify._SUBSIDY_CHECKS)["subsidy-threshold-shift"] is _check_threshold_shift
+        assert not passed
+        assert detail.endswith("; k_bar_1 against its predicted rise")
 
     def test_a_slope_off_its_central_difference_fails(self, monkeypatch):
         real = verify._thresholds
         monkeypatch.setattr(verify, "_thresholds",
                             lambda params: replace(real(params), k_bar_2=real(params).k_bar_2
                                                    * (1.0 + params.s)))
-        result = _check_threshold_shift(SUBSIDY_HARVEST_TO_DOMINATE)
-        assert not result.passed
-        assert "k_bar_2 slope -0.0282939 differs from its central difference" in result.detail
+        passed, detail = _check_threshold_shift(SUBSIDY_HARVEST_TO_DOMINATE, TOL)
+        assert not passed
+        assert "k_bar_2 slope -0.0282939 differs from its central difference" in detail
 
 
 def test_a_check_that_raises_is_its_own_named_fail(monkeypatch, capsys):
@@ -217,11 +223,36 @@ def test_a_check_that_raises_is_its_own_named_fail(monkeypatch, capsys):
     assert lines[-1] == "10/14 checks passed"
 
 
+def test_a_subsidy_check_that_raises_is_its_own_named_fail(monkeypatch, capsys):
+    # The subsidy rows run through the same guard as the others.
+    def raise_stub(params):
+        raise RuntimeError("stub")
+
+    monkeypatch.setattr(verify, "solve_subsidized", raise_stub)
+    _stub_oracle(monkeypatch, lambda params, config, rel_tol: None)
+    assert main(["verify", "--config", str(REPO / "configs" / "set_b.cfg")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "FAIL subsidy-limit-continuity: raised RuntimeError: stub" in lines
+    assert lines[-1] == "16/17 checks passed"
+
+
 # oracle-equivalence on forked workers (the pool route) and in this process
 # (the serial route, where one CPU may be used) must give the same results.
 
 def _use_cpus(monkeypatch, n: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def test_the_closed_form_checks_pass_on_a_seeded_corpus(monkeypatch):
+    # 20 draws at s = 0 and 20 subsidized ones, in turn; the oracle is stubbed out
+    # with the closed forms, so every other check runs as it does in verify.
+    rng = np.random.default_rng(20261018)
+    corpus = [random_valid_params(rng, with_subsidy=i % 2 == 1) for i in range(40)]
+    _stub_oracle(monkeypatch, lambda params, config, rel_tol: None)
+    _use_cpus(monkeypatch, 1)
+    failed = [(i, check.name, check.detail) for i, params in enumerate(corpus)
+              for check in run_verification(params) if not check.passed]
+    assert failed == []
 
 
 @pytest.fixture(params=[1, 2], ids=["serial", "pool"])
@@ -333,7 +364,7 @@ def test_workers_end_when_their_parent_is_killed():
               "os.sched_getaffinity = lambda pid: {0, 1}\n"
               "from fmgame.verify import first_failure\n"
               "def check(point):\n"
-              "    print(os.getpid(), flush=True)\n"
+              "    os.write(1, b'%d\\n' % os.getpid())\n"
               "    time.sleep(60)\n"
               "first_failure(check, [0, 1])\n")
     proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
