@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import io
 import sys
-from dataclasses import replace
 
 from .closed_form import eta_bar_high, eta_bar_low, regime_thresholds, scenario_profits
 from .extensions import integration_comparison, solve_subsidized, subsidy_comparison
@@ -170,11 +169,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidParams as exc:
         msg = str(exc)
         if "k exceeds k_max" in msg:
-            try:
-                km = k_max(replace(params, k=0.0))
-                msg += f" (k_max = {_fmt(km)})"
-            except Exception:
-                pass
+            msg += f" (k_max = {_fmt(k_max(params))})"
         print(f"error: {msg}", file=sys.stderr)
         return 3
     except (ConfigError, ValueError) as exc:

@@ -118,14 +118,13 @@ def integration_thresholds(params: ModelParams) -> IntegrationThresholds:
     against integration). Each difference is scanned over [0, k_max] by
     welfare._last_crossing, evaluated once on the whole grid as an array
     (one array pass serves all three), and the last root is bisected on
-    floats. params.k is ignored.
+    floats. params.k is ignored, and the s = 0 twin is played.
     """
+    params = replace(params, s=0.0)
     require_valid(params)
-    if params.s != 0.0:
-        raise InvalidParams(ValidationReport(("integration analysis requires s = 0",)))
     gaps = _integration_gaps(params)
     km = k_max(params)
-    return IntegrationThresholds(*(_last_crossing(params, lambda k, i=i: gaps(k)[i], 0.0, km)
+    return IntegrationThresholds(*(_last_crossing(lambda k, i=i: gaps(k)[i], 0.0, km)
                                    for i in range(3)))
 
 

@@ -27,7 +27,9 @@ largest products and smallest denominators they build (among them those of
 ``k_bar_13`` and ``k_bar_23``, the dominate row's squared retention margin
 near ``k_max`` and the integrated ``(1 + eta_cap) k``) stay well inside the
 float range, and the retention margin ``2c - k (theta - w_low + s)`` is
-positive, which ``k_max`` loses to rounding only for huge ``eta_cap``.
+positive at ``k = k_max``, which ``k_max`` loses to rounding only for huge
+``eta_cap``. So a point is admitted at every ``k`` in ``[0, k_max]`` or at
+none, and a scan over that range needs no validation of its own.
 """
 
 from __future__ import annotations
@@ -189,12 +191,14 @@ def validate(params: ModelParams) -> ValidationReport:
     # k_max is one of the products checked first.
     if not v and not _products_in_range(params):
         v.append("magnitudes overflow or underflow the closed forms")
-    if not v and params.k > k_max(params):
-        v.append("k exceeds k_max")
-    # Positive for every k <= k_max in exact arithmetic; it fails only where
-    # eta_cap / (1 + eta_cap) is 1 to within rounding in k_max's cap bound.
-    if not v and 2.0 * params.c - params.k * (params.theta + params.s - params.w_low) <= 0.0:
-        v.append("retention threshold undefined: 2c - k (theta - w_low + s) <= 0")
+    if not v:
+        km = k_max(params)
+        if params.k > km:
+            v.append("k exceeds k_max")
+        # At k_max, so at every k <= k_max too (rounding is monotone). Lost
+        # only where eta_cap / (1 + eta_cap) rounds to 1 in k_max's cap bound.
+        elif 2.0 * params.c - km * (params.theta + params.s - params.w_low) <= 0.0:
+            v.append("retention threshold undefined: 2c - k (theta - w_low + s) <= 0")
     return ValidationReport(tuple(v))
 
 

@@ -234,10 +234,7 @@ def _check_retention_boundary(params: ModelParams, oracle_rel_tol: float) -> tup
     # At the retention boundary the deployer is exactly indifferent.
     worst = 0.0
     for w1, eta_fn in ((params.w_high, eta_bar_high), (params.w_low, eta_bar_low)):
-        try:
-            boundary = eta_fn(params)
-        except ValueError:
-            continue
+        boundary = eta_fn(params)
         if boundary > params.eta_cap:
             continue
         a1 = q1_star(params, Strategy(w1=w1, eta1=boundary))

@@ -23,8 +23,11 @@ harvest outcome obtains regardless of k. For strong flywheels the baseline
 would have delivered the dominate outcome, whose efforts grow without the
 openness distortion; past a threshold k the mandate therefore lowers
 deployer surplus, consumer surplus, and social welfare. That threshold is
-located by _last_crossing, which validates its k range once, scans it in
-one array pass through the validation-free cores and bisects on floats.
+located by _last_crossing, which scans its k range in one array pass
+through the validation-free cores and bisects on floats (validate() admits
+a point at every k up to k_max or at none). The trap threshold and
+mandate_comparison play the s = 0 twin of their params (the same params
+with s = 0); mandate_equilibrium refuses s > 0.
 """
 
 from __future__ import annotations
@@ -117,16 +120,13 @@ def _k_grid(lo: float, hi: float, points: int = _K_GRID_POINTS) -> list[float]:
     return [lo + (hi - lo) * i / n for i in range(n)] + [hi]
 
 
-def _last_crossing(params: ModelParams, diff, lo: float, hi: float) -> ThresholdCrossing:
-    """Last sign change on [lo, hi], 0 <= lo, of diff (k a float or an array).
+def _last_crossing(diff, lo: float, hi: float) -> ThresholdCrossing:
+    """Last sign change on [lo, hi], 0 <= lo <= hi <= k_max, of diff (k a
+    float or an array), whose params the caller validated: validate() admits
+    them at every such k.
 
     Without one, the status is "always" where diff(lo) > 0, else "never".
     """
-    # Validating hi covers the range: params are admitted at their own k, and
-    # the checks that read k are k >= 0, k <= k_max and a retention margin
-    # 2c - k (theta - w_low + s) > 0 that shrinks as k grows. Where hi = k_max
-    # fails, only the margin does, as at the range's first failing point.
-    require_valid(replace(params, k=hi))
     grid = _k_grid(lo, hi)
     root = numerics.scan_and_bisect(diff, grid)
     if root is not None:
@@ -241,15 +241,14 @@ def openness_trap_threshold(params: ModelParams) -> float | None:
     Returns None when f never changes sign on the binding range: either the
     mandate helps everywhere it binds, or it hurts everywhere it binds (as
     when the baseline goes straight from harvest to dominate). k is the
-    only moving part; params.k is ignored.
+    only moving part; params.k is ignored, and the s = 0 twin is played.
     """
+    params = replace(params, s=0.0)
     require_valid(params)
-    if params.s != 0.0:
-        raise InvalidParams(ValidationReport(("mandate analysis requires s = 0",)))
     binding = _binding_range(params)
     if binding is None:
         return None   # the mandate never binds on the admissible range
-    return _last_crossing(params, _trap_gap(params), *binding).value
+    return _last_crossing(_trap_gap(params), *binding).value
 
 
 def _trap_gap(params: ModelParams):
@@ -280,8 +279,10 @@ def mandate_comparison(params: ModelParams) -> PolicyComparison:
 
     Regions: "mandate_slack" (the baseline harvests at full openness
     anyway), "trap" (the mandate lowers social welfare at this k) and
-    "mandate_binding" (it binds without lowering social welfare).
+    "mandate_binding" (it binds without lowering social welfare). The
+    s = 0 twin of params is played.
     """
+    params = replace(params, s=0.0)
     base_eq = solve_baseline(params)
     base = welfare_for_equilibrium(params, base_eq)
     counter = welfare_mandate(params)

@@ -22,9 +22,13 @@ INTEGRATION_SCAN_OVERSHOOT = ModelParams(
     theta=4.60114343008928, c=0.66908296106346, w_high=1.1738065480743618,
     w_low=1.172261311798686, eta_cap=4.987912075987402, k=0.00017599219294659602)
 
-# Admitted at its own k, but at k_max eta_cap / (1 + eta_cap) rounds to 1
-# and the retention margin 2c - k (theta - w_low) is lost: both policy
-# scans, which reach k_max, raise "retention threshold undefined".
+# validate()'s report where the retention margin is lost at k_max.
+RETENTION = "retention threshold undefined: 2c - k (theta - w_low + s) <= 0"
+
+# At k_max eta_cap / (1 + eta_cap) rounds to 1 and the retention margin
+# 2c - k (theta - w_low) is lost, though it is positive at the point's own
+# k: validate() checks it at k_max, so it rejects the point at every k, and
+# so do the policy scans, which reach k_max.
 RETENTION_LOST_AT_K_MAX = ModelParams(theta=5.0, c=1.0, w_high=2.5, w_low=0.5, eta_cap=1e16, k=0.1)
 
 # The baseline goes straight from harvest to dominate (no defend range): the

@@ -29,6 +29,8 @@ from fmgame import (
 from fmgame.closed_form import q1_star
 from fmgame.welfare import _k_grid
 
+from conftest import RETENTION
+
 SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6)
 FEE_SHARES = ((0.5, 0.5), (0.0, 0.0), (0.5, 0.2), (0.4, 0.1), (0.5, 0.0))
 
@@ -117,7 +119,9 @@ def _fuzz_cases(rng, draws):
         p = ModelParams(theta=theta, c=10.0 ** rng.uniform(-170.0, 170.0), w_high=w_high,
                         w_low=w_low, eta_cap=10.0 ** rng.uniform(-20.0, 80.0), k=0.0,
                         s=w_low * rng.uniform() if rng.integers(2) else 0.0)
-        if validate(p).ok:
+        # Kept where only the retention margin fails: it is lost at k_max,
+        # so the point is rejected at every k (counted below).
+        if validate(p).violations in ((), (RETENTION,)):
             km = k_max(p)
             for k in (0.0, km / 2.0, km):
                 yield replace(p, k=k)
@@ -144,23 +148,24 @@ def test_admitted_fuzz_points_solve():
 
 
 def test_the_top_of_a_k_range_validates_all_of_it():
-    # The policy scans run at s = 0 and validate their k range [0, k_max]
-    # at k_max alone (welfare._last_crossing). At s = 0, on every admitted
-    # fuzz point, a coarse grid must agree: all of it admitted where k_max
-    # is, else its first failing point reports what k_max reports.
+    # validate() checks the retention margin at k_max, so it admits a point
+    # at every k up to k_max or at none. At s = 0, as the policy scans run,
+    # every k of a coarse [0, k_max] grid gets the point's own report; where
+    # the margin is lost at k_max, that is a rejection, even at a k where
+    # the margin itself is positive (266 such points).
     disagree = []
-    n = failing = 0
+    n = admitted = lost = 0
     for p in _fuzz_cases(np.random.default_rng(20261018), 2000):
         p = replace(p, s=0.0)
-        if not validate(p).ok:
+        km = k_max(p)
+        if p.k > km:
             continue
         n += 1
-        km = k_max(p)
-        top = validate(replace(p, k=km))
-        failing += not top.ok
-        reports = [validate(replace(p, k=k)) for k in _k_grid(0.0, km, 9)]
-        first_bad = next((r for r in reports if not r.ok), None)
-        if first_bad != (None if top.ok else top):
-            disagree.append(f"{p}: top {top.violations}, grid {first_bad}")
-    assert n > 2500 and failing > 200
+        report = validate(p)
+        admitted += report.ok
+        lost += report.violations == (RETENTION,) and 2.0 * p.c - p.k * (p.theta - p.w_low) > 0.0
+        grid = {validate(replace(p, k=k)) for k in _k_grid(0.0, km, 9)}
+        if grid != {report}:
+            disagree.append(f"{p}: own {report.violations}, grid {grid}")
+    assert n > 2500 and admitted > 2200 and lost > 200
     assert not disagree, f"{len(disagree)} of {n} points disagree:\n" + "\n".join(disagree[:10])

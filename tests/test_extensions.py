@@ -85,9 +85,8 @@ class TestIntegrationThresholds:
         assert th.chain.value < th.social.value
         assert th.consumer.value < th.social.value
 
-    def test_requires_unsubsidized_point(self):
-        with pytest.raises(InvalidParams):
-            integration_thresholds(SET_B)
+    def test_plays_the_unsubsidized_twin(self):
+        assert integration_thresholds(SET_B) == integration_thresholds(replace(SET_B, s=0.0))
 
     def test_scan_stays_inside_k_max(self):
         # The scan's last point must be k_max itself, not a rounding past it.

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fmgame import InvalidParams, ModelParams, k_max, require_valid, validate
 from fmgame.cli import main
 
-from conftest import SET_A, SET_B
+from conftest import RETENTION, RETENTION_LOST_AT_K_MAX, SET_A, SET_B
 
 
 def test_k_max_set_a():
@@ -97,9 +97,6 @@ def _assert_solve_exits_3(p, violation, tmp_path, capsys):
     assert violation in capsys.readouterr().err
 
 
-RETENTION = "retention threshold undefined: 2c - k (theta - w_low + s) <= 0"
-
-
 @pytest.mark.parametrize("kwargs", [
     # eta_cap / (1 + eta_cap) rounds to 1 in k_max's cap bound, so at k_max
     # the dominate row's 2c - k (theta - w_low + s) is 0.0 or below: solve
@@ -110,9 +107,16 @@ RETENTION = "retention threshold undefined: 2c - k (theta - w_low + s) <= 0"
 ], ids=["eta_cap_1e17", "eta_cap_2e34"])
 def test_retention_margin_lost_to_rounding_is_named(kwargs, tmp_path, capsys):
     p = ModelParams(k=0.0, **kwargs)
-    assert validate(p).ok
+    assert validate(p).violations == (RETENTION,)
     p = replace(p, k=k_max(p))
     assert validate(p).violations == (RETENTION,)
+    _assert_solve_exits_3(p, RETENTION, tmp_path, capsys)
+
+
+def test_a_margin_lost_at_k_max_is_named_at_the_points_own_k(tmp_path, capsys):
+    # Its margin is positive at k = 0.1, but the policy scans reach k_max.
+    p = RETENTION_LOST_AT_K_MAX
+    assert 2.0 * p.c - p.k * (p.theta - p.w_low) > 0.0
     _assert_solve_exits_3(p, RETENTION, tmp_path, capsys)
 
 

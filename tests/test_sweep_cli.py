@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from dataclasses import replace
 from io import StringIO
 from pathlib import Path
 
@@ -233,6 +234,13 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "policy: mandate" in out
         assert "region: mandate_binding" in out
+
+    def test_policy_mandate_on_a_subsidized_config_plays_its_twin(self, tmp_path, capsys):
+        assert main(["policy", "mandate", "--config", CFG_B]) == 0
+        out = capsys.readouterr().out
+        twin = _params_cfg(tmp_path, replace(SET_B, s=0.0))
+        assert main(["policy", "mandate", "--config", twin]) == 0
+        assert capsys.readouterr().out == out
 
     def test_policy_integration_region(self, capsys):
         assert main(["policy", "integration", "--config", CFG_A]) == 0

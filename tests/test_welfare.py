@@ -29,7 +29,7 @@ from fmgame import (
 )
 from fmgame.welfare import WelfareBreakdown
 
-from conftest import HARVEST_TO_DOMINATE, MANDATE_SCAN_OVERSHOOT, SET_A
+from conftest import HARVEST_TO_DOMINATE, MANDATE_SCAN_OVERSHOOT, SET_A, SET_B
 from test_closed_form import _random_params
 
 
@@ -186,3 +186,8 @@ class TestTrapThreshold:
         assert openness_trap_threshold(p) is None
         cmp = mandate_comparison(replace(p, k=0.15))
         assert cmp.delta.social >= 0
+
+
+@pytest.mark.parametrize("analysis", [openness_trap_threshold, mandate_comparison])
+def test_a_mandate_analysis_plays_the_unsubsidized_twin(analysis):
+    assert analysis(SET_B) == analysis(replace(SET_B, s=0.0))
