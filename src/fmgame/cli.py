@@ -14,6 +14,7 @@ parameters or malformed config/sweep.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import sys
 
@@ -100,7 +101,9 @@ def _verify_lines(params, tolerance: float):
     return out, failed
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Every call of main shares this parser, so nothing may change it (parse_args does not).
     ap = argparse.ArgumentParser(
         prog="fmgame",
         description="Two-period foundation-model value-chain game solver",

@@ -66,23 +66,27 @@ def golden_max(f, lo, hi):
     width = np.max(b - a) if a.size else 0.0
     if width <= _GOLDEN_TOL:
         return (a + b) / 2.0
-    # Shrink every lane each iteration and recompute both probes. Which end
-    # moves is a coin flip per lane, which makes np.where slow; arithmetic on
-    # a 0/1 float mask selects exactly, as x*1 + y*0 == x for finite x and y
-    # (a -0.0 bound may come back as +0.0), so brackets must be finite.
-    # Every step writes into preallocated buffers; `>=` casts its bool result
-    # straight into the float mask.
+    # Both updates of a bracket [a, a + w] leave width d = w*INVPHI: keep
+    # [a, x2] with x2 = a + d, or move to [x1, a + w] with x1 = a + e and
+    # e = d*INVPHI, as w - e == d. So every lane shrinks by INVPHI each step
+    # whichever end moves: keep the lower end a and the step lengths d and e,
+    # and form b = a + w after the loop. Which lanes move is a coin flip,
+    # which makes np.where slow; a += s*e on a 0/1 float mask s selects
+    # exactly for a finite bracket (a -0.0 end may come back as +0.0). A NaN
+    # comparison keeps the lower end. Every step writes into preallocated
+    # buffers; `<` casts its bool result straight into the float mask.
     a0, b0 = a.copy(), b.copy()
-    d, x1, x2, s, r = (np.empty_like(a) for _ in range(5))
+    d = (b - a) * _INVPHI
+    e, x1, x2, s = (np.empty_like(a) for _ in range(4))
     n_iter = int(np.ceil(np.log(_GOLDEN_TOL / width) / np.log(_INVPHI))) + 1
     for _ in range(n_iter):
-        np.multiply(np.subtract(b, a, out=d), _INVPHI, out=d)
-        np.subtract(b, d, out=x1)
+        np.multiply(d, _INVPHI, out=e)
+        np.add(a, e, out=x1)
         np.add(a, d, out=x2)
-        np.greater_equal(f(x1), f(x2), out=s)
-        np.subtract(1.0, s, out=r)
-        np.add(np.multiply(x2, s, out=x2), np.multiply(b, r, out=b), out=b)
-        np.add(np.multiply(a, s, out=a), np.multiply(x1, r, out=x1), out=a)
+        np.less(f(x1), f(x2), out=s)
+        np.add(a, np.multiply(s, e, out=s), out=a)
+        d, e = e, d
+    b = a + e
     mid = (a + b) / 2.0
     # Parabolic polish past the comparison-noise floor (see scalar variant).
     h = 1e-4 * (b0 - a0)

@@ -15,6 +15,7 @@ point's own scalar solve gives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -79,6 +80,8 @@ class SweepSpec:
     def check(self) -> None:
         if self.parameter not in ("k", "s"):
             raise ConfigError(f"sweep parameter must be k or s, got {self.parameter!r}")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ConfigError("sweep bounds must be finite")
         if not (self.lo < self.hi):
             raise ConfigError("sweep requires lo < hi")
         if self.steps < 2:

@@ -80,14 +80,15 @@ def _golden_max_where(f, lo, hi):
     if width <= _GOLDEN_TOL:
         return (a + b) / 2.0
     a0, b0 = a.copy(), b.copy()
+    d = (b - a) * _INVPHI
     n_iter = int(np.ceil(np.log(_GOLDEN_TOL / width) / np.log(_INVPHI))) + 1
     for _ in range(n_iter):
-        d = _INVPHI * (b - a)
-        x1 = b - d
+        e = d * _INVPHI
+        x1 = a + e
         x2 = a + d
-        keep_left = f(x1) >= f(x2)
-        b = np.where(keep_left, x2, b)
-        a = np.where(keep_left, a, x1)
+        a = np.where(f(x1) < f(x2), x1, a)
+        d, w = e, d
+    b = a + w
     mid = (a + b) / 2.0
     h = 1e-4 * (b0 - a0)
     y1, y2, y3 = f(mid - h), f(mid), f(mid + h)

@@ -26,7 +26,7 @@ from fmgame import (
     sweep_columns,
     write_csv,
 )
-from fmgame.cli import main
+from fmgame.cli import _build_parser, main
 
 REPO = Path(__file__).resolve().parents[1]
 CFG_A = str(REPO / "configs" / "set_a.cfg")
@@ -98,6 +98,9 @@ class TestSweepSpec:
              "mandate scenario is solved at s = 0"),
             (SweepSpec("s", 0.0, 0.4, 3, scenario="integration"),
              "integration scenario is solved at s = 0"),
+            (SweepSpec("k", 0.0, float("inf"), 3), "bounds must be finite"),
+            (SweepSpec("k", float("-inf"), 0.2, 3), "bounds must be finite"),
+            (SweepSpec("k", float("nan"), 0.2, 3), "bounds must be finite"),
         ],
     )
     def test_bad_specs_rejected(self, spec, needle):
@@ -320,6 +323,26 @@ class TestCliCommands:
                      "--lo", "0.3", "--hi", "0.1", "--steps", "10"])
         assert code == 3
         assert "lo < hi" in capsys.readouterr().err
+
+    def test_infinite_sweep_bound_exits_3(self, capsys):
+        # 0 + inf*0/2 would make the first k NaN though --lo is 0.
+        code = main(["sweep", "--config", CFG_A, "--param", "k",
+                     "--lo", "0", "--hi", "inf", "--steps", "3"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sweep bounds must be finite" in captured.err
+
+    def test_parser_is_built_once_and_reused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve"])
+        assert exc.value.code == 2
+        assert "usage: fmgame solve" in capsys.readouterr().err
+        want = _run_module("solve", "--config", CFG_A).stdout
+        for _ in range(2):
+            assert main(["solve", "--config", CFG_A]) == 0
+            assert capsys.readouterr().out == want
+        assert _build_parser() is _build_parser()
 
     def test_module_entry_point(self):
         proc = _run_module("solve", "--config", CFG_A)
