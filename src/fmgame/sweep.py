@@ -7,14 +7,16 @@ the experiment. Sweeps move one symbol (k or s) over a uniform grid and
 emit one row per point; numbers are serialized with 12 significant digits,
 LF line endings, and '.' decimals, so repeated runs are byte-identical.
 Points that leave the admissible region are kept in the output with the
-violation named in the status column rather than silently dropped. Every
-point is validated on its own; the admitted ones are then solved together,
-as arrays over the swept symbol (closed_form), with the bits that each
-point's own scalar solve gives.
+violation named in the status column rather than silently dropped. A k
+grid is validated once per run of equal reports, an s grid point by point;
+the admitted points are then solved together, as arrays over the swept
+symbol (closed_form), with the bits that each point's own scalar solve
+gives.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -22,7 +24,7 @@ import numpy as np
 
 from .closed_form import _solve
 from .extensions import _integrated, _with_outlay
-from .params import ModelParams, Regime, validate
+from .params import ModelParams, Regime, ValidationReport, validate
 from .welfare import _k_grid, _mandate_equilibrium, welfare_for_equilibrium
 
 _KEYS = ("theta", "c", "w_high", "w_low", "eta_cap", "k", "s")
@@ -86,6 +88,9 @@ class SweepSpec:
             raise ConfigError("sweep requires lo < hi")
         if self.steps < 2:
             raise ConfigError("sweep requires steps >= 2")
+        # The largest product _k_grid forms; past it the grid holds inf or nan.
+        if not math.isfinite((self.hi - self.lo) * (self.steps - 2)):
+            raise ConfigError("sweep grid overflows: (hi - lo) * (steps - 2) is not finite")
         if self.scenario not in _SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if self.parameter == "s" and self.scenario in ("mandate", "integration"):
@@ -127,31 +132,60 @@ def _fmt(x) -> str:
 def run_sweep(params: ModelParams, spec: SweepSpec) -> tuple[tuple[str, ...], list[list[str]]]:
     """Evaluate the sweep and return (columns, formatted rows).
 
-    Each grid point is validated; the admitted points are solved in one
-    array pass (under np.errstate, so that a division by zero raises as it
-    does on floats), with solve's argmax guard and the welfare
-    cross-validation applied to every one of them. A sweep costs about one
-    validate() per point plus the formatting of its cells.
+    Each grid point gets validate()'s report (_grid_reports); the admitted
+    points are solved in one array pass (under np.errstate, so that a
+    division by zero raises as it does on floats), with solve's argmax guard
+    and the welfare cross-validation applied to every one of them. A sweep
+    costs its validate() calls plus the formatting of its cells.
     """
     spec.check()
     cols = sweep_columns(spec.scenario)
     if spec.scenario in ("mandate", "integration"):
         params = replace(params, s=0.0)
-    grid = np.array(_k_grid(spec.lo, spec.hi, spec.steps))
-    points = [replace(params, **{spec.parameter: v}) for v in grid.tolist()]
-    reports = []
-    for p in points:
-        report = validate(replace(p, s=0.0) if spec.scenario == "subsidy" else p)
-        if report.ok and spec.scenario == "subsidy":
-            report = validate(p)
-        reports.append(report)
+    grid = _k_grid(spec.lo, spec.hi, spec.steps)
+    reports = _grid_reports(params, spec, grid)
     admitted = np.array([report.ok for report in reports])
-    solved = iter(_solved_rows(replace(params, **{spec.parameter: grid[admitted]}), spec.scenario)
-                  if admitted.any() else ())
+    solved = iter(_solved_rows(replace(params, **{spec.parameter: np.array(grid)[admitted]}),
+                               spec.scenario) if admitted.any() else ())
     pad = ["" for _ in range(len(cols) - 3)]
+    fixed = _fmt(params.s if spec.parameter == "k" else params.k)
     return cols, [next(solved) if report.ok
-                  else [_fmt(p.k), _fmt(p.s)] + pad + ["; ".join(report.violations)]
-                  for p, report in zip(points, reports)]
+                  else ([_fmt(v), fixed] if spec.parameter == "k" else [fixed, _fmt(v)])
+                  + pad + ["; ".join(report.violations)]
+                  for v, report in zip(grid, reports)]
+
+
+def _grid_reports(params: ModelParams, spec: SweepSpec, grid: list[float]) -> list[ValidationReport]:
+    """validate()'s report at each grid point; for the subsidy, the s = 0
+    twin's where that rejects the point. validate() reads k only through
+    k < 0 and k > k_max and names neither, so on a k grid (non-decreasing
+    for any step count below about 1e15) equal reports form runs, whose ends
+    bisection finds; it reads s through theta + s, where rounding promises
+    no runs.
+    """
+    @functools.cache
+    def report(i: int) -> ValidationReport:
+        p = replace(params, **{spec.parameter: grid[i]})
+        if spec.scenario == "subsidy":
+            twin = validate(replace(p, s=0.0))
+            if not twin.ok:
+                return twin
+        return validate(p)
+
+    if spec.parameter == "s":
+        return [report(i) for i in range(len(grid))]
+    reports: list[ValidationReport] = []
+    while len(reports) < len(grid):
+        first = report(len(reports))
+        lo, hi = len(reports) + 1, len(grid)   # the run's end, exclusive, is in [lo, hi]
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if report(mid) == first:
+                lo = mid + 1
+            else:
+                hi = mid
+        reports += [first] * (lo - len(reports))
+    return reports
 
 
 def _solved_rows(p: ModelParams, scenario: str) -> list[list[str]]:
@@ -181,9 +215,16 @@ def _solved_rows(p: ModelParams, scenario: str) -> list[list[str]]:
                       sub.subsidy_spend]
     # A cell is an array over the points, or one value that they share.
     n = max(np.size(p.k), np.size(p.s))
-    columns = [[_fmt(v) for v in c.tolist()] if isinstance(c, np.ndarray) else [_fmt(c)] * n
-               for c in cells]
+    columns = [_fmt_column(c) if isinstance(c, np.ndarray) else [_fmt(c)] * n for c in cells]
     return [row + ["ok"] for row in map(list, zip(*columns))]
+
+
+def _fmt_column(col: np.ndarray) -> list[str]:
+    """[_fmt(x) for x in col], a float column in one pass."""
+    if col.dtype.kind != "f":
+        return [_fmt(x) for x in col.tolist()]
+    # + 0.0 turns -0.0 into 0.0, as _fmt does.
+    return list(map("{:.12g}".format, (col + 0.0).tolist()))
 
 
 def write_csv(cols, rows, stream) -> None:

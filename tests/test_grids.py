@@ -12,6 +12,8 @@ from enum import Enum
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     INTEGRATION_SCAN_OVERSHOOT,
@@ -24,6 +26,7 @@ from conftest import (
 )
 from fmgame import (
     InvalidParams,
+    ModelParams,
     Regime,
     SweepSpec,
     closed_form,
@@ -38,10 +41,11 @@ from fmgame import (
     validate,
     welfare_for_equilibrium,
 )
+from fmgame import sweep
 from fmgame.closed_form import _solve, solve
 from fmgame.extensions import _integrated, _integration_gaps, _with_outlay
 from fmgame.numerics import sign_change_brackets
-from fmgame.sweep import _fmt
+from fmgame.sweep import _fmt, _fmt_column
 from fmgame.welfare import _binding_range, _k_grid, _mandate_equilibrium, _trap_gap
 
 
@@ -111,6 +115,96 @@ def test_sweep_cells_equal_the_per_point_solve(params):
             else:
                 assert row[-1] != "ok" and row[2:-1] == [""] * (len(cols) - 3)
         assert 0 < ok < spec.steps, spec
+
+
+def _point_status(fixed, spec, value) -> str:
+    # The status column of one point, from its own validate() calls.
+    p = replace(fixed, **{spec.parameter: value})
+    report = validate(replace(p, s=0.0)) if spec.scenario == "subsidy" else validate(p)
+    if report.ok and spec.scenario == "subsidy":
+        report = validate(p)
+    return "; ".join(report.violations) if not report.ok else "ok"
+
+
+# Ways to break a config: (field, the field it is scaled from, factor).
+_BREAKS = (("w_low", "w_high", 1.1), ("c", "c", -1.0), ("s", "w_low", 1.5),
+           ("s", "w_low", -0.5), ("w_high", "theta", 0.6), ("eta_cap", "eta_cap", -1.0),
+           ("eta_cap", "eta_cap", float("inf")), ("theta", "theta", -1.0))
+
+
+@st.composite
+def _k_sweeps(draw):
+    # Configs valid or broken in up to three ways, some with a subsidy (a
+    # negative one puts its own k_max above the twin's) or with an eta_cap
+    # of 1e12 to 1e17, where from 1e16 the retention margin is lost; k grids
+    # that start below 0 and end up to 3 k_max.
+    theta = draw(st.floats(2.0, 10.0))
+    w_high = draw(st.floats(0.15, 0.5)) * theta
+    w_low = draw(st.floats(0.1, 0.95)) * w_high
+    eta_cap = draw(st.one_of(st.floats(0.3, 3.0), st.sampled_from([1e12, 1e15, 1e16, 1e17])))
+    s = draw(st.sampled_from([0.0, 1.0])) * draw(st.floats(0.0, 1.0)) * w_low
+    p = ModelParams(theta=theta, c=draw(st.floats(0.3, 3.0)), w_high=w_high, w_low=w_low,
+                    eta_cap=eta_cap, k=0.0, s=s)
+    breaks = draw(st.lists(st.sampled_from(_BREAKS), max_size=3, unique=True))
+    for field, source, factor in breaks:
+        p = replace(p, **{field: factor * getattr(p, source)})
+    scenario = draw(st.sampled_from(["baseline", "mandate", "integration", "subsidy"]))
+    top = 1.0 if breaks else k_max(replace(p, s=0.0))
+    lo = draw(st.floats(-0.5, 1.0)) * top
+    hi = lo + draw(st.floats(0.01, 3.0)) * top
+    return p, SweepSpec("k", lo, min(hi, 3.0 * top), draw(st.integers(2, 60)), scenario)
+
+
+@given(_k_sweeps())
+@settings(max_examples=300, deadline=None)
+def test_a_k_sweep_status_is_each_points_own_validation(sweep_input):
+    params, spec = sweep_input
+    fixed = replace(params, s=0.0) if spec.scenario in ("mandate", "integration") else params
+    _, rows = run_sweep(params, spec)
+    grid = _k_grid(spec.lo, spec.hi, spec.steps)
+    assert [row[-1] for row in rows] == [_point_status(fixed, spec, v) for v in grid]
+    assert [row[:2] for row in rows] == [[_fmt(v), _fmt(fixed.s)] for v in grid]
+
+
+def _counting_validate(monkeypatch) -> list:
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return validate(p)
+
+    monkeypatch.setattr(sweep, "validate", counting)
+    return calls
+
+
+@pytest.mark.parametrize("scenario", ["baseline", "mandate", "integration", "subsidy"])
+@pytest.mark.parametrize("params", [SET_A, SET_B], ids=["set_a", "set_b"])
+def test_a_k_sweep_validates_once_per_run_of_equal_reports(monkeypatch, params, scenario):
+    twin = params if scenario == "subsidy" else replace(params, s=0.0)
+    calls = _counting_validate(monkeypatch)
+    run_sweep(params, SweepSpec("k", 0.0, 1.2 * k_max(twin), 400, scenario))
+    assert 0 < len(calls) <= 30
+
+
+@pytest.mark.parametrize("scenario", ["baseline", "subsidy"])
+@pytest.mark.parametrize("params", [SET_A, SET_B], ids=["set_a", "set_b"])
+def test_an_s_sweep_validates_every_point(monkeypatch, params, scenario):
+    # One call per point, and a first one on the s = 0 twin for the subsidy,
+    # which admits the twin here.
+    spec = SweepSpec("s", 0.0, 1.2 * params.w_low, 17, scenario)
+    assert validate(replace(params, s=0.0)).ok
+    calls = _counting_validate(monkeypatch)
+    run_sweep(params, spec)
+    assert len(calls) == spec.steps * (2 if scenario == "subsidy" else 1)
+
+
+@pytest.mark.parametrize("col", [
+    np.array([-0.0, 0.0, 5e-324, 1e300, 0.1 + 0.2, 1 / 3]),
+    -np.array([-0.0, 0.0, 5e-324, 1e300, 0.1 + 0.2, 1 / 3]),
+    np.array(list(Regime), dtype=object),
+], ids=["floats", "negated", "regimes"])
+def test_a_column_formats_as_its_cells_one_by_one(col):
+    assert _fmt_column(col) == [_fmt(x) for x in col]
 
 
 @pytest.mark.parametrize("params", _draws() + [SET_A, SET_B])

@@ -101,6 +101,8 @@ class TestSweepSpec:
             (SweepSpec("k", 0.0, float("inf"), 3), "bounds must be finite"),
             (SweepSpec("k", float("-inf"), 0.2, 3), "bounds must be finite"),
             (SweepSpec("k", float("nan"), 0.2, 3), "bounds must be finite"),
+            (SweepSpec("k", 0.0, 1e308, 4), "grid overflows"),
+            (SweepSpec("s", -1e308, 1e308, 2), "grid overflows"),
         ],
     )
     def test_bad_specs_rejected(self, spec, needle):
@@ -332,6 +334,15 @@ class TestCliCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "sweep bounds must be finite" in captured.err
+
+    def test_overflowing_sweep_grid_exits_3(self, capsys):
+        # (hi - lo) * 2 overflows: the grid's third k would be inf.
+        code = main(["sweep", "--config", CFG_A, "--param", "k",
+                     "--lo", "0", "--hi", "1e308", "--steps", "4"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sweep grid overflows" in captured.err
 
     def test_parser_is_built_once_and_reused(self, capsys):
         with pytest.raises(SystemExit) as exc:
