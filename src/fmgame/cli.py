@@ -4,7 +4,7 @@ Subcommands:
 
 - ``solve``: equilibrium report (regime, thresholds, strategies, welfare)
 - ``sweep``: CSV over a k or s grid, optional counterfactual columns
-- ``policy``: baseline vs mandate / integration / subsidy at one point
+- ``policy``: baseline vs one intervention of extensions._POLICIES at one point
 - ``verify``: run every invariant and oracle-equivalence check
 
 Exit codes: 0 success, 1 verification failure, 2 I/O error, 3 invalid
@@ -19,11 +19,11 @@ import io
 import sys
 
 from .closed_form import eta_bar_high, eta_bar_low, regime_thresholds, scenario_profits
-from .extensions import integration_comparison, solve_subsidized, subsidy_comparison
+from .extensions import _POLICIES, solve_subsidized
 from .params import InvalidParams, k_max, require_valid
 from .sweep import _SCENARIOS, ConfigError, SweepSpec, read_config, run_sweep, write_csv
 from .verify import run_verification
-from .welfare import mandate_comparison, welfare_for_equilibrium
+from .welfare import welfare_for_equilibrium
 
 
 def _fmt(x: float) -> str:
@@ -66,26 +66,20 @@ def _solve_report(params) -> str:
 
 
 def _policy_report(params, which: str) -> str:
-    if which == "mandate":
-        cmp = mandate_comparison(params)
-    elif which == "integration":
-        cmp = integration_comparison(params)
-    else:
-        cmp = subsidy_comparison(params)
+    policy = _POLICIES[which]
+    cmp = policy.compare(params)
     lines = [
         f"policy: {cmp.intervention}",
         f"region: {cmp.region}",
         f"baseline regime: {cmp.baseline_equilibrium.regime.value}",
+        "component        baseline     counterfactual   delta",
     ]
-    lines.append("component        baseline     counterfactual   delta")
     for name in ("dev1", "dev2", "deployer", "consumer", "social"):
         b = getattr(cmp.baseline, name)
         a = getattr(cmp.counterfactual, name)
         d = getattr(cmp.delta, name)
         lines.append(f"{name:<16} {_fmt(b):<12} {_fmt(a):<16} {_fmt(d)}")
-    if cmp.intervention == "subsidy":
-        lines.append(f"subsidy spend: {_fmt(cmp.subsidy_spend)}")
-        lines.append(f"social net of spend: {_fmt(cmp.sw_net_of_spend)}")
+    lines += [f"{label}: {_fmt(getattr(cmp, field))}" for label, field in policy.report]
     return "\n".join(lines) + "\n"
 
 
@@ -122,10 +116,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--lo", required=True, type=float)
     p_sweep.add_argument("--hi", required=True, type=float)
     p_sweep.add_argument("--steps", required=True, type=int)
-    p_sweep.add_argument("--scenario", default="baseline", choices=_SCENARIOS)
+    p_sweep.add_argument("--scenario", default="baseline", choices=tuple(_SCENARIOS))
 
     p_pol = sub.add_parser("policy", help="baseline vs counterfactual at the config point")
-    p_pol.add_argument("which", choices=["mandate", "integration", "subsidy"])
+    p_pol.add_argument("which", choices=tuple(_POLICIES))
     common(p_pol)
 
     p_ver = sub.add_parser("verify", help="run the invariant and oracle suite")

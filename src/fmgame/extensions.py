@@ -28,6 +28,7 @@ _with_outlay), never through the public solvers.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,6 +42,8 @@ from .welfare import (
     WelfareBreakdown,
     _first_drift,
     _last_crossing,
+    _mandate_equilibrium,
+    mandate_comparison,
     welfare_for_equilibrium,
 )
 
@@ -149,11 +152,7 @@ def _integration_gaps(params: ModelParams):
 
 
 def _gains(crossing: ThresholdCrossing, k: float) -> bool:
-    if crossing.status == "always":
-        return True
-    if crossing.status == "never":
-        return False
-    return k >= crossing.value
+    return crossing.status == "always" or (crossing.status == "crossing" and k >= crossing.value)
 
 
 def integration_comparison(params: ModelParams) -> PolicyComparison:
@@ -175,17 +174,10 @@ def integration_comparison(params: ModelParams) -> PolicyComparison:
         dev1=v.profit, dev2=0.0, deployer=0.0, consumer=v.consumer,
     )
     th = integration_thresholds(p0)
-    gains_chain = _gains(th.chain, params.k)
-    gains_user = _gains(th.consumer, params.k)
-    if gains_chain and gains_user:
-        region = "win_win"
-    elif gains_chain or gains_user:
-        region = "mixed"
-    else:
-        region = "lose_lose"
+    gains = _gains(th.chain, params.k) + _gains(th.consumer, params.k)
     return PolicyComparison(
         intervention="integration",
-        region=region,
+        region=("lose_lose", "mixed", "win_win")[gains],
         baseline_equilibrium=base_eq,
         baseline=base,
         counterfactual=counter,
@@ -212,8 +204,7 @@ def _with_outlay(params: ModelParams, eq: Equilibrium) -> SubsidizedEquilibrium:
 
 def welfare_subsidized(params: ModelParams) -> WelfareBreakdown:
     """Welfare under the subsidy: four private components, outlay excluded."""
-    eq = solve_subsidized(params)
-    return welfare_for_equilibrium(params, eq)
+    return welfare_for_equilibrium(params, solve_subsidized(params))
 
 
 # Subsidy region by (baseline regime, subsidized regime); any other pair is "other".
@@ -254,3 +245,48 @@ def subsidy_comparison(params: ModelParams) -> PolicyComparison:
         subsidy_spend=sub_eq.subsidy_spend,
         sw_net_of_spend=counter.social - sub_eq.subsidy_spend,
     )
+
+
+def _game_cells(eq: Equilibrium, w: WelfareBreakdown, suffix: str = "") -> tuple:
+    # The sweep's (column, value) pairs of a solved game and its welfare.
+    return tuple((name + suffix, value) for name, value in (
+        ("regime", eq.regime), ("w1", eq.strategy.w1), ("eta1", eq.strategy.eta1),
+        ("Q1", eq.period1.effort), ("Q2", eq.period2.effort), ("pi_dev1", w.dev1),
+        ("pi_dev2", w.dev2), ("profit_deployer", w.deployer),
+        ("consumer_surplus", w.consumer), ("social_welfare", w.social)))
+
+
+def _mandate_cells(p: ModelParams, w: WelfareBreakdown) -> tuple:
+    # The mandate fixes the regime, the fee and the openness: its columns start at Q1.
+    m = _mandate_equilibrium(p)
+    return _game_cells(m, welfare_for_equilibrium(p, m), "_mandate")[3:]
+
+
+def _integration_cells(p: ModelParams, w: WelfareBreakdown) -> tuple:
+    v = _integrated(p)
+    return (("chain_profit", w.dev1 + w.deployer), ("Q1_integrated", v.q1v),
+            ("Q2_integrated", v.q2v), ("profit_integrated", v.profit),
+            ("consumer_surplus_integrated", v.consumer), ("social_welfare_integrated", v.social))
+
+
+def _subsidy_cells(p: ModelParams, w: WelfareBreakdown) -> tuple:
+    sub = _with_outlay(p, _solve(p))
+    return (_game_cells(sub, welfare_for_equilibrium(p, sub), "_subsidized")
+            + (("subsidy_spend", sub.subsidy_spend),))
+
+
+# One intervention: its name; own_s, True where it plays the params' own s
+# (and validates their s = 0 twin too), False where it plays the twin; its
+# point comparison; the (label, PolicyComparison field) lines that `fmgame
+# policy` adds; and cells(p, w), the sweep's (column, value) pairs at validated
+# points p (k or s an array), built in one call; w is the s = 0 baseline's welfare.
+_Policy = namedtuple("_Policy", "name own_s compare report cells")
+
+# Every intervention, welfare's mandate included: a new one is one row.
+_POLICIES = {row.name: row for row in (
+    _Policy("mandate", False, mandate_comparison, (), _mandate_cells),
+    _Policy("integration", False, integration_comparison, (), _integration_cells),
+    _Policy("subsidy", True, subsidy_comparison,
+            (("subsidy spend", "subsidy_spend"), ("social net of spend", "sw_net_of_spend")),
+            _subsidy_cells),
+)}

@@ -23,9 +23,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .closed_form import _solve
-from .extensions import _integrated, _with_outlay
+from .extensions import _POLICIES, _game_cells, _Policy
 from .params import ModelParams, Regime, ValidationReport, validate
-from .welfare import _k_grid, _mandate_equilibrium, welfare_for_equilibrium
+from .welfare import _k_grid, welfare_for_equilibrium
 
 _KEYS = ("theta", "c", "w_high", "w_low", "eta_cap", "k", "s")
 
@@ -66,7 +66,8 @@ def read_config(path: str) -> ModelParams:
     return ModelParams(**seen)
 
 
-_SCENARIOS = ("baseline", "mandate", "integration", "subsidy")
+# Each scenario's row of the policy table; the baseline has none.
+_SCENARIOS = {"baseline": None, **_POLICIES}
 
 
 @dataclass(frozen=True)
@@ -89,35 +90,25 @@ class SweepSpec:
         if self.steps < 2:
             raise ConfigError("sweep requires steps >= 2")
         # The largest product _k_grid forms; past it the grid holds inf or nan.
-        if not math.isfinite((self.hi - self.lo) * (self.steps - 2)):
+        # A step count past the largest float overflows in the conversion.
+        try:
+            finite = math.isfinite((self.hi - self.lo) * (self.steps - 2))
+        except OverflowError:
+            finite = False
+        if not finite:
             raise ConfigError("sweep grid overflows: (hi - lo) * (steps - 2) is not finite")
         if self.scenario not in _SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
-        if self.parameter == "s" and self.scenario in ("mandate", "integration"):
+        policy = _SCENARIOS[self.scenario]
+        if self.parameter == "s" and policy is not None and not policy.own_s:
             raise ConfigError(f"the {self.scenario} scenario is solved at s = 0; sweep k instead")
 
 
-_BASE_COLS = ("k", "s", "regime", "w1", "eta1", "Q1", "Q2", "pi_dev1", "pi_dev2",
-              "profit_deployer", "consumer_surplus", "social_welfare")
-
-_EXTRA_COLS = {
-    "baseline": (),
-    "mandate": ("Q1_mandate", "Q2_mandate", "pi_dev1_mandate", "pi_dev2_mandate",
-                "profit_deployer_mandate", "consumer_surplus_mandate",
-                "social_welfare_mandate"),
-    "integration": ("chain_profit", "Q1_integrated", "Q2_integrated",
-                    "profit_integrated", "consumer_surplus_integrated",
-                    "social_welfare_integrated"),
-    "subsidy": ("regime_subsidized", "w1_subsidized", "eta1_subsidized",
-                "Q1_subsidized", "Q2_subsidized", "pi_dev1_subsidized",
-                "pi_dev2_subsidized", "profit_deployer_subsidized",
-                "consumer_surplus_subsidized", "social_welfare_subsidized",
-                "subsidy_spend"),
-}
-
-
+@functools.cache
 def sweep_columns(scenario: str) -> tuple[str, ...]:
-    return _BASE_COLS + _EXTRA_COLS[scenario] + ("status",)
+    # The names of the cells on a grid of no points, where nothing is solved.
+    none = ModelParams(theta=5.0, c=1.0, w_high=2.5, w_low=0.5, eta_cap=1.5, k=np.empty(0))
+    return _solved_rows(none, _SCENARIOS[scenario])[0]
 
 
 def _fmt(x) -> str:
@@ -140,13 +131,14 @@ def run_sweep(params: ModelParams, spec: SweepSpec) -> tuple[tuple[str, ...], li
     """
     spec.check()
     cols = sweep_columns(spec.scenario)
-    if spec.scenario in ("mandate", "integration"):
+    policy = _SCENARIOS[spec.scenario]
+    if policy is not None and not policy.own_s:
         params = replace(params, s=0.0)
     grid = _k_grid(spec.lo, spec.hi, spec.steps)
-    reports = _grid_reports(params, spec, grid)
+    reports = _grid_reports(params, spec.parameter, grid, policy is not None and policy.own_s)
     admitted = np.array([report.ok for report in reports])
     solved = iter(_solved_rows(replace(params, **{spec.parameter: np.array(grid)[admitted]}),
-                               spec.scenario) if admitted.any() else ())
+                               policy)[1] if admitted.any() else ())
     pad = ["" for _ in range(len(cols) - 3)]
     fixed = _fmt(params.s if spec.parameter == "k" else params.k)
     return cols, [next(solved) if report.ok
@@ -155,9 +147,10 @@ def run_sweep(params: ModelParams, spec: SweepSpec) -> tuple[tuple[str, ...], li
                   for v, report in zip(grid, reports)]
 
 
-def _grid_reports(params: ModelParams, spec: SweepSpec, grid: list[float]) -> list[ValidationReport]:
-    """validate()'s report at each grid point; for the subsidy, the s = 0
-    twin's where that rejects the point. validate() reads k only through
+def _grid_reports(params: ModelParams, parameter: str, grid: list[float],
+                  with_twin: bool) -> list[ValidationReport]:
+    """validate()'s report at each grid point; with_twin, the s = 0 twin's
+    where that rejects the point. validate() reads k only through
     k < 0 and k > k_max and names neither, so on a k grid (non-decreasing
     for any step count below about 1e15) equal reports form runs, whose ends
     bisection finds; it reads s through theta + s, where rounding promises
@@ -165,14 +158,14 @@ def _grid_reports(params: ModelParams, spec: SweepSpec, grid: list[float]) -> li
     """
     @functools.cache
     def report(i: int) -> ValidationReport:
-        p = replace(params, **{spec.parameter: grid[i]})
-        if spec.scenario == "subsidy":
+        p = replace(params, **{parameter: grid[i]})
+        if with_twin:
             twin = validate(replace(p, s=0.0))
             if not twin.ok:
                 return twin
         return validate(p)
 
-    if spec.parameter == "s":
+    if parameter == "s":
         return [report(i) for i in range(len(grid))]
     reports: list[ValidationReport] = []
     while len(reports) < len(grid):
@@ -188,35 +181,20 @@ def _grid_reports(params: ModelParams, spec: SweepSpec, grid: list[float]) -> li
     return reports
 
 
-def _solved_rows(p: ModelParams, scenario: str) -> list[list[str]]:
-    # The formatted rows of validated points: k or s of p is their array.
-    base_p = replace(p, s=0.0) if scenario == "subsidy" else p
+def _solved_rows(p: ModelParams, policy: _Policy | None) -> tuple[tuple[str, ...], list[list[str]]]:
+    # The columns, and the formatted rows of validated points: k or s of p is
+    # their array. p.s is the swept subsidy; a policy's baseline is the s = 0 game.
+    base_p = p if policy is None else replace(p, s=0.0)
     with np.errstate(divide="raise", invalid="raise"):
         eq = _solve(base_p)
         w = welfare_for_equilibrium(base_p, eq)
-        # p.s is the swept subsidy; the baseline cells are the s = 0 game.
-        cells = [p.k, p.s, eq.regime, eq.strategy.w1, eq.strategy.eta1,
-                 eq.period1.effort, eq.period2.effort,
-                 w.dev1, w.dev2, w.deployer, w.consumer, w.social]
-        if scenario == "mandate":
-            m = _mandate_equilibrium(p)
-            wm = welfare_for_equilibrium(p, m)
-            cells += [m.period1.effort, m.period2.effort,
-                      wm.dev1, wm.dev2, wm.deployer, wm.consumer, wm.social]
-        elif scenario == "integration":
-            v = _integrated(p)
-            cells += [w.dev1 + w.deployer, v.q1v, v.q2v, v.profit, v.consumer, v.social]
-        elif scenario == "subsidy":
-            sub = _with_outlay(p, _solve(p))
-            ws = welfare_for_equilibrium(p, sub)
-            cells += [sub.regime, sub.strategy.w1, sub.strategy.eta1,
-                      sub.period1.effort, sub.period2.effort,
-                      ws.dev1, ws.dev2, ws.deployer, ws.consumer, ws.social,
-                      sub.subsidy_spend]
+        cells = ((("k", p.k), ("s", p.s)) + _game_cells(eq, w)
+                 + (() if policy is None else policy.cells(p, w)))
     # A cell is an array over the points, or one value that they share.
     n = max(np.size(p.k), np.size(p.s))
-    columns = [_fmt_column(c) if isinstance(c, np.ndarray) else [_fmt(c)] * n for c in cells]
-    return [row + ["ok"] for row in map(list, zip(*columns))]
+    columns = [_fmt_column(c) if isinstance(c, np.ndarray) else [_fmt(c)] * n for _, c in cells]
+    return (tuple(name for name, _ in cells) + ("status",),
+            [row + ["ok"] for row in map(list, zip(*columns))])
 
 
 def _fmt_column(col: np.ndarray) -> list[str]:

@@ -130,8 +130,11 @@ def run_verification(params: ModelParams, oracle_rel_tol: float = 1e-5) -> list[
 
     After ``params-valid`` every row of the check table runs under one guard:
     a check that raises is reported as a FAIL of that check, with the
-    exception in the detail, and the run goes on with the next one.
+    exception in the detail, and the run goes on with the next one. A
+    tolerance that is not finite or is below 0 raises ValueError first.
     """
+    if not (math.isfinite(oracle_rel_tol) and oracle_rel_tol >= 0.0):
+        raise ValueError(f"oracle tolerance must be finite and at least 0, got {oracle_rel_tol!r}")
     report = validate(params)
     checks = [CheckResult("params-valid", report.ok, "; ".join(report.violations))]
     if not report.ok:

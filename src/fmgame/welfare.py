@@ -286,15 +286,11 @@ def mandate_comparison(params: ModelParams) -> PolicyComparison:
     base_eq = solve_baseline(params)
     base = welfare_for_equilibrium(params, base_eq)
     counter = welfare_mandate(params)
-    if base_eq.regime is Regime.HARVEST:
-        region = "mandate_slack"          # harvest anyway, mandate changes nothing
-    elif counter.social < base.social:
-        region = "trap"
-    else:
-        region = "mandate_binding"
     return PolicyComparison(
         intervention="mandate",
-        region=region,
+        # At harvest the baseline opens fully anyway: the mandate changes nothing.
+        region=("mandate_slack" if base_eq.regime is Regime.HARVEST
+                else "trap" if counter.social < base.social else "mandate_binding"),
         baseline_equilibrium=base_eq,
         baseline=base,
         counterfactual=counter,

@@ -1,5 +1,10 @@
-"""Each demo script runs to completion and prints something."""
+"""Each demo script runs to completion and prints the same bytes as before.
 
+The demos run closed forms only, no oracle search, so their stdout is pinned
+by sha256 like the golden CLI outputs.
+"""
+
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,6 +15,14 @@ import pytest
 REPO = Path(__file__).resolve().parents[1]
 DEMOS = sorted((REPO / "demos").glob("*.py"))
 
+#: sha256 of each demo's stdout.
+STDOUT_SHA256 = {
+    "01_strategic_regimes": "4ab897dfbd6f944c8ada7468aaafd340762e4acd8603fcf86db56d9244bc6fb9",
+    "02_openness_mandate": "590514aa735c7ffe97a60ac7d3a0c20b35c06f7e6da58b90df930da81f3a69fa",
+    "03_vertical_integration": "02fa8f88fffa538af8d536efb5e43029a110abf90951d71adeaeaf652370cdb7",
+    "04_adoption_subsidy": "7540b88a3ea23b895b9317f9099be6eab0a75f74170d9e6288cdd49fe3754c0c",
+}
+
 
 def test_all_four_demos_found():
     assert len(DEMOS) == 4
@@ -19,8 +32,9 @@ def test_all_four_demos_found():
 def test_demo_runs(demo):
     path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=REPO, capture_output=True, text=True, timeout=120,
+        [sys.executable, str(demo)], cwd=REPO, capture_output=True, timeout=120,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.strip()
+    assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[demo.stem]

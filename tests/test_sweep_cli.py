@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import ast
 import subprocess
 import sys
 from dataclasses import replace
@@ -18,15 +20,18 @@ from conftest import (
     SET_B,
     child_env,
 )
+import fmgame
 from fmgame import (
     ConfigError,
     SweepSpec,
     read_config,
     run_sweep,
     sweep_columns,
+    welfare_baseline,
     write_csv,
 )
 from fmgame.cli import _build_parser, main
+from fmgame.extensions import _POLICIES
 
 REPO = Path(__file__).resolve().parents[1]
 CFG_A = str(REPO / "configs" / "set_a.cfg")
@@ -103,6 +108,8 @@ class TestSweepSpec:
             (SweepSpec("k", float("nan"), 0.2, 3), "bounds must be finite"),
             (SweepSpec("k", 0.0, 1e308, 4), "grid overflows"),
             (SweepSpec("s", -1e308, 1e308, 2), "grid overflows"),
+            # Too large a step count for a float: the product cannot be formed.
+            (SweepSpec("k", 0.0, 1.0, 10 ** 400), "grid overflows"),
         ],
     )
     def test_bad_specs_rejected(self, spec, needle):
@@ -211,6 +218,40 @@ class TestRunSweep:
         header, *lines = outs[0].splitlines()
         assert header == ",".join(sweep_columns("baseline"))
         assert len(lines) == 60
+
+
+class TestPolicyTable:
+    """Each intervention is named once, in its row of extensions._POLICIES."""
+
+    @staticmethod
+    def _choices(command: str, dest: str) -> tuple[str, ...]:
+        commands = next(action for action in _build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        return tuple(next(action for action in commands.choices[command]._actions
+                          if action.dest == dest).choices)
+
+    def test_cli_choices_come_from_the_table(self):
+        assert self._choices("policy", "which") == tuple(_POLICIES)
+        assert self._choices("sweep", "scenario") == ("baseline", *_POLICIES)
+
+    def test_sweep_columns_come_from_each_rows_cells(self, set_b):
+        twin = replace(set_b, s=0.0)
+        w = welfare_baseline(twin)
+        for name, row in _POLICIES.items():
+            cells = row.cells(set_b if row.own_s else twin, w)
+            assert sweep_columns(name) == (sweep_columns("baseline")[:-1]
+                                           + tuple(column for column, _ in cells) + ("status",))
+
+    def test_each_comparison_names_its_row(self, set_b):
+        for name, row in _POLICIES.items():
+            assert row.compare(set_b).intervention == name
+
+    @pytest.mark.parametrize("module", ["cli.py", "sweep.py"])
+    def test_cli_and_sweep_spell_out_no_policy(self, module):
+        source = (Path(fmgame.__file__).parent / module).read_text(encoding="utf-8")
+        named = sorted(node.value for node in ast.walk(ast.parse(source))
+                       if isinstance(node, ast.Constant) and node.value in _POLICIES)
+        assert not named, f"{module} spells out {named}"
 
 
 class TestCliCommands:
@@ -344,6 +385,16 @@ class TestCliCommands:
         assert captured.out == ""
         assert "sweep grid overflows" in captured.err
 
+    def test_step_count_beyond_the_float_range_exits_3(self, capsys):
+        # A count the check rejects: one that passed would build its whole grid.
+        code = main(["sweep", "--config", CFG_A, "--param", "k",
+                     "--lo", "0", "--hi", "1", "--steps", "1" + "0" * 400])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: sweep grid overflows: "
+                                "(hi - lo) * (steps - 2) is not finite\n")
+
     def test_parser_is_built_once_and_reused(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["solve"])
@@ -441,3 +492,13 @@ class TestCliVerify:
         assert "FAIL oracle-equivalence" in out
         last = out.splitlines()[-1]
         assert last.endswith("checks passed") and not last.startswith("13/")
+
+    @pytest.mark.parametrize("tolerance, shown", [("nan", "nan"), ("inf", "inf"), ("-1", "-1.0")])
+    def test_tolerance_must_be_finite_and_at_least_0(self, capsys, tolerance, shown):
+        # nan and inf would pass both oracle checks without comparing anything.
+        code = main(["verify", "--config", CFG_A, "--tolerance", tolerance])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: oracle tolerance must be finite and at least 0, got {shown}\n")
