@@ -18,6 +18,8 @@ _INVPHI_F = float(_INVPHI)
 #: Bracket width at which the golden-section searches stop.
 _GOLDEN_TOL = 1e-10
 
+_EPS = 2.0 ** -52   # np.finfo(float).eps, folded at compile time
+
 
 def golden_max_scalar(f, lo: float, hi: float) -> float:
     """Golden-section maximizer on plain floats (fast path for scalar work).
@@ -49,7 +51,7 @@ def golden_max_scalar(f, lo: float, hi: float) -> float:
             xv = mid + max(-h, min(h, step))
             # Near the top the objective is flat to rounding, so demand no
             # strict improvement, just no real regression.
-            if f(xv) >= y2 - 64.0 * np.finfo(float).eps * max(1.0, abs(y2)):
+            if f(xv) >= y2 - 64.0 * _EPS * max(1.0, abs(y2)):
                 return xv
     return mid
 
@@ -97,7 +99,7 @@ def golden_max(f, lo, hi):
     step = np.clip(np.nan_to_num(step, nan=0.0), -h, h)
     xv = np.clip(mid + step, a0, b0)
     yv = f(xv)
-    slack = 64.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(y2))
+    slack = 64.0 * _EPS * np.maximum(1.0, np.abs(y2))
     return np.where(yv >= y2 - slack, xv, mid)
 
 
@@ -166,7 +168,8 @@ def largest_true(pred, lo: float, hi: float, cell=None) -> float:
     """Largest x in [lo, hi] with pred(x) true, given pred(lo) is true.
 
     Assumes pred flips at most once from true to false as x grows. Returns a
-    point on the true side of the boundary, within 1e-12 of it. An optional
+    point on the true side of the boundary, within 1e-12 of it, or within
+    one float spacing where that is wider (x above 8192). An optional
     cell (a, b) inside [lo, hi] guesses where pred flips. Its ends are
     tested first; the bisection then takes the same steps as without the
     cell, but answers every point that those tests decide without calling
@@ -191,6 +194,8 @@ def largest_true(pred, lo: float, hi: float, cell=None) -> float:
         raise ValueError("pred(lo) must hold")
     while (hi - lo) > 1e-12:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break   # no float lies between lo and hi
         if holds(mid):
             lo = mid
         else:

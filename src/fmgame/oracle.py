@@ -24,8 +24,18 @@ Three of the grid searches do not depend on k: the period-1 effort for
 each fee and the deployer's surplus from switching, which reads no fee
 either. They are cached for the two latest (params without k, grid size)
 keys, so a sweep over k, as in ``fmgame verify``, runs them once per
-parameter set; only the two stay searches per fee and the boundary
-bisections run at every k.
+parameter set.
+
+The deployer's effort from staying does depend on k, through the cost
+denominator D = (1 + k q1)(1 + eta_cap), which differs from lane to lane
+of the grid. Its margin m does not: it is fixed by the stay fee. With
+Q = D u the surplus m Q - c Q^2 / D equals D (m u - c u^2), and D > 0, so
+the best Q on a lane is D times the best unit effort u, the same on every
+lane. The grid's stay lanes therefore run one scalar golden-section search
+of u on [0, m / c] per stay fee and scale it lane by lane. This is exact
+algebra on the model's own cost term, and u still comes from a search of
+the surplus, not from a first-order condition. Scalar candidates (the
+retention bisection and the played boundary) search Q directly.
 """
 
 from __future__ import annotations
@@ -56,7 +66,9 @@ def oracle_best_effort(margin, cost_denominator, c: float = 1.0):
     The search evaluates the same surplus factored as Q (margin - Q c/d),
     with c/d divided out once per search.
     """
-    if np.ndim(margin) == 0 and np.ndim(cost_denominator) == 0:
+    # isinstance (np.float64 included) spares floats the slower np.ndim.
+    if ((isinstance(margin, float) or np.ndim(margin) == 0)
+            and (isinstance(cost_denominator, float) or np.ndim(cost_denominator) == 0)):
         m = float(margin)
         d = float(cost_denominator)
         if d <= 0:
@@ -105,9 +117,15 @@ def _switch_lanes(params: ModelParams, etas):
 
 def _stay_lanes(params: ModelParams, w2: float, q1):
     # The deployer's period-2 effort and surplus from staying with the
-    # incumbent at fee w2, after period-1 efforts q1.
-    return _surplus_at_best(params.theta + params.s - w2,
-                            (1.0 + params.k * q1) * (1.0 + params.eta_cap), params.c)
+    # incumbent at fee w2, after period-1 efforts q1. On an array of q1, one
+    # unit effort is searched and scaled by each lane's cost denominator
+    # (see the module docstring).
+    m = params.theta + params.s - w2
+    d = (1.0 + params.k * q1) * (1.0 + params.eta_cap)
+    if not isinstance(q1, np.ndarray):
+        return _surplus_at_best(m, d, params.c)
+    q = d * oracle_best_effort(m, 1.0, params.c)
+    return q, m * q - params.c * q * q / d
 
 
 def _stay_gap(params: ModelParams, w1: float, eta1: float) -> float:

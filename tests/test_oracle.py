@@ -6,6 +6,8 @@ test here enforces that import discipline so a refactor cannot quietly
 make the cross-check circular.
 """
 
+import subprocess
+import sys
 import time
 from collections import Counter
 from dataclasses import replace
@@ -38,15 +40,18 @@ from fmgame.numerics import (
 )
 from fmgame.oracle import (
     _best_candidate,
+    _effort_lanes,
     _fees,
     _k_free_grid,
     _retention_boundary,
     _stay_gap,
+    _stay_lanes,
+    _surplus_at_best,
     oracle_best_effort,
 )
 from fmgame.verify import compare_with_oracle, random_valid_params
 
-from conftest import HARVEST_TO_DOMINATE, SET_A, SET_B
+from conftest import HARVEST_TO_DOMINATE, SET_A, SET_B, child_env
 
 
 class TestGoldenSection:
@@ -399,10 +404,11 @@ class TestKFreeReuse:
         assert _k_free_grid.cache_info()[:2] == (1, 3)
 
     def test_golden_searches_per_call(self, monkeypatch):
-        # Lane counts of the golden_max calls: the cached k-free grid
-        # searches (one switch search and one effort search per fee) and two
-        # stay searches per fee. The boundaries are searched on plain floats,
-        # by golden_max_scalar.
+        # Lane counts of the golden_max calls: only the cached k-free grid
+        # searches (one switch search and one effort search per fee), so a
+        # warm call runs none. The stay lanes scale one unit effort searched
+        # on a plain float per stay fee, and the boundaries are searched on
+        # plain floats too, both by golden_max_scalar.
         sizes = Counter()
 
         def counting(f, lo, hi):
@@ -412,9 +418,9 @@ class TestKFreeReuse:
         monkeypatch.setattr(numerics, "golden_max", counting)
         config = OracleConfig(eta_grid_points=101)
         expected = [
-            (SET_A, {101: 7}),                          # cold
-            (replace(SET_A, k=0.1), {101: 4}),          # warm
-            (replace(SET_A, w_low=2.5, k=0.0), {101: 4}),  # equal fees
+            (SET_A, {101: 3}),                          # cold
+            (replace(SET_A, k=0.1), {}),                # warm
+            (replace(SET_A, w_low=2.5, k=0.0), {101: 2}),  # equal fees
         ]
         _k_free_grid.cache_clear()
         for p, want in expected:
@@ -431,6 +437,46 @@ class TestKFreeReuse:
         hits, misses = _k_free_grid.cache_info()[:2]
         oracle_solve_game(SET_A)
         assert _k_free_grid.cache_info()[:2] == (hits + 1, misses)
+
+
+def test_scaled_stay_lanes_match_the_per_lane_searches():
+    # _stay_lanes searches one unit effort per stay fee and scales it by each
+    # lane's cost denominator D; the reference searches every lane on its
+    # own. The scaled efforts must land on the vertex m D / (2c), which only
+    # this test knows.
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        p = random_valid_params(rng)
+        etas = np.linspace(p.eta_cap, 0.0, 1001)
+        for w1 in _fees(p):
+            q1 = _effort_lanes(p, w1, etas)
+            d = (1.0 + p.k * q1) * (1.0 + p.eta_cap)
+            for w2 in (p.w_high, p.w_low):
+                m = p.theta + p.s - w2
+                q, v = _stay_lanes(p, w2, q1)
+                v_ref = _surplus_at_best(m, d, p.c)[1]
+                np.testing.assert_allclose(v, v_ref, rtol=1e-12, atol=0.0, err_msg=repr(p))
+                np.testing.assert_allclose(q, m * d / (2.0 * p.c), rtol=1e-9, atol=0.0,
+                                           err_msg=repr(p))
+
+
+@pytest.mark.parametrize("script, out", [
+    ("from fmgame.numerics import largest_true\n"
+     "print(largest_true(lambda x: x <= 10000.5, 0.0, 20000.0))\n", "10000.5"),
+    # The retention boundary of this admitted point sits near eta_cap = 1e4.
+    ("from dataclasses import replace\n"
+     "from fmgame import ModelParams, OracleConfig, k_max\n"
+     "from fmgame.verify import compare_with_oracle\n"
+     "p = ModelParams(theta=1e-4, c=1, w_high=5e-5, w_low=5e-6, eta_cap=1e4, k=0.0)\n"
+     "print(compare_with_oracle(replace(p, k=k_max(p)), OracleConfig()))\n", "None"),
+], ids=["repro", "admitted_point"])
+def test_largest_true_ends_past_8192(script, out):
+    # Above 8192 floats are more than 1e-12 apart, so a bisection that waits
+    # for its bracket to shrink below 1e-12 would never end there.
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=30, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == out
 
 
 def test_oracle_is_formula_blind():
