@@ -87,44 +87,6 @@ class RegimeThresholds:
     eta_prime: float
 
 
-def _check_strategy(params: ModelParams, strategy: Strategy) -> None:
-    if strategy.w1 != params.w_high and strategy.w1 != params.w_low:
-        raise ValueError("strategy fee must equal w_high or w_low")
-    if not (0.0 <= strategy.eta1 <= params.eta_cap):
-        raise ValueError("strategy openness must lie in [0, eta_cap]")
-
-
-def q1_star(params: ModelParams, strategy: Strategy) -> float:
-    """Deployer's period-1 fine-tuning effort given the incumbent's offer.
-
-    Maximizes (theta - w1 + s) Q - c Q^2 / (1 + eta1); the margin is always
-    positive under admissible fees, so the interior optimum applies.
-    """
-    _check_strategy(params, strategy)
-    margin = params.theta - strategy.w1 + params.s
-    return (1.0 + strategy.eta1) * margin / (2.0 * params.c)
-
-
-def period2_profit_incumbent(params: ModelParams, alpha1: float, w2: float, eta2: float) -> float:
-    """Deployer's period-2 surplus when staying with the incumbent.
-
-    The flywheel term (1 + k alpha1) scales down fine-tuning cost, so the
-    optimized surplus scales up linearly in it.
-    """
-    margin = params.theta - w2 + params.s
-    return (1.0 + params.k * alpha1) * (1.0 + eta2) * margin * margin / (4.0 * params.c)
-
-
-def period2_profit_entrant(params: ModelParams, eta1: float, eta2_tilde: float, w2_tilde: float) -> float:
-    """Deployer's period-2 surplus when switching to the entrant.
-
-    The spillover term (1 + eta1) is what the incumbent's period-1 openness
-    hands the rival.
-    """
-    margin = params.theta - w2_tilde + params.s
-    return (1.0 + eta1) * (1.0 + eta2_tilde) * margin * margin / (4.0 * params.c)
-
-
 def eta_bar_high(params: ModelParams) -> float:
     """Largest openness keeping the deployer at the premium fee (raw, uncapped).
 

@@ -35,7 +35,8 @@ import numpy as np
 
 from .closed_form import Equilibrium, _solve, solve, solve_baseline
 from .outcomes import IntegratedOutcome
-from .params import InvalidParams, ModelParams, Regime, ValidationReport, k_max, require_valid
+from .params import (InvalidParams, ModelParams, Regime, ValidationReport, consumer_surplus,
+                     deployer_surplus, k_max, require_valid, stay_denominator)
 from .welfare import (
     PolicyComparison,
     ThresholdCrossing,
@@ -93,9 +94,9 @@ def _integrated(params: ModelParams) -> IntegratedOutcome:
     consumer = one * one * th * th * (1.0 + lift * lift) / (8.0 * c * c)
 
     # Rebuild both from the efforts; abort on drift.
-    d2 = (1.0 + k * q1v) * one
-    profit_rebuilt = (th * q1v - c * q1v * q1v / one) + (th * q2v - c * q2v * q2v / d2)
-    consumer_rebuilt = 0.5 * (q1v * q1v + q2v * q2v)
+    d2 = stay_denominator(k, q1v, params.eta_cap)
+    profit_rebuilt = deployer_surplus(th, q1v, c, one) + deployer_surplus(th, q2v, c, d2)
+    consumer_rebuilt = consumer_surplus(q1v, q2v)
     failure = _first_drift((profit, consumer), (profit_rebuilt, consumer_rebuilt))
     if failure is not None:
         i, a, b = failure

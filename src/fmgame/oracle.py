@@ -1,8 +1,10 @@
 """Brute-force oracle: solves the game numerically, knowing no closed forms.
 
 This module is the independent referee for every formula in the package.
-It imports only the primitives (parameters, outcome containers, generic
-numerics) and replays the game mechanics directly:
+It imports only the primitives (parameters and, from ``params``, the
+deployer's surplus, the stay and switch cost denominators and consumer
+surplus; outcome containers; generic numerics) and replays the game
+mechanics directly:
 
 - deployer efforts come from golden-section search on the per-period
   surplus, never from first-order conditions;
@@ -47,7 +49,8 @@ import numpy as np
 
 from . import numerics
 from .outcomes import Equilibrium, IntegratedOutcome, PeriodOutcome
-from .params import ModelParams, Regime, Strategy, Winner, require_valid
+from .params import (ModelParams, Regime, Strategy, Winner, consumer_surplus, deployer_surplus,
+                     require_valid, stay_denominator, switch_denominator)
 
 
 @dataclass(frozen=True)
@@ -63,8 +66,9 @@ def oracle_best_effort(margin, cost_denominator, c: float = 1.0):
     Golden-section search on [0, margin * denominator / c] (the objective is
     negative beyond that, and concave). Non-positive margins return 0.
     Accepts scalars or broadcastable arrays; scalar inputs give a float.
-    The search evaluates the same surplus factored as Q (margin - Q c/d),
-    with c/d divided out once per search.
+    The search evaluates the same surplus as params.deployer_surplus, but
+    factored as Q (margin - Q c/d), with c/d divided out once per search:
+    it runs on every iteration, and the oracle's bits rest on that form.
     """
     # isinstance (np.float64 included) spares floats the slower np.ndim.
     if ((isinstance(margin, float) or np.ndim(margin) == 0)
@@ -95,7 +99,7 @@ def oracle_best_effort(margin, cost_denominator, c: float = 1.0):
 
 def _surplus_at_best(margin, denom, c):
     q = oracle_best_effort(margin, denom, c)
-    return q, margin * q - c * q * q / denom
+    return q, deployer_surplus(margin, q, c, denom)
 
 
 def _fees(params: ModelParams) -> tuple[float, ...]:
@@ -112,7 +116,7 @@ def _switch_lanes(params: ModelParams, etas):
     # The deployer's period-2 effort and surplus from switching at each
     # openness in etas; reads neither params.k nor the period-1 fee.
     return _surplus_at_best(params.theta + params.s - params.w_low,
-                            (1.0 + etas) * (1.0 + params.eta_cap), params.c)
+                            switch_denominator(etas, params.eta_cap), params.c)
 
 
 def _stay_lanes(params: ModelParams, w2: float, q1):
@@ -121,11 +125,11 @@ def _stay_lanes(params: ModelParams, w2: float, q1):
     # unit effort is searched and scaled by each lane's cost denominator
     # (see the module docstring).
     m = params.theta + params.s - w2
-    d = (1.0 + params.k * q1) * (1.0 + params.eta_cap)
+    d = stay_denominator(params.k, q1, params.eta_cap)
     if not isinstance(q1, np.ndarray):
         return _surplus_at_best(m, d, params.c)
     q = d * oracle_best_effort(m, 1.0, params.c)
-    return q, m * q - params.c * q * q / d
+    return q, deployer_surplus(m, q, params.c, d)
 
 
 def _stay_gap(params: ModelParams, w1: float, eta1: float) -> float:
@@ -266,13 +270,13 @@ def oracle_solve_integrated(params: ModelParams, config: OracleConfig = OracleCo
     i1 = int(np.argmax(v1_all))
     eta1v, q1v = float(etas[i1]), float(q1_all[i1])
 
-    d2 = (1.0 + params.k * q1v) * (1.0 + etas)
+    d2 = stay_denominator(params.k, q1v, etas)
     q2_all, v2_all = _surplus_at_best(th, d2, c)
     i2 = int(np.argmax(v2_all))
     eta2v, q2v = float(etas[i2]), float(q2_all[i2])
 
     profit = float(v1_all[i1] + v2_all[i2])
-    consumer = 0.5 * (q1v * q1v + q2v * q2v)
+    consumer = consumer_surplus(q1v, q2v)
     return IntegratedOutcome(
         eta1v=eta1v, eta2v=eta2v, q1v=q1v, q2v=q2v,
         profit=profit, consumer=consumer, social=profit + consumer,

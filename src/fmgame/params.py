@@ -30,6 +30,11 @@ float range, and the retention margin ``2c - k (theta - w_low + s)`` is
 positive at ``k = k_max``, which ``k_max`` loses to rounding only for huge
 ``eta_cap``. So a point is admitted at every ``k`` in ``[0, k_max]`` or at
 none, and a scan over that range needs no validation of its own.
+
+The primitives are written once here: the deployer's surplus, the stay and
+switch cost denominators of period 2 and consumer surplus. The period-1
+denominator ``1 + eta1`` and fee revenue ``w Q`` are one operation each and
+stay inline.
 """
 
 from __future__ import annotations
@@ -102,6 +107,29 @@ class InvalidParams(ValueError):
         # Rebuilt from its report, not from args (the message), so that it
         # survives pickling, as from a worker process to its parent.
         return type(self), (self.report,)
+
+
+# The primitives (module docstring): unvalidated arithmetic on floats or
+# arrays alike. Their callers' bits rest on each one's operation order.
+
+def deployer_surplus(m, q, c, d):
+    """The deployer's surplus m Q - c Q^2 / D at margin m, effort Q and cost denominator D."""
+    return m * q - c * q * q / d
+
+
+def stay_denominator(k, q1, eta2):
+    """Cost denominator of staying with the incumbent: (1 + k Q1)(1 + eta2), the flywheel."""
+    return (1.0 + k * q1) * (1.0 + eta2)
+
+
+def switch_denominator(eta1, eta2_tilde):
+    """Cost denominator of switching to the entrant: (1 + eta1)(1 + eta2~), the spillover."""
+    return (1.0 + eta1) * (1.0 + eta2_tilde)
+
+
+def consumer_surplus(q1, q2):
+    """End users' surplus over both periods, (Q1^2 + Q2^2) / 2."""
+    return 0.5 * (q1 * q1 + q2 * q2)
 
 
 def k_max(params: ModelParams) -> float:

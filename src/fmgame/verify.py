@@ -1,9 +1,10 @@
 """Named invariant and oracle-equivalence checks.
 
 Every property the closed forms promise is exercised here against the
-brute-force oracle or against an independent numeric route (bisection on
-profit differences, finite-difference monotonicity, rebuilds);
-``regime-argmax-consistency`` runs solve's own argmax guard on a k grid.
+brute-force oracle or against an independent numeric route (the model's
+primitives, bisection on profit differences, finite-difference
+monotonicity, rebuilds); ``regime-argmax-consistency`` runs solve's own
+argmax guard on a k grid.
 The checks are one table of (name, check) rows, one PASS/FAIL line each in
 the CLI ``verify`` command's order: ``_CHECKS``, then ``_SUBSIDY_CHECKS``
 where s > 0. One loop runs every row under one guard, so a check that raises
@@ -25,19 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import numerics
-from .closed_form import (
-    _thresholds,
-    eta_bar_high,
-    eta_bar_low,
-    period2_profit_entrant,
-    period2_profit_incumbent,
-    q1_star,
-    regime_thresholds,
-    scenario_profits,
-    solve,
-    solve_baseline,
-)
+from . import closed_form, numerics
+from .closed_form import _thresholds, regime_thresholds, scenario_profits, solve, solve_baseline
 from .extensions import (
     _integration_gaps,
     integration_thresholds,
@@ -46,7 +36,7 @@ from .extensions import (
     welfare_subsidized,
 )
 from .oracle import OracleConfig, oracle_solve_game, oracle_solve_integrated
-from .params import ModelParams, Strategy, k_max, validate
+from .params import ModelParams, Regime, Winner, k_max, stay_denominator, switch_denominator, validate
 from .welfare import (
     _binding_range,
     _trap_gap,
@@ -60,6 +50,9 @@ _ORACLE_K_POINTS = 100
 
 #: Largest step in s of subsidy-threshold-shift's central difference.
 _SLOPE_STEP = 1e-7
+
+#: row-primitive-consistency's relative bound, per unit of a row's condition.
+_ROW_TOL = 64.0 * math.ulp(1.0)
 
 
 @dataclass(frozen=True)
@@ -212,41 +205,6 @@ def _check_kmax_positive(params: ModelParams, oracle_rel_tol: float) -> tuple[bo
     return km > 0 or params.w_high == params.w_low, f"k_max={km!r}"
 
 
-def _check_best_response(params: ModelParams, oracle_rel_tol: float) -> tuple[bool, str]:
-    # Deployer best response beats perturbations, both fees, random draws.
-    rng = np.random.default_rng(20240811)
-    bad = 0
-    t = params.theta + params.s
-    for _ in range(200):
-        w1 = params.w_high if rng.random() < 0.5 else params.w_low
-        eta1 = float(rng.uniform(0.0, params.eta_cap))
-        q = q1_star(params, Strategy(w1=w1, eta1=eta1))
-        margin = t - w1
-        den = 1.0 + eta1
-
-        def surplus(x):
-            return margin * x - params.c * x * x / den
-
-        for eps in (1e-4, 1e-2, 0.1):
-            if surplus(q) < surplus(q + eps) or surplus(q) < surplus(max(q - eps, 0.0)):
-                bad += 1
-    return bad == 0, f"{bad} perturbation wins" if bad else ""
-
-
-def _check_retention_boundary(params: ModelParams, oracle_rel_tol: float) -> tuple[bool, str]:
-    # At the retention boundary the deployer is exactly indifferent.
-    worst = 0.0
-    for w1, eta_fn in ((params.w_high, eta_bar_high), (params.w_low, eta_bar_low)):
-        boundary = eta_fn(params)
-        if boundary > params.eta_cap:
-            continue
-        a1 = q1_star(params, Strategy(w1=w1, eta1=boundary))
-        stay = period2_profit_incumbent(params, a1, params.w_low, params.eta_cap)
-        switch = period2_profit_entrant(params, boundary, params.eta_cap, params.w_low)
-        worst = max(worst, abs(stay - switch))
-    return worst < 1e-9, f"max gap {worst:.2e}"
-
-
 def _regime_sample_ks(th, km: float) -> list[float]:
     ks = []
     lo = max(th.k_bar_1, 0.0)
@@ -258,6 +216,49 @@ def _regime_sample_ks(th, km: float) -> list[float]:
     if th.k_bar_2 < km:
         ks.append(0.5 * (max(th.k_bar_2, 0.0) + km))
     return [k for k in ks if 0.0 <= k <= km] or [0.0]
+
+
+def _check_row_primitives(params: ModelParams, oracle_rel_tol: float) -> tuple[bool, str]:
+    # Every regime's _row, played or not and read through closed_form as
+    # solve reads it, against the primitives at the regime sample ks and on a
+    # 41-point grid of [0, k_max], with t = theta + s:
+    # - q1 = (1 + eta1)(t - w1) / (2c), the deployer's best response;
+    # - q2 = D2 (t - w_low) / (2c), D2 the winner's cost denominator;
+    # - revenue = w1 q1, plus w_low q2 where the incumbent wins;
+    # - k q1 = eta1 where the incumbent retains below the cap: the stay and
+    #   switch surpluses share the margin t - w_low, so the deployer is
+    #   indifferent where the two denominators are equal.
+    # Each within _ROW_TOL times max(1, 2c/d) relative, d = 2c - k (t - w1) the
+    # row's own retention margin (2c in harvest): the rows lose about eps 2c/d.
+    km = k_max(params)
+    ks = _regime_sample_ks(regime_thresholds(params), km) + np.linspace(0.0, km, 41).tolist()
+    t = params.theta + params.s
+    c2 = 2.0 * params.c
+    eta_cap, w_l = params.eta_cap, params.w_low
+    worst = 0.0
+    for k in ks:
+        p = replace(params, k=k)
+        for regime in Regime:
+            row = closed_form._row(p, regime)
+            incumbent = row.winner is Winner.INCUMBENT
+            if incumbent:
+                d = c2 - k * (t - row.w1)
+                d2 = stay_denominator(k, row.q1, eta_cap)
+                revenue = row.w1 * row.q1 + w_l * row.q2
+            else:
+                d, d2, revenue = c2, switch_denominator(row.eta1, eta_cap), row.w1 * row.q1
+            checks = [("q1", row.q1, (1.0 + row.eta1) * (t - row.w1) / c2),
+                      ("q2", row.q2, d2 * (t - w_l) / c2), ("revenue", row.revenue, revenue)]
+            if incumbent and row.eta1 < eta_cap:
+                checks.append(("retention k q1", k * row.q1, row.eta1))
+            bound = _ROW_TOL * max(1.0, c2 / d)
+            for name, value, ref in checks:
+                err = abs(value - ref)
+                if err > bound * abs(ref):
+                    return False, f"{regime.value} {name} {value!r} vs {ref!r} at k={k!r}"
+                if err:
+                    worst = max(worst, err / (bound * abs(ref)))
+    return True, f"{len(ks)} k-points, worst residual {worst:.3f} of the bound"
 
 
 def _check_threshold_bisection(params: ModelParams, oracle_rel_tol: float) -> tuple[bool, str]:
@@ -552,8 +553,7 @@ def _check_subsidy_welfare(params: ModelParams, oracle_rel_tol: float) -> tuple[
 #: (passed, detail).
 _CHECKS = (
     ("kmax-positive", _check_kmax_positive),
-    ("best-response-optimality", _check_best_response),
-    ("retention-boundary-exact", _check_retention_boundary),
+    ("row-primitive-consistency", _check_row_primitives),
     ("threshold-bisection-match", _check_threshold_bisection),
     ("regime-argmax-consistency", _check_regime_argmax),
     ("welfare-cross-validation", _check_baseline_welfare),

@@ -11,8 +11,9 @@ silently here).
 Every component is computed twice: once from the closed-form welfare table
 (rational functions of k), whose rows live in closed_form next to each
 regime's play and revenue, and once rebuilt here from the equilibrium
-efforts (fee revenue = w * alpha, deployer surplus = margin * alpha - cost,
-consumer surplus from engagements). The two routes must agree to 1e-6
+efforts with the primitives of params (fee revenue = w * alpha, the
+deployer's surplus under each period's cost denominator, consumer surplus
+from engagements). The two routes must agree to 1e-6
 relative; a mismatch aborts with the offending component and regime named,
 since it means a table row or the regime mapping was mistranscribed. Both
 routes also run on a grid of k or s, element by element (closed_form).
@@ -48,7 +49,8 @@ from .closed_form import (
     regime_thresholds,
     solve_baseline,
 )
-from .params import InvalidParams, ModelParams, ValidationReport, k_max, require_valid
+from .params import (InvalidParams, ModelParams, ValidationReport, consumer_surplus,
+                     deployer_surplus, k_max, require_valid, stay_denominator, switch_denominator)
 
 #: Relative tolerance for the table-vs-rebuild cross-validation.
 _CROSS_TOL = 1e-6
@@ -147,14 +149,12 @@ def _rebuilt_components(params: ModelParams, eq: Equilibrium) -> tuple[float, fl
     incumbent = eq.winner2 == Winner.INCUMBENT.value
     dev1 = numerics.select(incumbent, w1 * a1 + w2 * a2, w1 * a1)
     dev2 = numerics.select(incumbent, 0.0, w2 * a2)
-    d2_eff = numerics.select(incumbent, (1.0 + params.k * a1) * (1.0 + eq.eta2),
-                             (1.0 + eq.strategy.eta1) * (1.0 + eq.eta2_tilde))
+    d2_eff = numerics.select(incumbent, stay_denominator(params.k, a1, eq.eta2),
+                             switch_denominator(eq.strategy.eta1, eq.eta2_tilde))
 
-    d1_eff = 1.0 + eq.strategy.eta1
-    deployer = ((t - w1) * a1 - c * a1 * a1 / d1_eff) \
-        + ((t - w2) * a2 - c * a2 * a2 / d2_eff)
-    consumer = 0.5 * (a1 * a1 + a2 * a2)
-    return dev1, dev2, deployer, consumer
+    deployer = (deployer_surplus(t - w1, a1, c, 1.0 + eq.strategy.eta1)
+                + deployer_surplus(t - w2, a2, c, d2_eff))
+    return dev1, dev2, deployer, consumer_surplus(a1, a2)
 
 
 _COMPONENT_NAMES = ("dev1", "dev2", "deployer", "consumer")

@@ -24,8 +24,7 @@ from fmgame import (
     scenario_profits,
     solve_baseline,
 )
-from fmgame.closed_form import q1_star
-from fmgame.params import Strategy
+from fmgame.closed_form import _row
 
 from conftest import SET_A
 
@@ -150,10 +149,12 @@ class TestEquilibriumSetA:
 
 
 def test_q1_responds_to_fee_and_openness():
-    p = SET_A
-    base = q1_star(p, Strategy(w1=2.5, eta1=1.0))
-    assert q1_star(p, Strategy(w1=0.5, eta1=1.0)) > base
-    assert q1_star(p, Strategy(w1=2.5, eta1=1.4)) > base
+    # The harvest row plays the premium fee at full openness, so its q1 is
+    # the deployer's best response to (w_high, eta_cap).
+    p = replace(SET_A, eta_cap=1.0)
+    base = _row(p, Regime.HARVEST).q1
+    assert _row(replace(p, w_high=0.5), Regime.HARVEST).q1 > base
+    assert _row(replace(p, eta_cap=1.4), Regime.HARVEST).q1 > base
     assert base == pytest.approx(2.0 * 2.5 / 2.0, abs=1e-12)
 
 

@@ -3,9 +3,9 @@
 theta, c and eta_cap each take five values from 1e-6 to 1e6; the fees sit
 at equal, zero, wide and narrow gaps (as shares of theta); the subsidy is
 zero or the whole follower fee; k is 0, k_max / 2 or k_max. Every case must
-be admissible, solve to a strategy that q1_star accepts, pass the welfare
-cross-validation and give finite, sign-correct numbers. A seeded fuzz then
-draws magnitudes across most of the float range and holds every point that
+be admissible, solve to one of the two fees and an openness in [0, eta_cap],
+pass the welfare cross-validation and give finite, sign-correct numbers. A
+seeded fuzz then draws magnitudes across most of the float range and holds every point that
 validate() admits to the same checks. The oracle is not run here.
 """
 
@@ -26,7 +26,6 @@ from fmgame import (
     welfare_for_equilibrium,
     welfare_mandate,
 )
-from fmgame.closed_form import q1_star
 from fmgame.welfare import _k_grid
 
 from conftest import RETENTION
@@ -54,7 +53,6 @@ def _problems(p):
     w = welfare_for_equilibrium(p, eq)
     numbers = {
         "eta1": eq.strategy.eta1, "q1": eq.period1.effort, "q2": eq.period2.effort,
-        "q1_star": q1_star(p, eq.strategy),   # raises unless 0 <= eta1 <= eta_cap
         "revenue": eq.incumbent_profit, "spend": eq.subsidy_spend,
         "dev1": w.dev1, "dev2": w.dev2, "deployer": w.deployer,
         "consumer": w.consumer, "social": w.social,
@@ -66,8 +64,10 @@ def _problems(p):
                        integrated_social=v.social)
     out = [f"{name}={x!r}" for name, x in numbers.items()
            if not (math.isfinite(x) and x >= 0.0)]
-    if eq.strategy.eta1 > p.eta_cap:
-        out.append(f"eta1={eq.strategy.eta1!r} above eta_cap")
+    if eq.strategy.w1 not in (p.w_high, p.w_low):
+        out.append(f"w1={eq.strategy.w1!r} is neither fee")
+    if not 0.0 <= eq.strategy.eta1 <= p.eta_cap:
+        out.append(f"eta1={eq.strategy.eta1!r} outside [0, eta_cap]")
     if eq.incumbent_profit != w.dev1:
         out.append(f"revenue {eq.incumbent_profit!r} != dev1 {w.dev1!r}")
     return out

@@ -423,8 +423,7 @@ def _run_module(*args: str, python_flags: tuple[str, ...] = ()):
 VERIFY_SET_A = (
     "PASS params-valid\n"
     "PASS kmax-positive: k_max=0.26666666666666666\n"
-    "PASS best-response-optimality\n"
-    "PASS retention-boundary-exact: max gap 7.11e-15\n"
+    "PASS row-primitive-consistency: 44 k-points, worst residual 0.013 of the bound\n"
     "PASS threshold-bisection-match: max |root - formula| = 2.00e-13\n"
     "PASS regime-argmax-consistency\n"
     "PASS welfare-cross-validation\n"
@@ -437,14 +436,13 @@ VERIFY_SET_A = (
     "PASS integrated-oracle-agreement\n"
     "PASS oracle-equivalence: 100 k-points at rel tol 1e-05\n"
     "PASS oracle-grid-refinement\n"
-    "14/14 checks passed\n"
+    "13/13 checks passed\n"
 )
 
 VERIFY_SET_B = (
     "PASS params-valid\n"
     "PASS kmax-positive: k_max=0.2553191489361702\n"
-    "PASS best-response-optimality\n"
-    "PASS retention-boundary-exact: max gap 0.00e+00\n"
+    "PASS row-primitive-consistency: 44 k-points, worst residual 0.017 of the bound\n"
     "PASS threshold-bisection-match: max |root - formula| = 4.02e-13\n"
     "PASS regime-argmax-consistency\n"
     "PASS welfare-cross-validation\n"
@@ -463,7 +461,7 @@ VERIFY_SET_B = (
     "k_bar_2 0.17989417989417988->0.1872340425531915\n"
     "PASS subsidy-limit-continuity: max rel drift 4.11e-09\n"
     "PASS subsidy-welfare-cross-validation\n"
-    "17/17 checks passed\n"
+    "16/16 checks passed\n"
 )
 
 

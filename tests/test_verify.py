@@ -1,6 +1,7 @@
 """The verify checks that can be run on their own, without the oracle, and their guard;
 and the serial and the forked-worker routes of oracle-equivalence."""
 
+import itertools
 import multiprocessing
 import os
 import signal
@@ -36,9 +37,11 @@ from fmgame import (
     welfare,
 )
 from fmgame.cli import main
+from fmgame.params import stay_denominator
 from fmgame.closed_form import regime_thresholds, solve
 from fmgame.verify import (
     _check_integration_thresholds,
+    _check_row_primitives,
     _check_threshold_shift,
     _check_trap_root,
     first_failure,
@@ -97,6 +100,52 @@ class TestTrapRootCheck:
         passed, detail = _check_trap_root(SET_A, TOL)
         assert not passed
         assert detail == "no root found, but the SW gap changes sign (-98.9 to +14.7)"
+
+
+@pytest.mark.parametrize("params", [SET_A, SET_B], ids=["set_a", "set_b"])
+def test_row_primitive_consistency_fails_every_one_field_row_mutant(params, monkeypatch):
+    # eta1, q1, q2 and revenue of each regime's _row, and _eta_bar, each
+    # scaled by 1 + 1e-6 and by 1 + 1e-9: the played-row check must FAIL on
+    # every mutant. So must a retention boundary moved with everything
+    # rebuilt from the primitives to match it, which only k q1 = eta1 tells
+    # apart. A mutant that changes no value it is handed would be
+    # equivalent: it is skipped and counted (none are, on these configs).
+    original_row, original_eta_bar = closed_form._row, closed_form._eta_bar
+    assert _check_row_primitives(params, TOL)[0]
+    sites = [(regime, field) for regime in Regime for field in ("eta1", "q1", "q2", "revenue")]
+    sites += [(Regime.DEFEND, "boundary"), (Regime.DOMINATE, "boundary"), (None, "_eta_bar")]
+    survivors, equivalent = [], 0
+    for (regime, field), size in itertools.product(sites, (1e-6, 1e-9)):
+        changed = []
+
+        def scaled(value, size=size):
+            mutated = value * (1.0 + size)
+            changed.append(mutated != value)
+            return mutated
+
+        def row_mutant(p, r, regime=regime, field=field):
+            row = original_row(p, r)
+            if r is not regime:
+                return row
+            if field != "boundary":
+                return row._replace(**{field: scaled(getattr(row, field))})
+            eta1 = scaled(row.eta1)
+            q1 = (1.0 + eta1) * (p.theta + p.s - row.w1) / (2.0 * p.c)
+            q2 = stay_denominator(p.k, q1, p.eta_cap) * (p.theta + p.s - p.w_low) / (2.0 * p.c)
+            return row._replace(eta1=eta1, q1=q1, q2=q2, revenue=row.w1 * q1 + p.w_low * q2)
+
+        with monkeypatch.context() as m:
+            if regime is None:
+                m.setattr(closed_form, "_eta_bar", lambda p, w1: scaled(original_eta_bar(p, w1)))
+            else:
+                m.setattr(closed_form, "_row", row_mutant)
+            passed, _ = _check_row_primitives(params, TOL)
+        if not any(changed):
+            equivalent += 1
+        elif passed:
+            survivors.append((regime and regime.value, field, size))
+    assert survivors == []
+    assert equivalent == 0
 
 
 def _stub_oracle(monkeypatch, compare):
@@ -220,7 +269,8 @@ def test_a_check_that_raises_is_its_own_named_fail(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert ("FAIL mandate-welfare-flat: raised RuntimeError: welfare cross-validation failed "
             "for component 'consumer' in regime 'harvest'") in "\n".join(lines)
-    assert lines[-1] == "10/14 checks passed"
+    assert "FAIL row-primitive-consistency: harvest q2 " in "\n".join(lines)
+    assert lines[-1] == "8/13 checks passed"
 
 
 def test_a_subsidy_check_that_raises_is_its_own_named_fail(monkeypatch, capsys):
@@ -233,7 +283,7 @@ def test_a_subsidy_check_that_raises_is_its_own_named_fail(monkeypatch, capsys):
     assert main(["verify", "--config", str(REPO / "configs" / "set_b.cfg")]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert "FAIL subsidy-limit-continuity: raised RuntimeError: stub" in lines
-    assert lines[-1] == "16/17 checks passed"
+    assert lines[-1] == "15/16 checks passed"
 
 
 # oracle-equivalence on forked workers (the pool route) and in this process
