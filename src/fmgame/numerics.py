@@ -60,44 +60,37 @@ def golden_max(f, lo, hi):
     """Golden-section maximizer of a unimodal f on [lo, hi], vectorized.
 
     lo and hi may be scalars or equal-shape arrays; f must accept arrays of
-    that shape. The probe arrays passed to f are buffers reused across
-    iterations, so f must neither keep nor mutate its argument. The final
-    bracket midpoint is polished with a parabolic fit (same shape result).
+    that shape. Every lane takes the same number of steps, set by the widest
+    bracket. The final bracket midpoint is polished with a parabolic fit
+    (same shape result).
     """
-    a, b = (np.array(x, dtype=float) for x in np.broadcast_arrays(lo, hi))
-    width = np.max(b - a) if a.size else 0.0
+    lo, hi = (np.asarray(x, dtype=float) for x in np.broadcast_arrays(lo, hi))
+    width = np.max(hi - lo) if lo.size else 0.0
     if width <= _GOLDEN_TOL:
-        return (a + b) / 2.0
+        return (lo + hi) / 2.0
     # Both updates of a bracket [a, a + w] leave width d = w*INVPHI: keep
-    # [a, x2] with x2 = a + d, or move to [x1, a + w] with x1 = a + e and
-    # e = d*INVPHI, as w - e == d. So every lane shrinks by INVPHI each step
-    # whichever end moves: keep the lower end a and the step lengths d and e,
-    # and form b = a + w after the loop. Which lanes move is a coin flip,
-    # which makes np.where slow; a += s*e on a 0/1 float mask s selects
-    # exactly for a finite bracket (a -0.0 end may come back as +0.0). A NaN
-    # comparison keeps the lower end. Every step writes into preallocated
-    # buffers; `<` casts its bool result straight into the float mask.
-    a0, b0 = a.copy(), b.copy()
-    d = (b - a) * _INVPHI
-    e, x1, x2, s = (np.empty_like(a) for _ in range(4))
+    # [a, a + d], or move to [a + e, a + w] with e = d*INVPHI, as w - e == d.
+    # So every lane shrinks by INVPHI each step whichever end moves: keep
+    # the lower end a and the step lengths d and e, and form b = a + w after
+    # the loop. A NaN comparison keeps the lower end.
+    a = lo
+    d = (hi - lo) * _INVPHI
     n_iter = int(np.ceil(np.log(_GOLDEN_TOL / width) / np.log(_INVPHI))) + 1
     for _ in range(n_iter):
-        np.multiply(d, _INVPHI, out=e)
-        np.add(a, e, out=x1)
-        np.add(a, d, out=x2)
-        np.less(f(x1), f(x2), out=s)
-        np.add(a, np.multiply(s, e, out=s), out=a)
+        e = d * _INVPHI
+        x1 = a + e
+        a = np.where(f(x1) < f(a + d), x1, a)
         d, e = e, d
     b = a + e
     mid = (a + b) / 2.0
     # Parabolic polish past the comparison-noise floor (see scalar variant).
-    h = 1e-4 * (b0 - a0)
+    h = 1e-4 * (hi - lo)
     y1, y2, y3 = f(mid - h), f(mid), f(mid + h)
     den = y1 - 2.0 * y2 + y3
     with np.errstate(divide="ignore", invalid="ignore"):
         step = np.where(den < 0.0, 0.5 * h * (y1 - y3) / den, 0.0)
     step = np.clip(np.nan_to_num(step, nan=0.0), -h, h)
-    xv = np.clip(mid + step, a0, b0)
+    xv = np.clip(mid + step, lo, hi)
     yv = f(xv)
     slack = 64.0 * _EPS * np.maximum(1.0, np.abs(y2))
     return np.where(yv >= y2 - slack, xv, mid)

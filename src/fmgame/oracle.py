@@ -22,22 +22,28 @@ after testing the cell's ends. If the premium-fee deviation ever strictly
 wins period 2, the admissibility bound on k was transcribed wrong and the
 oracle raises.
 
-Three of the grid searches do not depend on k: the period-1 effort for
-each fee and the deployer's surplus from switching, which reads no fee
-either. They are cached for the two latest (params without k, grid size)
-keys, so a sweep over k, as in ``fmgame verify``, runs them once per
-parameter set.
+Every effort the oracle plays is the deployer's best response to the
+surplus m Q - c Q^2 / D, at a margin m fixed by one fee and a cost
+denominator D that may differ from lane to lane. With Q = D u the surplus
+equals D (m u - c u^2), and D > 0, so the best Q is D times the best unit
+effort u, whatever D is. So the oracle runs one scalar golden-section
+search of u on [0, m / c] per margin and scales it by each lane's D: the
+period-1 effort (1 + eta1) u, on the grid and at scalar candidates alike,
+the stay lanes on the grid, and both stages of the integrated firm. This
+is exact algebra on the model's own cost term, and u still comes from a
+search of the surplus, not from a first-order condition. Two searches keep
+Q as their variable:
 
-The deployer's effort from staying does depend on k, through the cost
-denominator D = (1 + k q1)(1 + eta_cap), which differs from lane to lane
-of the grid. Its margin m does not: it is fixed by the stay fee. With
-Q = D u the surplus m Q - c Q^2 / D equals D (m u - c u^2), and D > 0, so
-the best Q on a lane is D times the best unit effort u, the same on every
-lane. The grid's stay lanes therefore run one scalar golden-section search
-of u on [0, m / c] per stay fee and scale it lane by lane. This is exact
-algebra on the model's own cost term, and u still comes from a search of
-the surplus, not from a first-order condition. Scalar candidates (the
-retention bisection and the played boundary) search Q directly.
+- The scalar stay and switch searches (the retention bisection and the
+  played boundary) are compared with each other. At k = 0 and eta1 = 0
+  their denominators are equal, and there they must tie exactly, so both
+  search Q on the same bracket.
+- The switch lanes on the grid, one search of Q per lane. They read
+  neither k nor the period-1 fee, so they are cached for the two latest
+  (params without k, grid size) keys, and a sweep over k, as in
+  ``fmgame verify``, runs them once per parameter set. They are also the
+  one caller of the vectorized ``numerics.golden_max`` that the bench
+  traces (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -58,6 +64,12 @@ class OracleConfig:
     """Search resolution knobs for the brute-force solver."""
 
     eta_grid_points: int = 10001
+
+    def __post_init__(self):
+        # Both ends of [0, eta_cap] must be grid points: the full-openness
+        # corner is one of them, and the grid step divides by n - 1.
+        if self.eta_grid_points < 2:
+            raise ValueError(f"eta_grid_points must be at least 2, got {self.eta_grid_points!r}")
 
 
 def oracle_best_effort(margin, cost_denominator, c: float = 1.0):
@@ -86,15 +98,9 @@ def oracle_best_effort(margin, cost_denominator, c: float = 1.0):
     d = np.asarray(cost_denominator, dtype=float)
     if np.any(d <= 0):
         raise ValueError("cost denominator must be positive")
-    m, d = np.broadcast_arrays(m, d)
     hi = np.where(m > 0, m, 0.0) * d / c
     cd = c / d
-
-    def objective(q):
-        v = q * cd
-        return np.multiply(q, np.subtract(m, v, out=v), out=v)
-
-    return numerics.golden_max(objective, np.zeros_like(hi), hi)
+    return numerics.golden_max(lambda q: q * (m - q * cd), np.zeros_like(hi), hi)
 
 
 def _surplus_at_best(margin, denom, c):
@@ -108,8 +114,9 @@ def _fees(params: ModelParams) -> tuple[float, ...]:
 
 
 def _effort_lanes(params: ModelParams, w1: float, etas):
-    # The period-1 effort at each openness in etas; does not read params.k.
-    return oracle_best_effort(params.theta + params.s - w1, 1.0 + etas, params.c)
+    # The period-1 effort at fee w1 and each openness in etas (an array or
+    # one float): the unit effort scaled by 1 + eta1. Does not read params.k.
+    return (1.0 + etas) * oracle_best_effort(params.theta + params.s - w1, 1.0, params.c)
 
 
 def _switch_lanes(params: ModelParams, etas):
@@ -142,24 +149,23 @@ def _stay_gap(params: ModelParams, w1: float, eta1: float) -> float:
 @functools.lru_cache(maxsize=2)
 def _k_free_grid(params: ModelParams, n: int):
     # The k-free lanes on the n-point grid from eta_cap down to 0, for params
-    # with k = 0: the grid, the switch lanes (shared by both fees) and the
-    # period-1 effort for each fee of _fees(params). Two entries hold the
-    # coarse and the fine grid of verify's refinement check. The arrays are
-    # shared by every hit, so read-only.
+    # with k = 0: the grid and its switch lanes. Two entries hold the coarse
+    # and the fine grid of verify's refinement check. The arrays are shared
+    # by every hit, so read-only.
     etas = np.linspace(params.eta_cap, 0.0, n)
     switch = _switch_lanes(params, etas)
-    q1s = tuple(_effort_lanes(params, w1, etas) for w1 in _fees(params))
-    for a in (etas, *switch, *q1s):
+    for a in (etas, *switch):
         a.flags.writeable = False
-    return etas, switch, q1s
+    return etas, switch
 
 
-def _best_candidate(params: ModelParams, w1: float, etas, q1, switch):
+def _best_candidate(params: ModelParams, w1: float, etas, switch):
     # The best period-1 openness among etas (grid arrays or one scalar) at
-    # fee w1, given the period-1 efforts q1 and the switch effort and
-    # surplus there: the period-2 subgame played out, the deployer staying
-    # on ties. Returns (profit, fee, eta1, won, w2, q1, q2) of the first
-    # best lane, and the verdicts that the deployer stays at the follower fee.
+    # fee w1, given the switch effort and surplus there: the period-2
+    # subgame played out, the deployer staying on ties. Returns (profit,
+    # fee, eta1, won, w2, q1, q2) of the first best lane, and the verdicts
+    # that the deployer stays at the follower fee.
+    q1 = _effort_lanes(params, w1, etas)
     q2_switch, v_switch = switch
     q2_stay_low, v_stay_low = _stay_lanes(params, params.w_low, q1)
     q2_stay_high, v_stay_high = _stay_lanes(params, params.w_high, q1)
@@ -212,18 +218,16 @@ def oracle_solve_game(params: ModelParams, config: OracleConfig = OracleConfig()
     defend/dominate optima are located to bisection precision, not grid
     precision. Candidate order (premium fee first, the grid in descending
     openness before the boundary) implements the documented tie
-    preferences. The period-1 efforts and the switch surplus on the grid
-    are reused from an earlier call with the same params apart from k and
-    the same grid size.
+    preferences. The switch lanes of the grid are reused from an earlier
+    call with the same params apart from k and the same grid size.
     """
     require_valid(params)
-    etas, switch, q1s = _k_free_grid(replace(params, k=0.0), config.eta_grid_points)
+    etas, switch = _k_free_grid(replace(params, k=0.0), config.eta_grid_points)
     best = None   # (profit, fee, eta1, won, w2, q1, q2)
-    for w1, q1 in zip(_fees(params), q1s):
-        grid, stays = _best_candidate(params, w1, etas, q1, switch)
+    for w1 in _fees(params):
+        grid, stays = _best_candidate(params, w1, etas, switch)
         edge = _retention_boundary(params, w1, etas, stays)
-        boundary, _ = _best_candidate(params, w1, edge, _effort_lanes(params, w1, edge),
-                                      _switch_lanes(params, edge))
+        boundary, _ = _best_candidate(params, w1, edge, _switch_lanes(params, edge))
         for cand in (grid, boundary):
             if best is None or cand[0] > best[0]:
                 best = cand
@@ -256,22 +260,28 @@ def oracle_solve_game(params: ModelParams, config: OracleConfig = OracleConfig()
 def oracle_solve_integrated(params: ModelParams, config: OracleConfig = OracleConfig()) -> IntegratedOutcome:
     """Numeric outcome of the merged firm by per-period grid search.
 
-    Stage 1 scans the openness grid for the period-1 profit maximum (effort
-    by golden section at each grid point, margin theta since fees are
-    internal); stage 2 repeats for period 2 given the realized engagement.
-    Both scans must discover the full-openness corner on their own.
+    Stage 1 scans the openness grid for the period-1 profit maximum (margin
+    theta, since fees are internal); stage 2 repeats for period 2 given the
+    realized engagement. Both stages share the margin, so one unit effort,
+    searched by golden section, is scaled by each grid point's cost
+    denominator in both. Both scans must discover the full-openness corner
+    on their own.
     """
     require_valid(params)
     c = params.c
     th = params.theta
     etas = np.linspace(0.0, params.eta_cap, config.eta_grid_points)
+    u = oracle_best_effort(th, 1.0, c)
 
-    q1_all, v1_all = _surplus_at_best(th, 1.0 + etas, c)
+    d1 = 1.0 + etas
+    q1_all = d1 * u
+    v1_all = deployer_surplus(th, q1_all, c, d1)
     i1 = int(np.argmax(v1_all))
     eta1v, q1v = float(etas[i1]), float(q1_all[i1])
 
     d2 = stay_denominator(params.k, q1v, etas)
-    q2_all, v2_all = _surplus_at_best(th, d2, c)
+    q2_all = d2 * u
+    v2_all = deployer_surplus(th, q2_all, c, d2)
     i2 = int(np.argmax(v2_all))
     eta2v, q2v = float(etas[i2]), float(q2_all[i2])
 

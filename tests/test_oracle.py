@@ -29,8 +29,6 @@ from fmgame import (
 )
 from fmgame import numerics
 from fmgame.numerics import (
-    _GOLDEN_TOL,
-    _INVPHI,
     bisect_root,
     golden_max,
     golden_max_scalar,
@@ -49,6 +47,7 @@ from fmgame.oracle import (
     _surplus_at_best,
     oracle_best_effort,
 )
+from fmgame.params import deployer_surplus, stay_denominator
 from fmgame.verify import compare_with_oracle, random_valid_params
 
 from conftest import HARVEST_TO_DOMINATE, SET_A, SET_B, child_env
@@ -74,58 +73,6 @@ class TestGoldenSection:
         xs = golden_max(f, np.array([0.0, 0.0]), np.array([3.0, 0.0]))
         assert xs[0] == pytest.approx(1.0, abs=1e-9)
         assert xs[1] == 0.0
-
-
-def _golden_max_where(f, lo, hi):
-    # golden_max with the bracket update written as np.where, the reference
-    # for its arithmetic select.
-    a = np.asarray(lo, dtype=float).copy()
-    b = np.asarray(hi, dtype=float).copy()
-    width = np.max(b - a) if a.size else 0.0
-    if width <= _GOLDEN_TOL:
-        return (a + b) / 2.0
-    a0, b0 = a.copy(), b.copy()
-    d = (b - a) * _INVPHI
-    n_iter = int(np.ceil(np.log(_GOLDEN_TOL / width) / np.log(_INVPHI))) + 1
-    for _ in range(n_iter):
-        e = d * _INVPHI
-        x1 = a + e
-        x2 = a + d
-        a = np.where(f(x1) < f(x2), x1, a)
-        d, w = e, d
-    b = a + w
-    mid = (a + b) / 2.0
-    h = 1e-4 * (b0 - a0)
-    y1, y2, y3 = f(mid - h), f(mid), f(mid + h)
-    den = y1 - 2.0 * y2 + y3
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = np.where(den < 0.0, 0.5 * h * (y1 - y3) / den, 0.0)
-    step = np.clip(np.nan_to_num(step, nan=0.0), -h, h)
-    xv = np.clip(mid + step, a0, b0)
-    yv = f(xv)
-    slack = 64.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(y2))
-    return np.where(yv >= y2 - slack, xv, mid)
-
-
-@given(n=st.integers(1, 10_003), seed=st.integers(0, 2**32 - 1),
-       log_widths=st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
-       lo_below_zero=st.booleans(), zero_width_share=st.sampled_from([0.0, 0.2, 1.0]))
-@settings(max_examples=40, deadline=None)
-def test_golden_max_select_matches_np_where(n, seed, log_widths, lo_below_zero,
-                                            zero_width_share):
-    rng = np.random.default_rng(seed)
-    width = 10.0 ** rng.uniform(min(log_widths), max(log_widths), n)
-    width[rng.random(n) < zero_width_share] = 0.0
-    lo = -(10.0 ** rng.uniform(-6.0, 6.0, n)) if lo_below_zero else np.zeros(n)
-    hi = lo + width
-    # A concave parabola in each lane, peaked inside the bracket or past
-    # either end of it.
-    peak = lo + width * rng.uniform(-0.25, 1.25, n)
-    curvature = 10.0 ** rng.uniform(-3.0, 3.0, n)
-    f = lambda x: -curvature * (x - peak) ** 2
-    got = golden_max(f, lo, hi)
-    want = _golden_max_where(f, lo, hi)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestRootFinding:
@@ -292,8 +239,15 @@ def test_premium_deviation_guard_raises(monkeypatch):
         oracle_solve_game(replace(SET_A, k=1.5 * 28 / 28.125))
 
 
+@pytest.mark.parametrize("n", [1, 0, -1])
+def test_config_rejects_a_grid_without_both_ends(n):
+    # One point would miss the full-openness corner and leave no grid step.
+    with pytest.raises(ValueError, match="eta_grid_points must be at least 2"):
+        OracleConfig(eta_grid_points=n)
+
+
 class TestKFreeReuse:
-    """The k-free grid searches are computed once per parameter set and fee."""
+    """The k-free grid searches are computed once per parameter set."""
 
     @staticmethod
     def _points():
@@ -338,10 +292,10 @@ class TestKFreeReuse:
         # For each fee: the retention boundary bracketed by the grid's stay
         # verdicts (changed by stub when given), the full bisection of
         # [0, eta_cap], and the grid cell that the verdicts pointed to.
-        etas, switch, q1s = _k_free_grid(replace(p, k=0.0), 10001)
+        etas, switch = _k_free_grid(replace(p, k=0.0), 10001)
         out = []
-        for w1, q1 in zip(_fees(p), q1s):
-            stays = _best_candidate(p, w1, etas, q1, switch)[1]
+        for w1 in _fees(p):
+            stays = _best_candidate(p, w1, etas, switch)[1]
             if stub is not None:
                 stays = stub(stays.copy())
             full = largest_true(lambda e: _stay_gap(p, w1, e) >= 0, 0.0, p.eta_cap)
@@ -377,12 +331,11 @@ class TestKFreeReuse:
             assert full < guess if too_high else full > guess + 0.5 * step
 
     def test_cached_arrays_are_read_only(self):
-        for p, n_fees in ((SET_A, 2), (replace(SET_A, w_low=2.5), 1)):
-            etas, switch, q1s = _k_free_grid(replace(p, k=0.0), 101)
-            assert len(switch) == 2 and len(q1s) == n_fees
-            for a in (etas, *switch, *q1s):
-                with pytest.raises(ValueError):
-                    a[0] = 0.0
+        etas, switch = _k_free_grid(replace(SET_A, k=0.0), 101)
+        assert len(switch) == 2
+        for a in (etas, *switch):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
     def test_cache_holds_at_most_two_entries(self):
         config = OracleConfig(eta_grid_points=101)
@@ -404,11 +357,11 @@ class TestKFreeReuse:
         assert _k_free_grid.cache_info()[:2] == (1, 3)
 
     def test_golden_searches_per_call(self, monkeypatch):
-        # Lane counts of the golden_max calls: only the cached k-free grid
-        # searches (one switch search and one effort search per fee), so a
-        # warm call runs none. The stay lanes scale one unit effort searched
-        # on a plain float per stay fee, and the boundaries are searched on
-        # plain floats too, both by golden_max_scalar.
+        # Lane counts of the golden_max calls: only the cached switch lanes,
+        # so a warm call runs none. The period-1 and stay lanes scale one unit
+        # effort searched on a plain float per margin, and the boundaries are
+        # searched on plain floats too, all by golden_max_scalar. So are both
+        # stages of the integrated firm.
         sizes = Counter()
 
         def counting(f, lo, hi):
@@ -418,15 +371,18 @@ class TestKFreeReuse:
         monkeypatch.setattr(numerics, "golden_max", counting)
         config = OracleConfig(eta_grid_points=101)
         expected = [
-            (SET_A, {101: 3}),                          # cold
+            (SET_A, {101: 1}),                          # cold
             (replace(SET_A, k=0.1), {}),                # warm
-            (replace(SET_A, w_low=2.5, k=0.0), {101: 2}),  # equal fees
+            (replace(SET_A, w_low=2.5, k=0.0), {101: 1}),  # equal fees
         ]
         _k_free_grid.cache_clear()
         for p, want in expected:
             sizes.clear()
             oracle_solve_game(p, config)
             assert sizes == want, p
+        sizes.clear()
+        oracle_solve_integrated(SET_A, config)
+        assert sizes == {}
 
     def test_verify_grid_refinement_hits_the_cache(self):
         # verify sweeps k on the default grid, then solves k = params.k on a
@@ -440,16 +396,24 @@ class TestKFreeReuse:
 
 
 def test_scaled_stay_lanes_match_the_per_lane_searches():
-    # _stay_lanes searches one unit effort per stay fee and scales it by each
-    # lane's cost denominator D; the reference searches every lane on its
-    # own. The scaled efforts must land on the vertex m D / (2c), which only
-    # this test knows.
+    # The period-1 and stay lanes search one unit effort per margin and
+    # scale it by each lane's cost denominator D; the reference searches
+    # every lane on its own. The scaled efforts must land on the vertex
+    # m D / (2c), which only this test knows. Both stages of the integrated
+    # firm scale one unit effort too, and must play what per-lane searches
+    # play.
     rng = np.random.default_rng(7)
     for _ in range(40):
         p = random_valid_params(rng)
         etas = np.linspace(p.eta_cap, 0.0, 1001)
         for w1 in _fees(p):
+            m1 = p.theta + p.s - w1
             q1 = _effort_lanes(p, w1, etas)
+            np.testing.assert_allclose(deployer_surplus(m1, q1, p.c, 1.0 + etas),
+                                       _surplus_at_best(m1, 1.0 + etas, p.c)[1],
+                                       rtol=1e-12, atol=0.0, err_msg=repr(p))
+            np.testing.assert_allclose(q1, m1 * (1.0 + etas) / (2.0 * p.c), rtol=1e-9, atol=0.0,
+                                       err_msg=repr(p))
             d = (1.0 + p.k * q1) * (1.0 + p.eta_cap)
             for w2 in (p.w_high, p.w_low):
                 m = p.theta + p.s - w2
@@ -458,6 +422,29 @@ def test_scaled_stay_lanes_match_the_per_lane_searches():
                 np.testing.assert_allclose(v, v_ref, rtol=1e-12, atol=0.0, err_msg=repr(p))
                 np.testing.assert_allclose(q, m * d / (2.0 * p.c), rtol=1e-9, atol=0.0,
                                            err_msg=repr(p))
+
+        got = oracle_solve_integrated(p, OracleConfig(eta_grid_points=1001))
+        grid = np.linspace(0.0, p.eta_cap, 1001)
+        q1_ref, v1_ref = _surplus_at_best(p.theta, 1.0 + grid, p.c)
+        i1 = int(np.argmax(v1_ref))
+        q2_ref, v2_ref = _surplus_at_best(p.theta, stay_denominator(p.k, q1_ref[i1], grid), p.c)
+        i2 = int(np.argmax(v2_ref))
+        assert (got.eta1v, got.eta2v) == (grid[i1], grid[i2]), p
+        assert got.q1v == pytest.approx(q1_ref[i1], rel=1e-12, abs=0.0), p
+        assert got.q2v == pytest.approx(q2_ref[i2], rel=1e-12, abs=0.0), p
+        assert got.profit == pytest.approx(v1_ref[i1] + v2_ref[i2], rel=1e-12, abs=0.0), p
+
+
+def test_grid_lanes_and_scalar_candidates_share_period1_efforts():
+    # A scalar candidate (the retention bisection, the played boundary)
+    # scales the same unit effort as the grid, so at a grid openness both
+    # play the same period-1 effort, to the bit.
+    for p in (SET_A, SET_B):
+        etas = _k_free_grid(replace(p, k=0.0), 10001)[0][::50]
+        for w1 in _fees(p):
+            lanes = _effort_lanes(p, w1, etas)
+            scalars = np.array([_effort_lanes(p, w1, e) for e in etas.tolist()])
+            assert np.array_equal(lanes.view(np.int64), scalars.view(np.int64)), (p, w1)
 
 
 @pytest.mark.parametrize("script, out", [

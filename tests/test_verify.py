@@ -267,8 +267,9 @@ def test_a_check_that_raises_is_its_own_named_fail(monkeypatch, capsys):
     _stub_oracle(monkeypatch, lambda params, config, rel_tol: None)
     assert main(["verify", "--config", str(REPO / "configs" / "set_a.cfg")]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert ("FAIL mandate-welfare-flat: raised RuntimeError: welfare cross-validation failed "
-            "for component 'consumer' in regime 'harvest'") in "\n".join(lines)
+    for name in ("welfare-cross-validation", "mandate-welfare-flat"):
+        assert (f"FAIL {name}: raised RuntimeError: welfare cross-validation failed "
+                "for component 'consumer' in regime 'harvest'") in "\n".join(lines)
     assert "FAIL row-primitive-consistency: harvest q2 " in "\n".join(lines)
     assert lines[-1] == "8/13 checks passed"
 
@@ -279,11 +280,13 @@ def test_a_subsidy_check_that_raises_is_its_own_named_fail(monkeypatch, capsys):
         raise RuntimeError("stub")
 
     monkeypatch.setattr(verify, "solve_subsidized", raise_stub)
+    monkeypatch.setattr(verify, "welfare_subsidized", raise_stub)
     _stub_oracle(monkeypatch, lambda params, config, rel_tol: None)
     assert main(["verify", "--config", str(REPO / "configs" / "set_b.cfg")]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert "FAIL subsidy-limit-continuity: raised RuntimeError: stub" in lines
-    assert lines[-1] == "15/16 checks passed"
+    assert "FAIL subsidy-welfare-cross-validation: raised RuntimeError: stub" in lines
+    assert lines[-1] == "14/16 checks passed"
 
 
 # oracle-equivalence on forked workers (the pool route) and in this process
