@@ -24,23 +24,31 @@ _EPS = 2.0 ** -52   # np.finfo(float).eps, folded at compile time
 def golden_max_scalar(f, lo: float, hi: float) -> float:
     """Golden-section maximizer on plain floats (fast path for scalar work).
 
-    Pure comparison search bottoms out near sqrt(eps) argument accuracy, so
-    the bracket midpoint gets a final parabolic polish at a spacing wide
-    enough to resolve curvature above rounding noise.
+    Each step keeps the probe that lies inside the shrunken bracket, with its
+    value, and places one new probe at the golden ratio of that bracket, so
+    a step calls f once (Kiefer 1953). Pure comparison search bottoms out
+    near sqrt(eps) argument accuracy, so the bracket midpoint gets a final
+    parabolic polish at a spacing wide enough to resolve curvature above
+    rounding noise.
     """
     a, b = float(lo), float(hi)
     width = b - a
+    invphi, tol = _INVPHI_F, _GOLDEN_TOL
+    x1 = b - invphi * width
+    x2 = a + invphi * width
+    f1, f2 = f(x1), f(x2)
     # Known defect: once the float spacing near the maximizer exceeds the
     # stopping width (a maximizer above 2**19, about 5.2e5) the bracket stops
     # shrinking and this loop never ends.
-    while (b - a) > _GOLDEN_TOL:
-        d = _INVPHI_F * (b - a)
-        x1 = b - d
-        x2 = a + d
-        if f(x1) >= f(x2):
-            b = x2
+    while (b - a) > tol:
+        if f1 >= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = f(x1)
         else:
-            a = x1
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = f(x2)
     mid = 0.5 * (a + b)
     h = 1e-4 * width
     if h > 0.0 and lo + h <= mid <= hi - h:

@@ -29,10 +29,14 @@ equals D (m u - c u^2), and D > 0, so the best Q is D times the best unit
 effort u, whatever D is. So the oracle runs one scalar golden-section
 search of u on [0, m / c] per margin and scales it by each lane's D: the
 period-1 effort (1 + eta1) u, on the grid and at scalar candidates alike,
-the stay lanes on the grid, and both stages of the integrated firm. This
-is exact algebra on the model's own cost term, and u still comes from a
-search of the surplus, not from a first-order condition. Two searches keep
-Q as their variable:
+the stay lanes on the grid, and both stages of the integrated firm. The
+period-1 margin at fee w1 and the stay margin at fee w2 are both
+theta + s - w, so ``oracle_solve_game`` searches u once per fee at the
+start of each call, and the period-1 and stay lanes share it: the
+retention bisection repeats no search of u at its steps, and nothing is
+kept from one call to the next. This is exact algebra on the model's own
+cost term, and u still comes from a search of the surplus, not from a
+first-order condition. Two searches keep Q as their variable:
 
 - The scalar stay and switch searches (the retention bisection and the
   played boundary) are compared with each other. At k = 0 and eta1 = 0
@@ -113,10 +117,17 @@ def _fees(params: ModelParams) -> tuple[float, ...]:
     return (params.w_high,) if params.w_low == params.w_high else (params.w_high, params.w_low)
 
 
-def _effort_lanes(params: ModelParams, w1: float, etas):
+def _unit_efforts(params: ModelParams) -> dict[float, float]:
+    # The best unit effort at each fee's margin theta + s - w, which the
+    # period-1 margin at fee w1 and the stay margin at fee w2 share.
+    return {w: oracle_best_effort(params.theta + params.s - w, 1.0, params.c)
+            for w in _fees(params)}
+
+
+def _effort_lanes(units, w1: float, etas):
     # The period-1 effort at fee w1 and each openness in etas (an array or
-    # one float): the unit effort scaled by 1 + eta1. Does not read params.k.
-    return (1.0 + etas) * oracle_best_effort(params.theta + params.s - w1, 1.0, params.c)
+    # one float): the unit effort at w1 scaled by 1 + eta1.
+    return (1.0 + etas) * units[w1]
 
 
 def _switch_lanes(params: ModelParams, etas):
@@ -126,24 +137,24 @@ def _switch_lanes(params: ModelParams, etas):
                             switch_denominator(etas, params.eta_cap), params.c)
 
 
-def _stay_lanes(params: ModelParams, w2: float, q1):
+def _stay_lanes(params: ModelParams, units, w2: float, q1):
     # The deployer's period-2 effort and surplus from staying with the
-    # incumbent at fee w2, after period-1 efforts q1. On an array of q1, one
-    # unit effort is searched and scaled by each lane's cost denominator
-    # (see the module docstring).
+    # incumbent at fee w2, after period-1 efforts q1. On an array of q1, the
+    # unit effort at w2 is scaled by each lane's cost denominator (see the
+    # module docstring); on one float, Q itself is searched.
     m = params.theta + params.s - w2
     d = stay_denominator(params.k, q1, params.eta_cap)
     if not isinstance(q1, np.ndarray):
         return _surplus_at_best(m, d, params.c)
-    q = d * oracle_best_effort(m, 1.0, params.c)
+    q = d * units[w2]
     return q, deployer_surplus(m, q, params.c, d)
 
 
-def _stay_gap(params: ModelParams, w1: float, eta1: float) -> float:
+def _stay_gap(params: ModelParams, units, w1: float, eta1: float) -> float:
     # Deployer's period-2 surplus advantage of staying (incumbent at the
     # follower fee) over switching, at a scalar period-1 candidate.
-    q1 = _effort_lanes(params, w1, eta1)
-    return _stay_lanes(params, params.w_low, q1)[1] - _switch_lanes(params, eta1)[1]
+    q1 = _effort_lanes(units, w1, eta1)
+    return _stay_lanes(params, units, params.w_low, q1)[1] - _switch_lanes(params, eta1)[1]
 
 
 @functools.lru_cache(maxsize=2)
@@ -159,16 +170,16 @@ def _k_free_grid(params: ModelParams, n: int):
     return etas, switch
 
 
-def _best_candidate(params: ModelParams, w1: float, etas, switch):
+def _best_candidate(params: ModelParams, units, w1: float, etas, switch):
     # The best period-1 openness among etas (grid arrays or one scalar) at
     # fee w1, given the switch effort and surplus there: the period-2
     # subgame played out, the deployer staying on ties. Returns (profit,
     # fee, eta1, won, w2, q1, q2) of the first best lane, and the verdicts
     # that the deployer stays at the follower fee.
-    q1 = _effort_lanes(params, w1, etas)
+    q1 = _effort_lanes(units, w1, etas)
     q2_switch, v_switch = switch
-    q2_stay_low, v_stay_low = _stay_lanes(params, params.w_low, q1)
-    q2_stay_high, v_stay_high = _stay_lanes(params, params.w_high, q1)
+    q2_stay_low, v_stay_low = _stay_lanes(params, units, params.w_low, q1)
+    q2_stay_high, v_stay_high = _stay_lanes(params, units, params.w_high, q1)
 
     wins_low = v_stay_low >= v_switch
     wins_high = v_stay_high >= v_switch
@@ -193,7 +204,7 @@ def _best_candidate(params: ModelParams, w1: float, etas, switch):
     return (float(profit), w1, float(eta1), bool(won), float(w2), float(q1), float(q2)), wins_low
 
 
-def _retention_boundary(params: ModelParams, w1: float, etas, stays) -> float:
+def _retention_boundary(params: ModelParams, units, w1: float, etas, stays) -> float:
     # The largest openness at which the deployer stays at the follower fee
     # (_stay_gap >= 0), bisected on [0, eta_cap] with the cell of the
     # descending grid etas where the grid's verdicts stays turn from switch
@@ -202,7 +213,7 @@ def _retention_boundary(params: ModelParams, w1: float, etas, stays) -> float:
     # with _stay_gap itself and searches on past an end that disagrees.
     j = int(np.argmax(stays)) if stays.any() else len(etas) - 1
     cell = None if j == 0 else (float(etas[j]), float(etas[j - 1]))
-    return numerics.largest_true(lambda e: _stay_gap(params, w1, e) >= 0,
+    return numerics.largest_true(lambda e: _stay_gap(params, units, w1, e) >= 0,
                                  0.0, params.eta_cap, cell)
 
 
@@ -223,11 +234,12 @@ def oracle_solve_game(params: ModelParams, config: OracleConfig = OracleConfig()
     """
     require_valid(params)
     etas, switch = _k_free_grid(replace(params, k=0.0), config.eta_grid_points)
+    units = _unit_efforts(params)
     best = None   # (profit, fee, eta1, won, w2, q1, q2)
     for w1 in _fees(params):
-        grid, stays = _best_candidate(params, w1, etas, switch)
-        edge = _retention_boundary(params, w1, etas, stays)
-        boundary, _ = _best_candidate(params, w1, edge, _switch_lanes(params, edge))
+        grid, stays = _best_candidate(params, units, w1, etas, switch)
+        edge = _retention_boundary(params, units, w1, etas, stays)
+        boundary, _ = _best_candidate(params, units, w1, edge, _switch_lanes(params, edge))
         for cand in (grid, boundary):
             if best is None or cand[0] > best[0]:
                 best = cand

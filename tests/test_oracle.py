@@ -45,6 +45,7 @@ from fmgame.oracle import (
     _stay_gap,
     _stay_lanes,
     _surplus_at_best,
+    _unit_efforts,
     oracle_best_effort,
 )
 from fmgame.params import deployer_surplus, stay_denominator
@@ -73,6 +74,20 @@ class TestGoldenSection:
         xs = golden_max(f, np.array([0.0, 0.0]), np.array([3.0, 0.0]))
         assert xs[0] == pytest.approx(1.0, abs=1e-9)
         assert xs[1] == 0.0
+
+    def test_scalar_makes_one_new_probe_per_step(self):
+        # Each step keeps the surviving probe and its value, so f is called
+        # once per step, plus twice for the first probes and four times for
+        # the polish.
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return -(x - 3.3) ** 2
+
+        steps = int(np.ceil(np.log(numerics._GOLDEN_TOL / 10.0) / np.log(numerics._INVPHI_F)))
+        assert golden_max_scalar(f, 0.0, 10.0) == pytest.approx(3.3, abs=1e-9)
+        assert len(calls) <= steps + 6
 
 
 class TestRootFinding:
@@ -283,7 +298,7 @@ class TestKFreeReuse:
             if eta1 in np.linspace(p.eta_cap, 0.0, 10001):
                 continue
             off_grid += 1
-            assert _stay_gap(p, eq.strategy.w1, eta1) >= 0, p
+            assert _stay_gap(p, _unit_efforts(p), eq.strategy.w1, eta1) >= 0, p
             assert eq.regime in (Regime.DEFEND, Regime.DOMINATE), p
         assert off_grid > 0
 
@@ -293,14 +308,15 @@ class TestKFreeReuse:
         # verdicts (changed by stub when given), the full bisection of
         # [0, eta_cap], and the grid cell that the verdicts pointed to.
         etas, switch = _k_free_grid(replace(p, k=0.0), 10001)
+        units = _unit_efforts(p)
         out = []
         for w1 in _fees(p):
-            stays = _best_candidate(p, w1, etas, switch)[1]
+            stays = _best_candidate(p, units, w1, etas, switch)[1]
             if stub is not None:
                 stays = stub(stays.copy())
-            full = largest_true(lambda e: _stay_gap(p, w1, e) >= 0, 0.0, p.eta_cap)
+            full = largest_true(lambda e: _stay_gap(p, units, w1, e) >= 0, 0.0, p.eta_cap)
             j = int(np.argmax(stays))
-            out.append((_retention_boundary(p, w1, etas, stays), full, etas[j]))
+            out.append((_retention_boundary(p, units, w1, etas, stays), full, etas[j]))
         return out
 
     def test_grid_bracketed_boundary_matches_full_bisection(self):
@@ -359,7 +375,7 @@ class TestKFreeReuse:
     def test_golden_searches_per_call(self, monkeypatch):
         # Lane counts of the golden_max calls: only the cached switch lanes,
         # so a warm call runs none. The period-1 and stay lanes scale one unit
-        # effort searched on a plain float per margin, and the boundaries are
+        # effort searched on a plain float per fee, and the boundaries are
         # searched on plain floats too, all by golden_max_scalar. So are both
         # stages of the integrated firm.
         sizes = Counter()
@@ -384,6 +400,34 @@ class TestKFreeReuse:
         oracle_solve_integrated(SET_A, config)
         assert sizes == {}
 
+    def test_one_unit_search_per_fee_per_call(self, monkeypatch):
+        # The period-1 and stay lanes, on the grid and at every step of the
+        # retention bisection, share one search of the unit effort (cost
+        # denominator 1.0) per fee. Nothing carries it from call to call, so
+        # a cold call, a warm call and a repeat each make the same searches.
+        margins = []
+
+        def counting(margin, cost_denominator, c=1.0):
+            if np.ndim(cost_denominator) == 0 and cost_denominator == 1.0:
+                margins.append(margin)
+            return oracle_best_effort(margin, cost_denominator, c)
+
+        monkeypatch.setattr("fmgame.oracle.oracle_best_effort", counting)
+        config = OracleConfig(eta_grid_points=101)
+        equal_fees = replace(SET_A, w_low=2.5, k=0.0)
+        expected = [
+            (replace(SET_A, k=0.2), 2),   # cold
+            (replace(SET_A, k=0.1), 2),   # warm
+            (replace(SET_A, k=0.1), 2),   # repeat
+            (equal_fees, 1),
+            (equal_fees, 1),
+        ]
+        _k_free_grid.cache_clear()
+        for p, fees in expected:
+            margins.clear()
+            oracle_solve_game(p, config)
+            assert len(margins) == len(set(margins)) == fees, p
+
     def test_verify_grid_refinement_hits_the_cache(self):
         # verify sweeps k on the default grid, then solves k = params.k on a
         # coarse grid and on the default grid again; that last call is a hit.
@@ -406,9 +450,10 @@ def test_scaled_stay_lanes_match_the_per_lane_searches():
     for _ in range(40):
         p = random_valid_params(rng)
         etas = np.linspace(p.eta_cap, 0.0, 1001)
+        units = _unit_efforts(p)
         for w1 in _fees(p):
             m1 = p.theta + p.s - w1
-            q1 = _effort_lanes(p, w1, etas)
+            q1 = _effort_lanes(units, w1, etas)
             np.testing.assert_allclose(deployer_surplus(m1, q1, p.c, 1.0 + etas),
                                        _surplus_at_best(m1, 1.0 + etas, p.c)[1],
                                        rtol=1e-12, atol=0.0, err_msg=repr(p))
@@ -417,7 +462,7 @@ def test_scaled_stay_lanes_match_the_per_lane_searches():
             d = (1.0 + p.k * q1) * (1.0 + p.eta_cap)
             for w2 in (p.w_high, p.w_low):
                 m = p.theta + p.s - w2
-                q, v = _stay_lanes(p, w2, q1)
+                q, v = _stay_lanes(p, units, w2, q1)
                 v_ref = _surplus_at_best(m, d, p.c)[1]
                 np.testing.assert_allclose(v, v_ref, rtol=1e-12, atol=0.0, err_msg=repr(p))
                 np.testing.assert_allclose(q, m * d / (2.0 * p.c), rtol=1e-9, atol=0.0,
@@ -441,9 +486,10 @@ def test_grid_lanes_and_scalar_candidates_share_period1_efforts():
     # play the same period-1 effort, to the bit.
     for p in (SET_A, SET_B):
         etas = _k_free_grid(replace(p, k=0.0), 10001)[0][::50]
+        units = _unit_efforts(p)
         for w1 in _fees(p):
-            lanes = _effort_lanes(p, w1, etas)
-            scalars = np.array([_effort_lanes(p, w1, e) for e in etas.tolist()])
+            lanes = _effort_lanes(units, w1, etas)
+            scalars = np.array([_effort_lanes(units, w1, e) for e in etas.tolist()])
             assert np.array_equal(lanes.view(np.int64), scalars.view(np.int64)), (p, w1)
 
 
