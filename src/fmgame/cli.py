@@ -20,7 +20,7 @@ import sys
 
 from .closed_form import eta_bar_high, eta_bar_low, regime_thresholds, scenario_profits
 from .extensions import _POLICIES, solve_subsidized
-from .params import InvalidParams, k_max, require_valid
+from .params import _FIELDS, InvalidParams, k_max, require_valid
 from .sweep import _SCENARIOS, ConfigError, SweepSpec, read_config, run_sweep, write_csv
 from .verify import run_verification
 from .welfare import welfare_for_equilibrium
@@ -33,8 +33,7 @@ def _fmt(x: float) -> str:
 def _solve_report(params) -> str:
     lines = []
     lines.append("parameters: " + ", ".join(
-        f"{name}={_fmt(getattr(params, name))}"
-        for name in ("theta", "c", "w_high", "w_low", "eta_cap", "k", "s")))
+        f"{name}={_fmt(getattr(params, name))}" for name in _FIELDS))
     lines.append(f"k_max: {_fmt(k_max(params))}")
     th = regime_thresholds(params)
     lines.append(

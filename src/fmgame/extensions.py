@@ -121,7 +121,7 @@ def integration_thresholds(params: ModelParams) -> IntegrationThresholds:
     profit + consumer surplus; the entrant's foreclosed revenue counts
     against integration). Each difference is scanned over [0, k_max] by
     welfare._last_crossing, evaluated once on the whole grid as an array
-    (one array pass serves all three), and the last root is bisected on
+    (one array pass serves all three), and the last bracket is bisected on
     floats. params.k is ignored, and the s = 0 twin is played.
     """
     params = replace(params, s=0.0)

@@ -151,20 +151,6 @@ def sign_change_brackets(f, grid) -> list[tuple[float, float]]:
     return out
 
 
-def scan_and_bisect(f, grid) -> float | None:
-    """Scan a grid for sign changes of f and bisect the last bracket.
-
-    f takes the whole grid as an array for the scan (sign_change_brackets)
-    and a float at each bisection step. Returns None when f never changes
-    sign on the grid; an exact zero at a grid point is returned as is.
-    """
-    brackets = sign_change_brackets(f, grid)
-    if not brackets:
-        return None
-    lo, hi = brackets[-1]
-    return lo if lo == hi else bisect_root(f, lo, hi)
-
-
 def largest_true(pred, lo: float, hi: float, cell=None) -> float:
     """Largest x in [lo, hi] with pred(x) true, given pred(lo) is true.
 

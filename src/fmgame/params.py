@@ -161,6 +161,7 @@ def k_max(params: ModelParams) -> float:
     return min(cap_arg, entry_arg)
 
 
+#: The seven parameters, in the order that configs and reports list them.
 _FIELDS = ("theta", "c", "w_high", "w_low", "eta_cap", "k", "s")
 _LOG_1E300 = 300.0 * math.log(10.0)
 

@@ -24,10 +24,8 @@ import numpy as np
 
 from .closed_form import _solve
 from .extensions import _POLICIES, _game_cells, _Policy
-from .params import ModelParams, Regime, ValidationReport, validate
+from .params import _FIELDS, ModelParams, Regime, ValidationReport, validate
 from .welfare import _k_grid, welfare_for_equilibrium
-
-_KEYS = ("theta", "c", "w_high", "w_low", "eta_cap", "k", "s")
 
 
 class ConfigError(ValueError):
@@ -52,7 +50,7 @@ def read_config(path: str) -> ModelParams:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _KEYS:
+        if key not in _FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -60,7 +58,7 @@ def read_config(path: str) -> ModelParams:
             seen[key] = float(value.strip())
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: {key} is not a number: {value.strip()!r}")
-    missing = [k for k in _KEYS if k not in seen]
+    missing = [k for k in _FIELDS if k not in seen]
     if missing:
         raise ConfigError(f"{path}: missing required keys: {', '.join(missing)}")
     return ModelParams(**seen)

@@ -316,29 +316,18 @@ def _check_mandate_flat(params: ModelParams, oracle_rel_tol: float) -> tuple[boo
 
 
 def _check_trap_root(params: ModelParams, oracle_rel_tol: float) -> tuple[bool, str]:
-    # A trap root must zero the SW gap (baseline minus mandate), or else be
-    # the jump in the gap where defend gives way to dominate. Without one the
-    # gap must keep one sign on the binding range; the detail names it.
+    # A trap root must hold on the binding range by _root_holds' rule, the
+    # jump being where defend gives way to dominate. Without one the SW gap
+    # (baseline minus mandate) must keep one sign there; the detail names it.
     p0 = replace(params, s=0.0)
-    gap = _trap_gap(p0)
-    trap = openness_trap_threshold(p0)
-    if trap is not None:
-        th = regime_thresholds(p0)
-        km = k_max(p0)
-        err = abs(gap(trap))
-        detail = f"k_bar={trap!r}, |gap|={err:.2e}"
-        ok = th.k_bar_1 < trap <= km
-        if err < 1e-8:
-            return ok, detail
-        # Not a root: it must be the jump where defend gives way to dominate.
-        jump = _jump_at(gap, trap, [("k_bar_2", th.k_bar_2)], km)
-        if jump is None:
-            return False, detail
-        _, k2, below, above = jump
-        return ok, f"k_bar={trap!r}, jump at k_bar_2={k2!r} (SW gap {below:+.3g} to {above:+.3g})"
     binding = _binding_range(p0)
     if binding is None:
         return True, "mandate never binds"
+    gap = _trap_gap(p0)
+    trap = openness_trap_threshold(p0)
+    if trap is not None:
+        jumps = [("k_bar_2", regime_thresholds(p0).k_bar_2)]
+        return _root_holds(gap, trap, binding, jumps, "gap", "SW gap")
     lo, hi = (gap(k) for k in binding)
     ends = f"{lo:+.3g} to {hi:+.3g}"
     if (lo > 0) != (hi > 0):
@@ -347,16 +336,27 @@ def _check_trap_root(params: ModelParams, oracle_rel_tol: float) -> tuple[bool, 
     return True, f"mandate {effect} social welfare on the whole binding range (SW gap {ends})"
 
 
-def _jump_at(f, root: float, jumps, km: float):
-    # (label, k, f at k, f one ulp above k) for the listed jump (label, k)
-    # that the scan bisected to root, to within bisect_root's stopping width,
-    # with f strictly of opposite signs across it; None when there is none.
+def _root_holds(f, root: float, span: tuple[float, float], jumps, noun: str,
+                sign_noun: str) -> tuple[bool, str]:
+    # The rule for a root that a threshold scan reports: it lies in span =
+    # (lo, hi), lo <= root <= hi, and zeroes f, |f(root)| < 1e-8; or else it
+    # is a listed jump (label, k), lo <= k < hi, that the scan bisected to
+    # root, to within bisect_root's stopping width, with f strictly of
+    # opposite signs at k and one ulp above it. The detail calls |f| |noun|
+    # and f sign_noun.
+    lo, hi = span
+    in_span = lo <= root <= hi
+    err = abs(f(root))
+    detail = f"k_bar={root!r}, |{noun}|={err:.2e}"
+    if err < 1e-8:
+        return in_span, detail
     for label, k in jumps:
-        if abs(root - k) <= 1e-13 and 0.0 <= k < km:
+        if abs(root - k) <= 1e-13 and lo <= k < hi:
             below, above = f(k), f(float(np.nextafter(k, np.inf)))
             if below < 0.0 < above or above < 0.0 < below:
-                return label, k, below, above
-    return None
+                return in_span, (f"k_bar={root!r}, jump at {label}={k!r} "
+                                 f"({sign_noun} {below:+.3g} to {above:+.3g})")
+    return False, detail
 
 
 def _check_effort_dominance(params: ModelParams, oracle_rel_tol: float) -> tuple[bool, str]:
@@ -373,14 +373,15 @@ def _check_effort_dominance(params: ModelParams, oracle_rel_tol: float) -> tuple
 
 def _check_integration_thresholds(params: ModelParams, oracle_rel_tol: float) -> tuple[bool, str]:
     # trap-root's rule for each of integration_thresholds' three scans: a
-    # crossing zeroes its difference (evaluated on a float) or is the jump
-    # at k_bar_1 or k_bar_2; without one the difference keeps the sign its
-    # status names on [0, k_max].
+    # crossing holds on [0, k_max] by _root_holds, with the jumps at k_bar_1
+    # and k_bar_2; without one the difference keeps the sign its status
+    # names there.
     p0 = replace(params, s=0.0)
     gaps = _integration_gaps(p0)
     found = integration_thresholds(p0)
     th = regime_thresholds(p0)
     km = k_max(p0)
+    jumps = [("k_bar_1", th.k_bar_1), ("k_bar_2", th.k_bar_2)]
     ok, parts = True, []
     for i, name in enumerate(("chain", "consumer", "social")):
         crossing = getattr(found, name)
@@ -388,24 +389,15 @@ def _check_integration_thresholds(params: ModelParams, oracle_rel_tol: float) ->
         def diff(k, _i=i):
             return gaps(k)[_i]
 
-        if crossing.status != "crossing":
+        if crossing.status == "crossing":
+            holds, detail = _root_holds(diff, crossing.value, (0.0, km), jumps, "diff", "diff")
+        else:
             lo, hi = diff(0.0), diff(km)
             holds = (lo > 0) == (hi > 0) == (crossing.status == "always")
-            ok = ok and holds
-            parts.append(f"{name} {crossing.status}{'' if holds else ', but'} "
-                         f"(diff {lo:+.3g} to {hi:+.3g})")
-            continue
-        root = crossing.value
-        err = abs(diff(root))
-        jump = None if err < 1e-8 else _jump_at(
-            diff, root, [("k_bar_1", th.k_bar_1), ("k_bar_2", th.k_bar_2)], km)
-        if jump is None:
-            ok = ok and err < 1e-8 and 0.0 <= root <= km
-            parts.append(f"{name} k_bar={root!r}, |diff|={err:.2e}")
-        else:
-            label, k, below, above = jump
-            parts.append(f"{name} k_bar={root!r}, jump at {label}={k!r} "
-                         f"(diff {below:+.3g} to {above:+.3g})")
+            detail = (f"{crossing.status}{'' if holds else ', but'} "
+                      f"(diff {lo:+.3g} to {hi:+.3g})")
+        ok = ok and holds
+        parts.append(f"{name} {detail}")
     return ok, "; ".join(parts)
 
 

@@ -23,12 +23,14 @@ then cannot defend the deployer at any admissible flywheel strength, so the
 harvest outcome obtains regardless of k. For strong flywheels the baseline
 would have delivered the dominate outcome, whose efforts grow without the
 openness distortion; past a threshold k the mandate therefore lowers
-deployer surplus, consumer surplus, and social welfare. That threshold is
-located by _last_crossing, which scans its k range in one array pass
-through the validation-free cores and bisects on floats (validate() admits
-a point at every k up to k_max or at none). The trap threshold and
-mandate_comparison play the s = 0 twin of their params (the same params
-with s = 0); mandate_equilibrium refuses s > 0.
+deployer surplus, consumer surplus, and social welfare. That threshold, like
+the integration thresholds of extensions, is located by _last_crossing, the
+one policy-threshold scanner: it brackets the sign changes on its k grid
+in one array pass through the validation-free cores and bisects the last
+bracket on floats (validate() admits a point at every k up to k_max or at
+none). The trap threshold and mandate_comparison play the s = 0 twin of
+their params (the same params with s = 0); mandate_equilibrium refuses
+s > 0.
 """
 
 from __future__ import annotations
@@ -127,13 +129,17 @@ def _last_crossing(diff, lo: float, hi: float) -> ThresholdCrossing:
     float or an array), whose params the caller validated: validate() admits
     them at every such k.
 
-    Without one, the status is "always" where diff(lo) > 0, else "never".
+    diff takes the whole grid as an array for the scan and a float at each
+    bisection step of the last bracket; an exact zero at a grid point is
+    the root itself. Without a sign change, the status is "always" where
+    diff(lo) > 0, else "never".
     """
-    grid = _k_grid(lo, hi)
-    root = numerics.scan_and_bisect(diff, grid)
-    if root is not None:
-        return ThresholdCrossing(value=root, status="crossing")
-    return ThresholdCrossing(value=None, status="always" if diff(grid[0]) > 0 else "never")
+    brackets = numerics.sign_change_brackets(diff, _k_grid(lo, hi))
+    if not brackets:
+        return ThresholdCrossing(value=None, status="always" if diff(lo) > 0 else "never")
+    a, b = brackets[-1]
+    return ThresholdCrossing(value=a if a == b else numerics.bisect_root(diff, a, b),
+                             status="crossing")
 
 
 def _rebuilt_components(params: ModelParams, eq: Equilibrium) -> tuple[float, float, float, float]:

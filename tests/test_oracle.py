@@ -33,7 +33,6 @@ from fmgame.numerics import (
     golden_max,
     golden_max_scalar,
     largest_true,
-    scan_and_bisect,
     sign_change_brackets,
 )
 from fmgame.oracle import (
@@ -50,6 +49,7 @@ from fmgame.oracle import (
 )
 from fmgame.params import deployer_surplus, stay_denominator
 from fmgame.verify import compare_with_oracle, random_valid_params
+from fmgame.welfare import ThresholdCrossing, _k_grid, _last_crossing
 
 from conftest import HARVEST_TO_DOMINATE, SET_A, SET_B, child_env
 
@@ -110,19 +110,28 @@ class TestRootFinding:
         out = sign_change_brackets(lambda x: x - 1.0, [0.0, 1.0, 2.0])
         assert (1.0, 1.0) in out
 
-    def test_scan_and_bisect_without_sign_change(self):
-        assert scan_and_bisect(lambda x: x * x + 1.0, [0.0, 1.0, 2.0]) is None
+    def test_last_crossing_without_sign_change(self):
+        # No bracket: the sign at the left end names the status.
+        assert _last_crossing(lambda k: k * k + 1.0, 0.0, 2.0) == ThresholdCrossing(
+            value=None, status="always")
+        assert _last_crossing(lambda k: -k * k - 1.0, 0.0, 2.0) == ThresholdCrossing(
+            value=None, status="never")
 
-    def test_scan_and_bisect_exact_zero_on_grid(self):
-        assert scan_and_bisect(lambda x: x - 1.0, [0.0, 1.0, 2.0]) == 1.0
+    def test_last_crossing_exact_zero_on_grid(self):
+        # _k_grid(0, 511) is exactly the integers 0 to 511: the root 7 is a
+        # grid point, returned as it is.
+        assert _k_grid(0.0, 511.0) == [float(i) for i in range(512)]
+        assert _last_crossing(lambda k: k - 7.0, 0.0, 511.0) == ThresholdCrossing(
+            value=7.0, status="crossing")
 
-    def test_scan_and_bisect_returns_last_root(self):
-        def f(x):
-            return (x - 1.5) * (x - 2.5)
+    def test_last_crossing_returns_last_root(self):
+        def f(k):
+            return (k - 1.5) * (k - 2.5)
 
-        grid = [0.0, 1.0, 2.0, 3.0]
-        assert len(sign_change_brackets(f, grid)) == 2
-        assert scan_and_bisect(f, grid) == pytest.approx(2.5, abs=1e-12)
+        assert len(sign_change_brackets(f, _k_grid(0.0, 3.0))) == 2
+        crossing = _last_crossing(f, 0.0, 3.0)
+        assert crossing.status == "crossing"
+        assert crossing.value == pytest.approx(2.5, abs=1e-12)
 
     def test_largest_true(self):
         edge = largest_true(lambda x: x <= 0.7321, 0.0, 1.0)

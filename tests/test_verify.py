@@ -76,6 +76,15 @@ class TestTrapRootCheck:
         assert not passed
         assert detail == f"k_bar={k!r}, |gap|=6.69e+02"
 
+    def test_root_off_the_binding_range_fails(self, monkeypatch):
+        # Below k_bar_1 the baseline harvests at full openness, so the SW gap
+        # is exactly 0: a root, but not on the range where the mandate binds.
+        k = regime_thresholds(SET_A).k_bar_1 / 2
+        monkeypatch.setattr(verify, "openness_trap_threshold", lambda params: k)
+        passed, detail = _check_trap_root(SET_A, TOL)
+        assert not passed
+        assert detail == "k_bar=0.096, |gap|=0.00e+00"
+
     def test_no_root_where_the_mandate_lowers_welfare_throughout(self):
         passed, detail = _check_trap_root(HARVEST_TO_DOMINATE, TOL)
         assert passed
