@@ -16,11 +16,12 @@ mechanics directly:
 
 Bisection is used only to refine the location of the retention boundary in
 openness, so threshold candidates are represented exactly rather than to
-grid resolution. The grid's own stay verdicts say which grid cell holds the
-boundary, so the bisection runs its scalar searches only inside that cell,
-after testing the cell's ends. If the premium-fee deviation ever strictly
-wins period 2, the admissibility bound on k was transcribed wrong and the
-oracle raises.
+grid resolution. The grid's own stay gaps say which grid cell holds the
+boundary, and one regula-falsi step narrows that cell to a window
+2e-10 max(1, eta_cap) wide around it, so the bisection runs its scalar
+searches only inside the window, after testing the window's ends. If the
+premium-fee deviation ever strictly wins period 2, the admissibility bound
+on k was transcribed wrong and the oracle raises.
 
 Every effort the oracle plays is the deployer's best response to the
 surplus m Q - c Q^2 / D, at a margin m fixed by one fee and a cost
@@ -174,14 +175,15 @@ def _best_candidate(params: ModelParams, units, w1: float, etas, switch):
     # The best period-1 openness among etas (grid arrays or one scalar) at
     # fee w1, given the switch effort and surplus there: the period-2
     # subgame played out, the deployer staying on ties. Returns (profit,
-    # fee, eta1, won, w2, q1, q2) of the first best lane, and the verdicts
-    # that the deployer stays at the follower fee.
+    # fee, eta1, won, w2, q1, q2) of the first best lane, and the gaps
+    # v_stay_low - v_switch: the deployer stays at the follower fee where >= 0.
     q1 = _effort_lanes(units, w1, etas)
     q2_switch, v_switch = switch
     q2_stay_low, v_stay_low = _stay_lanes(params, units, params.w_low, q1)
     q2_stay_high, v_stay_high = _stay_lanes(params, units, params.w_high, q1)
 
-    wins_low = v_stay_low >= v_switch
+    gaps = v_stay_low - v_switch
+    wins_low = gaps >= 0
     wins_high = v_stay_high >= v_switch
     if np.any(v_stay_high > v_switch + 1e-9 * np.maximum(1.0, np.abs(v_switch))):
         raise RuntimeError(
@@ -201,18 +203,35 @@ def _best_candidate(params: ModelParams, units, w1: float, etas, switch):
     profit = w1 * q1 + rev2
     i = int(np.argmax(profit))
     profit, eta1, won, w2, q1, q2 = (np.ravel(a)[i] for a in (profit, etas, won, w2, q1, q2))
-    return (float(profit), w1, float(eta1), bool(won), float(w2), float(q1), float(q2)), wins_low
+    return (float(profit), w1, float(eta1), bool(won), float(w2), float(q1), float(q2)), gaps
 
 
-def _retention_boundary(params: ModelParams, units, w1: float, etas, stays) -> float:
+#: Half-width of the window around the regula-falsi estimate of the
+#: retention boundary, times max(1, eta_cap). _stay_gap's sign is noise
+#: within about +-4e-12 of the boundary (a FOUND line of CHANGES.md), so
+#: the window's ends lie well outside that band.
+_WINDOW = 1e-10
+
+
+def _retention_boundary(params: ModelParams, units, w1: float, etas, gaps) -> float:
     # The largest openness at which the deployer stays at the follower fee
-    # (_stay_gap >= 0), bisected on [0, eta_cap] with the cell of the
-    # descending grid etas where the grid's verdicts stays turn from switch
-    # to stay as largest_true's guess. Those vectorized verdicts can differ
-    # from _stay_gap's in the last bit, so largest_true tests the cell's ends
-    # with _stay_gap itself and searches on past an end that disagrees.
+    # (_stay_gap >= 0), bisected on [0, eta_cap]. The gaps on the descending
+    # grid etas turn from switch to stay in one cell; a regula-falsi step from
+    # the interpolated root narrows it to a window, largest_true's guess. The
+    # vectorized gaps can differ from _stay_gap's in the last bit and the
+    # estimate can miss, so largest_true tests the guess's ends with
+    # _stay_gap itself and searches on past an end that disagrees.
+    stays = gaps >= 0
     j = int(np.argmax(stays)) if stays.any() else len(etas) - 1
     cell = None if j == 0 else (float(etas[j]), float(etas[j - 1]))
+    if j > 0 and stays[j]:
+        a, b = cell
+        ga, gb = float(gaps[j]), float(gaps[j - 1])
+        r = a + (b - a) * ga / (ga - gb)
+        gr = _stay_gap(params, units, w1, r)
+        r = r + (b - r) * gr / (gr - gb) if gr >= 0 else a + (r - a) * ga / (ga - gr)
+        half = _WINDOW * max(1.0, params.eta_cap)
+        cell = (max(a, r - half), min(b, r + half))
     return numerics.largest_true(lambda e: _stay_gap(params, units, w1, e) >= 0,
                                  0.0, params.eta_cap, cell)
 
@@ -221,24 +240,26 @@ def oracle_solve_game(params: ModelParams, config: OracleConfig = OracleConfig()
     """Numeric subgame-perfect equilibrium by grid search over strategies.
 
     For each fee the openness grid is played out first. Where its stay
-    verdicts turn from switch to stay, one grid cell brackets the retention
-    boundary: largest_true tests the cell's ends with the scalar stay gap
-    and bisects inside it, taking the same steps as a bisection of
-    [0, eta_cap] would. The bisected boundary is a candidate beside the
-    grid, played out in the bisection's own scalar arithmetic, so
-    defend/dominate optima are located to bisection precision, not grid
-    precision. Candidate order (premium fee first, the grid in descending
-    openness before the boundary) implements the documented tie
-    preferences. The switch lanes of the grid are reused from an earlier
-    call with the same params apart from k and the same grid size.
+    gaps turn from switch to stay, one grid cell brackets the retention
+    boundary, and a regula-falsi step from the gaps at the cell's ends
+    narrows it to a window around the boundary: largest_true tests the
+    window's ends with the scalar stay gap and bisects inside it, taking
+    the same steps as a bisection of [0, eta_cap] would. The bisected
+    boundary is a candidate beside the grid, played out in the bisection's
+    own scalar arithmetic, so defend/dominate optima are located to
+    bisection precision, not grid precision. Candidate order (premium fee
+    first, the grid in descending openness before the boundary) implements
+    the documented tie preferences. The switch lanes of the grid are reused
+    from an earlier call with the same params apart from k and the same
+    grid size.
     """
     require_valid(params)
     etas, switch = _k_free_grid(replace(params, k=0.0), config.eta_grid_points)
     units = _unit_efforts(params)
     best = None   # (profit, fee, eta1, won, w2, q1, q2)
     for w1 in _fees(params):
-        grid, stays = _best_candidate(params, units, w1, etas, switch)
-        edge = _retention_boundary(params, units, w1, etas, stays)
+        grid, gaps = _best_candidate(params, units, w1, etas, switch)
+        edge = _retention_boundary(params, units, w1, etas, gaps)
         boundary, _ = _best_candidate(params, units, w1, edge, _switch_lanes(params, edge))
         for cand in (grid, boundary):
             if best is None or cand[0] > best[0]:

@@ -313,19 +313,19 @@ class TestKFreeReuse:
 
     @staticmethod
     def _boundaries(p, stub=None):
-        # For each fee: the retention boundary bracketed by the grid's stay
-        # verdicts (changed by stub when given), the full bisection of
-        # [0, eta_cap], and the grid cell that the verdicts pointed to.
+        # For each fee: the retention boundary from the grid's stay gaps
+        # (changed by stub when given), the full bisection of [0, eta_cap],
+        # and the grid cell where the gaps turn from switch to stay.
         etas, switch = _k_free_grid(replace(p, k=0.0), 10001)
         units = _unit_efforts(p)
         out = []
         for w1 in _fees(p):
-            stays = _best_candidate(p, units, w1, etas, switch)[1]
+            gaps = _best_candidate(p, units, w1, etas, switch)[1]
             if stub is not None:
-                stays = stub(stays.copy())
+                gaps = stub(gaps.copy())
             full = largest_true(lambda e: _stay_gap(p, units, w1, e) >= 0, 0.0, p.eta_cap)
-            j = int(np.argmax(stays))
-            out.append((_retention_boundary(p, units, w1, etas, stays), full, etas[j]))
+            j = int(np.argmax(gaps >= 0))
+            out.append((_retention_boundary(p, units, w1, etas, gaps), full, etas[j]))
         return out
 
     def test_grid_bracketed_boundary_matches_full_bisection(self):
@@ -335,18 +335,18 @@ class TestKFreeReuse:
 
     @pytest.mark.parametrize("too_high", [True, False], ids=["cell_too_high", "cell_too_low"])
     def test_wrong_grid_verdict_falls_back(self, too_high):
-        # A grid verdict one cell off, as in the last-bit disagreement at
+        # A grid gap of the wrong sign, as in the last-bit disagreement at
         # set_b with k = k_max: an extra stay just above the flip puts the
         # guessed cell one too high, a lost stay just below it one too low.
-        # The cell's ends are tested with _stay_gap, and the bisection goes
+        # The guess's ends are tested with _stay_gap, and the bisection goes
         # on past the end that disagrees.
-        def stub(stays):
-            j = int(np.argmax(stays))   # the highest stay on the descending grid
+        def stub(gaps):
+            j = int(np.argmax(gaps >= 0))   # the highest stay on the descending grid
             if too_high:
-                stays[j - 1] = True
+                gaps[j - 1] = abs(gaps[j - 1])
             else:
-                stays[j] = False
-            return stays
+                gaps[j] = -abs(gaps[j])
+            return gaps
 
         p = replace(SET_A, k=0.2)   # defend: both boundaries inside the grid
         step = p.eta_cap / 10000
@@ -354,6 +354,75 @@ class TestKFreeReuse:
             assert abs(bracketed - full) <= 1e-12
             # The guessed cell [guess, guess + step] misses the boundary.
             assert full < guess if too_high else full > guess + 0.5 * step
+
+    @pytest.mark.parametrize("too_high", [True, False],
+                             ids=["estimate_too_high", "estimate_too_low"])
+    def test_estimate_off_the_boundary_falls_back(self, too_high, monkeypatch):
+        # A grid gap a million times too large at one end of the right cell
+        # drags the regula-falsi estimate, and the window around it, to the
+        # other end: wholly above or below the boundary. largest_true tests
+        # the window's ends with _stay_gap and searches on past them.
+        windows = []
+
+        def spy(pred, lo, hi, cell=None):
+            windows.append(cell)
+            return largest_true(pred, lo, hi, cell)
+
+        def stub(gaps):
+            j = int(np.argmax(gaps >= 0))
+            gaps[j if too_high else j - 1] *= 1e6
+            return gaps
+
+        monkeypatch.setattr(numerics, "largest_true", spy)
+        boundaries = self._boundaries(replace(SET_A, k=0.2), stub)
+        assert len(windows) == len(boundaries) == 2
+        for (bracketed, full, _), (a, b) in zip(boundaries, windows):
+            assert abs(bracketed - full) <= 1e-12
+            assert full < a if too_high else full > b
+
+    def test_narrowed_cell_changes_no_bits(self):
+        # The window around the regula-falsi estimate gives the same boundary
+        # as the whole grid cell it narrows, given as largest_true's guess, on
+        # verify's k-points, k_max and seeded draws at k = 0, a random k and
+        # k_max.
+        points = []
+        for base in (SET_A, SET_B):
+            km = k_max(base)
+            points += [replace(base, k=float(k)) for k in (np.arange(100) + 0.5) / 100 * km]
+            points.append(replace(base, k=km))
+        rng = np.random.default_rng(20261020)
+        for i in range(40):
+            p = random_valid_params(rng, with_subsidy=i % 3 == 2)
+            km = k_max(p)
+            points += [replace(p, k=k) for k in (0.0, float(rng.uniform(0.0, km)), km)]
+        for p in points:
+            etas, switch = _k_free_grid(replace(p, k=0.0), 10001)
+            units = _unit_efforts(p)
+            for w1 in _fees(p):
+                gaps = _best_candidate(p, units, w1, etas, switch)[1]
+                stays = gaps >= 0
+                j = int(np.argmax(stays)) if stays.any() else len(etas) - 1
+                cell = None if j == 0 else (float(etas[j]), float(etas[j - 1]))
+                whole = largest_true(lambda e: _stay_gap(p, units, w1, e) >= 0,
+                                     0.0, p.eta_cap, cell)
+                assert _retention_boundary(p, units, w1, etas, gaps) == whole, (p, w1)
+
+    def test_bisection_probes_per_call(self, monkeypatch):
+        # The window saves most of the grid cell's bisection steps: set_a's
+        # verify k-points take about 25 _stay_gap probes per call, against
+        # 60 with the whole grid cell as the guess.
+        probes = 0
+
+        def counted(*args):
+            nonlocal probes
+            probes += 1
+            return _stay_gap(*args)
+
+        monkeypatch.setattr("fmgame.oracle._stay_gap", counted)
+        ks = (np.arange(100) + 0.5) / 100 * k_max(SET_A)
+        for k in ks:
+            oracle_solve_game(replace(SET_A, k=float(k)))
+        assert probes <= 30 * len(ks)
 
     def test_cached_arrays_are_read_only(self):
         etas, switch = _k_free_grid(replace(SET_A, k=0.0), 101)
