@@ -151,11 +151,20 @@ def _stay_lanes(params: ModelParams, units, w2: float, q1):
     return q, deployer_surplus(m, q, params.c, d)
 
 
-def _stay_gap(params: ModelParams, units, w1: float, eta1: float) -> float:
-    # Deployer's period-2 surplus advantage of staying (incumbent at the
-    # follower fee) over switching, at a scalar period-1 candidate.
-    q1 = _effort_lanes(units, w1, eta1)
-    return _stay_lanes(params, units, params.w_low, q1)[1] - _switch_lanes(params, eta1)[1]
+def _lanes(params: ModelParams, units, w1: float, etas, switch=None):
+    # At fee w1 and each openness in etas (grid arrays or one float): the
+    # period-1 effort, then the deployer's period-2 effort and surplus from
+    # staying (incumbent at the follower fee) and from switching. switch,
+    # where given, holds the switch lanes already.
+    q1 = _effort_lanes(units, w1, etas)
+    stay = _stay_lanes(params, units, params.w_low, q1)
+    return q1, stay, _switch_lanes(params, etas) if switch is None else switch
+
+
+def _stay_gap(lanes):
+    # The deployer's period-2 surplus advantage of staying at the follower
+    # fee over switching, from _lanes: it stays where this is >= 0.
+    return lanes[1][1] - lanes[2][1]
 
 
 @functools.lru_cache(maxsize=2)
@@ -171,38 +180,39 @@ def _k_free_grid(params: ModelParams, n: int):
     return etas, switch
 
 
-def _best_candidate(params: ModelParams, units, w1: float, etas, switch):
-    # The best period-1 openness among etas (grid arrays or one scalar) at
-    # fee w1, given the switch effort and surplus there: the period-2
-    # subgame played out, the deployer staying on ties. Returns (profit,
-    # fee, eta1, won, w2, q1, q2) of the first best lane, and the gaps
-    # v_stay_low - v_switch: the deployer stays at the follower fee where >= 0.
-    q1 = _effort_lanes(units, w1, etas)
-    q2_switch, v_switch = switch
-    q2_stay_low, v_stay_low = _stay_lanes(params, units, params.w_low, q1)
+def _best_candidate(params: ModelParams, units, w1: float, etas, lanes):
+    # The best period-1 openness among etas (grid arrays or one float) at
+    # fee w1, given _lanes there: the period-2 subgame played out, the
+    # deployer staying on ties. Returns (profit, fee, eta1, won, w2, q1, q2)
+    # of the first best lane, and the stay gaps. On one float every choice
+    # is made on plain floats.
+    q1, (q2_stay_low, _), (q2_switch, v_switch) = lanes
     q2_stay_high, v_stay_high = _stay_lanes(params, units, params.w_high, q1)
 
-    gaps = v_stay_low - v_switch
+    gaps = _stay_gap(lanes)
     wins_low = gaps >= 0
     wins_high = v_stay_high >= v_switch
-    if np.any(v_stay_high > v_switch + 1e-9 * np.maximum(1.0, np.abs(v_switch))):
+    if numerics.any_true(v_stay_high > v_switch + 1e-9 * numerics.larger(1.0, abs(v_switch))):
         raise RuntimeError(
             "oracle: period-2 premium-fee deviation won strictly; "
             "the k admissibility bound is wrong for these params"
         )
 
-    rev_low = np.where(wins_low, params.w_low * q2_stay_low, -np.inf)
-    rev_high = np.where(wins_high, params.w_high * q2_stay_high, -np.inf)
+    select = numerics.select
+    rev_low = select(wins_low, params.w_low * q2_stay_low, -np.inf)
+    rev_high = select(wins_high, params.w_high * q2_stay_high, -np.inf)
     # Ties between the two winning fees go to the follower fee.
     pick_high = rev_high > rev_low
     won = wins_low | wins_high
-    rev2 = np.where(won, np.where(pick_high, rev_high, rev_low), 0.0)
-    w2 = np.where(pick_high, params.w_high, params.w_low)
-    q2 = np.where(won, np.where(pick_high, q2_stay_high, q2_stay_low), q2_switch)
+    rev2 = select(won, select(pick_high, rev_high, rev_low), 0.0)
+    w2 = select(pick_high, params.w_high, params.w_low)
+    q2 = select(won, select(pick_high, q2_stay_high, q2_stay_low), q2_switch)
 
     profit = w1 * q1 + rev2
-    i = int(np.argmax(profit))
-    profit, eta1, won, w2, q1, q2 = (np.ravel(a)[i] for a in (profit, etas, won, w2, q1, q2))
+    eta1 = etas
+    if isinstance(profit, np.ndarray):
+        i = int(np.argmax(profit))
+        profit, eta1, won, w2, q1, q2 = (a[i] for a in (profit, etas, won, w2, q1, q2))
     return (float(profit), w1, float(eta1), bool(won), float(w2), float(q1), float(q2)), gaps
 
 
@@ -213,14 +223,22 @@ def _best_candidate(params: ModelParams, units, w1: float, etas, switch):
 _WINDOW = 1e-10
 
 
-def _retention_boundary(params: ModelParams, units, w1: float, etas, gaps) -> float:
+def _retention_boundary(params: ModelParams, units, w1: float, etas, gaps):
     # The largest openness at which the deployer stays at the follower fee
-    # (_stay_gap >= 0), bisected on [0, eta_cap]. The gaps on the descending
-    # grid etas turn from switch to stay in one cell; a regula-falsi step from
-    # the interpolated root narrows it to a window, largest_true's guess. The
-    # vectorized gaps can differ from _stay_gap's in the last bit and the
-    # estimate can miss, so largest_true tests the guess's ends with
-    # _stay_gap itself and searches on past an end that disagrees.
+    # (_stay_gap >= 0), bisected on [0, eta_cap], and the scalar _lanes
+    # there. The gaps on the descending grid etas turn from switch to stay in
+    # one cell; a regula-falsi step from the interpolated root narrows it to
+    # a window, largest_true's guess. The grid's gaps can differ from the
+    # scalar ones in the last bit and the estimate can miss, so largest_true
+    # tests the guess's ends with the scalar gap itself and searches on past
+    # an end that disagrees. The lanes at the boundary are those of the probe
+    # there, almost always made already.
+    probes = {}
+
+    def gap_at(eta1):
+        probes[eta1] = lanes = _lanes(params, units, w1, eta1)
+        return _stay_gap(lanes)
+
     stays = gaps >= 0
     j = int(np.argmax(stays)) if stays.any() else len(etas) - 1
     cell = None if j == 0 else (float(etas[j]), float(etas[j - 1]))
@@ -228,12 +246,12 @@ def _retention_boundary(params: ModelParams, units, w1: float, etas, gaps) -> fl
         a, b = cell
         ga, gb = float(gaps[j]), float(gaps[j - 1])
         r = a + (b - a) * ga / (ga - gb)
-        gr = _stay_gap(params, units, w1, r)
+        gr = gap_at(r)
         r = r + (b - r) * gr / (gr - gb) if gr >= 0 else a + (r - a) * ga / (ga - gr)
         half = _WINDOW * max(1.0, params.eta_cap)
         cell = (max(a, r - half), min(b, r + half))
-    return numerics.largest_true(lambda e: _stay_gap(params, units, w1, e) >= 0,
-                                 0.0, params.eta_cap, cell)
+    edge = numerics.largest_true(lambda e: gap_at(e) >= 0, 0.0, params.eta_cap, cell)
+    return edge, probes.get(edge) or _lanes(params, units, w1, edge)
 
 
 def oracle_solve_game(params: ModelParams, config: OracleConfig = OracleConfig()) -> Equilibrium:
@@ -246,8 +264,9 @@ def oracle_solve_game(params: ModelParams, config: OracleConfig = OracleConfig()
     window's ends with the scalar stay gap and bisects inside it, taking
     the same steps as a bisection of [0, eta_cap] would. The bisected
     boundary is a candidate beside the grid, played out in the bisection's
-    own scalar arithmetic, so defend/dominate optima are located to
-    bisection precision, not grid precision. Candidate order (premium fee
+    own scalar arithmetic (on plain floats, with the stay and switch
+    searches of the bisection's probe there), so defend/dominate optima are
+    located to bisection precision, not grid precision. Candidate order (premium fee
     first, the grid in descending openness before the boundary) implements
     the documented tie preferences. The switch lanes of the grid are reused
     from an earlier call with the same params apart from k and the same
@@ -258,9 +277,10 @@ def oracle_solve_game(params: ModelParams, config: OracleConfig = OracleConfig()
     units = _unit_efforts(params)
     best = None   # (profit, fee, eta1, won, w2, q1, q2)
     for w1 in _fees(params):
-        grid, gaps = _best_candidate(params, units, w1, etas, switch)
-        edge = _retention_boundary(params, units, w1, etas, gaps)
-        boundary, _ = _best_candidate(params, units, w1, edge, _switch_lanes(params, edge))
+        grid, gaps = _best_candidate(params, units, w1, etas,
+                                     _lanes(params, units, w1, etas, switch))
+        edge, lanes = _retention_boundary(params, units, w1, etas, gaps)
+        boundary, _ = _best_candidate(params, units, w1, edge, lanes)
         for cand in (grid, boundary):
             if best is None or cand[0] > best[0]:
                 best = cand

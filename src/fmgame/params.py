@@ -105,7 +105,8 @@ class InvalidParams(ValueError):
 
     def __reduce__(self):
         # Rebuilt from its report, not from args (the message), so that it
-        # survives pickling, as from a worker process to its parent.
+        # survives pickling, as over the pipe from a verify child process to
+        # its parent.
         return type(self), (self.report,)
 
 

@@ -10,10 +10,11 @@ the CLI ``verify`` command's order: ``_CHECKS``, then ``_SUBSIDY_CHECKS``
 where s > 0. One loop runs every row under one guard, so a check that raises
 is a FAIL of that check; any FAIL exits nonzero. Tests call run_verification.
 
-``oracle-equivalence``, nearly all of a run's time, checks its k-points on
-forked worker processes, one per CPU this process may use
-(:func:`first_failure`); where that cannot be done they are checked
-serially in this process. Both routes print the same lines.
+``oracle-equivalence``, nearly all of a run's time, splits its k-points
+into one interleaved share per CPU this process may use
+(:func:`first_failure`): this process checks the first share, forked child
+processes the others. Where fork cannot be used or only one CPU may be, all
+are checked serially in this process. Both routes print the same lines.
 """
 
 from __future__ import annotations
@@ -141,63 +142,79 @@ def run_verification(params: ModelParams, oracle_rel_tol: float = 1e-5) -> list[
     return checks
 
 
-#: In a worker process of first_failure: the check and the points it runs.
-_WORKER_TASK = None
-
-
 def first_failure(check, points) -> tuple[int, str] | None:
     """(index, message) of the first point where check returns a message.
 
-    None when check returns None at every point. The points are checked on
-    forked worker processes, one per CPU this process may use and at most
-    one per point, one point per task. Results are read in point order, so
-    the answer, and an exception (raised here as itself), are those of a
-    serial loop; the tasks after the first failure are cancelled. Where
-    fork or os.sched_getaffinity is missing, or only one CPU may be used,
-    the points are checked serially in this process. check need not
-    pickle: the workers inherit it, and any monkeypatch in force, from this
-    process.
+    None when check returns None at every point. With w CPUs this process
+    may use (at most one per point), this process checks the share of
+    points range(0, n, w) and w - 1 forked children the shares
+    range(j, n, w). Each stops at its first message or exception, and a
+    child sends it back over a pipe; the one at the lowest index is returned
+    or raised (an exception as itself), as by a serial loop. A child that
+    ends without reporting raises RuntimeError with its exit code, and no
+    child outlives the call. Where fork or os.sched_getaffinity is missing,
+    w is 1: every point is checked in this process. check need not pickle:
+    the children inherit it, and any monkeypatch in force, from this process.
     """
     import multiprocessing
 
+    n = len(points)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(points))
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return _first_message(map(check, points))
-    from concurrent.futures import ProcessPoolExecutor
-
-    # A forked worker receives the initializer and its arguments unpickled.
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                               _take_task, (check, points, os.getpid()))
+    w = max(1, min(cpus, n)) if "fork" in multiprocessing.get_all_start_methods() else 1
+    children = []
     try:
-        futures = [pool.submit(_check_point, i) for i in range(len(points))]
-        return _first_message(future.result() for future in futures)
+        for j in range(1, w):
+            ctx = multiprocessing.get_context("fork")
+            reader, writer = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_report_share,
+                                args=(check, points, range(j, n, w), writer, os.getpid()))
+            child.start()
+            children.append((child, reader))
+            writer.close()   # so that the reader sees EOF once the child is gone
+        events = [_first_event(check, points, range(0, n, w))]
+        for child, reader in children:
+            try:
+                events.append(reader.recv())
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"a child checking points ended with exit code "
+                                   f"{child.exitcode} before it reported") from None
+        found = min(filter(None, events), default=None, key=lambda event: event[0])
+        if found is not None and isinstance(found[1], Exception):
+            raise found[1]
+        return found
     finally:
-        pool.shutdown(cancel_futures=True)
+        for child, reader in children:
+            child.kill()
+            child.join()
+            reader.close()
 
 
-def _first_message(messages) -> tuple[int, str] | None:
-    return next(((i, msg) for i, msg in enumerate(messages) if msg is not None), None)
+def _first_event(check, points, share):
+    # The first (index, message) or (index, exception) of check over share,
+    # in order; None if check returns None at every point of it.
+    for i in share:
+        try:
+            message = check(points[i])
+        except Exception as exc:   # an event like a message: a lower index may still win
+            return i, exc
+        if message is not None:
+            return i, message
+    return None
 
 
-def _take_task(check, points, parent: int) -> None:
-    # A worker also ends once its parent is gone: one killed by a signal it
-    # cannot handle never shuts the pool down, and its idle workers would
-    # wait for tasks forever.
-    global _WORKER_TASK
-    _WORKER_TASK = check, points
+def _report_share(check, points, share, writer, parent: int) -> None:
+    # A forked child's work. It also ends once its parent is gone: a parent
+    # killed by a signal it cannot handle kills no child. The watchdog thread
+    # starts after the fork, so the parent forks while it runs no thread.
     threading.Thread(target=_exit_without, args=(parent,), daemon=True).start()
+    writer.send(_first_event(check, points, share))
 
 
 def _exit_without(parent: int) -> None:
     while os.getppid() == parent:
         time.sleep(0.2)
     os._exit(1)
-
-
-def _check_point(i: int) -> str | None:
-    check, points = _WORKER_TASK
-    return check(points[i])
 
 
 def _check_kmax_positive(params: ModelParams, oracle_rel_tol: float) -> tuple[bool, str]:

@@ -107,7 +107,8 @@ def test_criterion_2_oracle_equivalence():
         rng = np.random.default_rng(20240811)
         draws = [random_valid_params(rng, with_subsidy=(i % 10 < 3)) for i in range(100)]
         labels = [f"k={p.k}" for p in sweep] + [f"draw {i} ({p})" for i, p in enumerate(draws)]
-        # On forked workers, one per CPU, as fmgame verify checks its k-points.
+        # One share per CPU, in this process and forked children, as fmgame
+        # verify checks its k-points.
         found = first_failure(lambda p: compare_with_oracle(p, config), sweep + draws)
         assert found is None, f"{labels[found[0]]}: {found[1]}"
         assert time.perf_counter() - t0 < 60.0

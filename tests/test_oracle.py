@@ -36,10 +36,10 @@ from fmgame.numerics import (
     sign_change_brackets,
 )
 from fmgame.oracle import (
-    _best_candidate,
     _effort_lanes,
     _fees,
     _k_free_grid,
+    _lanes,
     _retention_boundary,
     _stay_gap,
     _stay_lanes,
@@ -307,7 +307,7 @@ class TestKFreeReuse:
             if eta1 in np.linspace(p.eta_cap, 0.0, 10001):
                 continue
             off_grid += 1
-            assert _stay_gap(p, _unit_efforts(p), eq.strategy.w1, eta1) >= 0, p
+            assert _stay_gap(_lanes(p, _unit_efforts(p), eq.strategy.w1, eta1)) >= 0, p
             assert eq.regime in (Regime.DEFEND, Regime.DOMINATE), p
         assert off_grid > 0
 
@@ -320,12 +320,13 @@ class TestKFreeReuse:
         units = _unit_efforts(p)
         out = []
         for w1 in _fees(p):
-            gaps = _best_candidate(p, units, w1, etas, switch)[1]
+            gaps = _stay_gap(_lanes(p, units, w1, etas, switch))
             if stub is not None:
                 gaps = stub(gaps.copy())
-            full = largest_true(lambda e: _stay_gap(p, units, w1, e) >= 0, 0.0, p.eta_cap)
+            full = largest_true(lambda e: _stay_gap(_lanes(p, units, w1, e)) >= 0,
+                                0.0, p.eta_cap)
             j = int(np.argmax(gaps >= 0))
-            out.append((_retention_boundary(p, units, w1, etas, gaps), full, etas[j]))
+            out.append((_retention_boundary(p, units, w1, etas, gaps)[0], full, etas[j]))
         return out
 
     def test_grid_bracketed_boundary_matches_full_bisection(self):
@@ -399,13 +400,13 @@ class TestKFreeReuse:
             etas, switch = _k_free_grid(replace(p, k=0.0), 10001)
             units = _unit_efforts(p)
             for w1 in _fees(p):
-                gaps = _best_candidate(p, units, w1, etas, switch)[1]
+                gaps = _stay_gap(_lanes(p, units, w1, etas, switch))
                 stays = gaps >= 0
                 j = int(np.argmax(stays)) if stays.any() else len(etas) - 1
                 cell = None if j == 0 else (float(etas[j]), float(etas[j - 1]))
-                whole = largest_true(lambda e: _stay_gap(p, units, w1, e) >= 0,
+                whole = largest_true(lambda e: _stay_gap(_lanes(p, units, w1, e)) >= 0,
                                      0.0, p.eta_cap, cell)
-                assert _retention_boundary(p, units, w1, etas, gaps) == whole, (p, w1)
+                assert _retention_boundary(p, units, w1, etas, gaps)[0] == whole, (p, w1)
 
     def test_bisection_probes_per_call(self, monkeypatch):
         # The window saves most of the grid cell's bisection steps: set_a's
@@ -413,12 +414,12 @@ class TestKFreeReuse:
         # 60 with the whole grid cell as the guess.
         probes = 0
 
-        def counted(*args):
+        def counted(params, units, w1, etas, switch=None):
             nonlocal probes
-            probes += 1
-            return _stay_gap(*args)
+            probes += not isinstance(etas, np.ndarray)   # the grid's lanes are no probe
+            return _lanes(params, units, w1, etas, switch)
 
-        monkeypatch.setattr("fmgame.oracle._stay_gap", counted)
+        monkeypatch.setattr("fmgame.oracle._lanes", counted)
         ks = (np.arange(100) + 0.5) / 100 * k_max(SET_A)
         for k in ks:
             oracle_solve_game(replace(SET_A, k=float(k)))

@@ -135,7 +135,7 @@ def test_invalid_params_carries_report():
 
 
 def test_invalid_params_survives_pickling():
-    # As an exception raised in a verify worker process reaches its parent.
+    # As an exception raised in a verify child process reaches its parent.
     exc = InvalidParams(validate(replace(SET_A, theta=-1.0, c=-1.0)))
     back = pickle.loads(pickle.dumps(exc))
     assert type(back) is InvalidParams

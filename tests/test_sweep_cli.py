@@ -472,8 +472,8 @@ class TestCliVerify:
 
     def test_forked_workers_raise_no_deprecation_warning(self):
         # Python 3.12+ warns when it forks a process that runs threads. The
-        # pool forks its workers before it starts a thread of its own, and
-        # OpenBLAS stops its threads at each fork.
+        # parent starts no thread: each child starts its watchdog after the
+        # fork. OpenBLAS stops its threads at each fork.
         proc = _run_module("verify", "--config", CFG_A,
                            python_flags=("-W", "error::DeprecationWarning"))
         assert (proc.returncode, proc.stderr) == (0, "")

@@ -1,5 +1,6 @@
 """The verify checks that can be run on their own, without the oracle, and their guard;
-and the serial and the forked-worker routes of oracle-equivalence."""
+and the serial route of oracle-equivalence and the pool route, which shares its k-points
+between this process and forked children."""
 
 import itertools
 import multiprocessing
@@ -31,6 +32,7 @@ from fmgame import (
     closed_form,
     integration_thresholds,
     k_max,
+    oracle,
     solve_integrated,
     validate,
     verify,
@@ -298,8 +300,9 @@ def test_a_subsidy_check_that_raises_is_its_own_named_fail(monkeypatch, capsys):
     assert lines[-1] == "14/16 checks passed"
 
 
-# oracle-equivalence on forked workers (the pool route) and in this process
-# (the serial route, where one CPU may be used) must give the same results.
+# oracle-equivalence shared between this process and forked children (the
+# pool route) and all in this process (the serial route, where one CPU may be
+# used) must give the same results.
 
 def _use_cpus(monkeypatch, n: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
@@ -330,9 +333,18 @@ def _oracle_ks(params):
 
 
 def test_routes_check_in_this_process_or_in_workers(route):
-    pids = first_failure(lambda point: str(os.getpid()), [0, 1])
-    assert pids[0] == 0
-    assert (int(pids[1]) == os.getpid()) == (route == 1)
+    # Point 0 is checked in this process on both routes; point 1 here on the
+    # serial route and in a forked child on the pool route.
+    checked_here = []
+
+    def check(point):
+        checked_here.append(point)   # a child appends to its own copy
+        return str(os.getpid()) if point == 1 else None
+
+    found = first_failure(check, [0, 1])
+    assert found[0] == 1
+    assert (int(found[1]) == os.getpid()) == (route == 1)
+    assert checked_here == ([0, 1] if route == 1 else [0])
 
 
 @pytest.mark.parametrize("params", [SET_A, SET_B], ids=["set_a", "set_b"])
@@ -345,8 +357,9 @@ def test_both_routes_return_equal_checks(params, monkeypatch):
 
 
 def test_the_first_failing_k_point_is_named(route, monkeypatch):
-    # The 81st k-point fails at once, the 38th only later: a pool reads its
-    # results in k order, so the 38th is named, as in a serial loop.
+    # The 81st k-point, in this process's share, fails at once; the 38th, in
+    # a child's, only later. The lowest failing index is named, as in a
+    # serial loop.
     ks = _oracle_ks(SET_A)
 
     def compare(params, config, rel_tol):
@@ -360,6 +373,51 @@ def test_the_first_failing_k_point_is_named(route, monkeypatch):
     assert not check.passed
     assert check.detail == f"k={ks[37]!r}: stub at the 38th"
     assert multiprocessing.active_children() == []
+
+
+def test_an_earlier_failure_that_arrives_late_is_named(route, monkeypatch):
+    # The mirror case: the 39th k-point, in this process's share, fails only
+    # later; the 82nd, in a child's share, at once. The 39th is named.
+    ks = _oracle_ks(SET_A)
+
+    def compare(params, config, rel_tol):
+        if params.k == ks[38]:
+            time.sleep(0.3)
+            return "stub at the 39th"
+        return "stub at the 82nd" if params.k == ks[81] else None
+
+    _stub_oracle(monkeypatch, compare)
+    check = {c.name: c for c in run_verification(SET_A)}["oracle-equivalence"]
+    assert not check.passed
+    assert check.detail == f"k={ks[38]!r}: stub at the 39th"
+    assert multiprocessing.active_children() == []
+
+
+def test_a_child_that_dies_without_reporting_is_named(monkeypatch):
+    # Point 1 is a child's on two CPUs; os._exit ends the child at once.
+    _use_cpus(monkeypatch, 2)
+
+    def check(point):
+        if point == 1:
+            os._exit(3)
+
+    with pytest.raises(RuntimeError, match="exit code 3"):
+        first_failure(check, [0, 1, 2, 3])
+    assert multiprocessing.active_children() == []
+
+
+def test_grid_refinement_reuses_this_processs_k_free_grid(route):
+    # oracle-equivalence checks some k-points in this process on both routes,
+    # so the fine grid of oracle-grid-refinement is a hit, the coarse one a miss.
+    oracle._k_free_grid.cache_clear()
+    try:
+        assert verify._check_oracle_equivalence(SET_A, 1e-5)[0]
+        before = oracle._k_free_grid.cache_info()
+        assert verify._check_grid_refinement(SET_A, 1e-5)[0]
+        after = oracle._k_free_grid.cache_info()
+    finally:
+        oracle._k_free_grid.cache_clear()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
 
 
 @pytest.mark.parametrize("exc, line", [
@@ -421,7 +479,8 @@ def _running(pid: int) -> bool:
 
 
 def test_workers_end_when_their_parent_is_killed():
-    # SIGKILL gives the parent no chance to shut its pool down.
+    # SIGKILL gives the parent no chance to kill its child; the two pids read
+    # are the parent's (point 0) and the child's (point 1).
     script = ("import os, time\n"
               "os.sched_getaffinity = lambda pid: {0, 1}\n"
               "from fmgame.verify import first_failure\n"
