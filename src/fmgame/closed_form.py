@@ -25,12 +25,12 @@ once, in _row.
 All formulas take the subsidy into account through the deployer's net
 margin (theta - w + s); the baseline game is the s = 0 special case.
 
-The same expressions evaluate a whole grid at once: k or s of the params
-handed to _row, _thresholds and _solve may be a float array (never both),
-and where the scalar code branches on the regime the array code selects
-per element (numerics.select and choose), so every element carries the bits
-of its own scalar solve. numpy's element-wise + - * / round as Python's
-float operations do. Grids go through these validation-free cores only;
+The same expressions evaluate a whole grid at once: any field of the params
+handed to _row, _thresholds and _solve may be a float array, and every
+choice between formulas is made per element (numerics.select and choose), so
+every element carries the bits of its own scalar solve. numpy's element-wise
++ - * / round as Python's float operations do; where a quotient overflows to
+inf, numpy also warns. Grids go through these validation-free cores only;
 the public solvers validate one point and take float params.
 """
 
@@ -202,27 +202,19 @@ def _thresholds(params: ModelParams) -> RegimeThresholds:
     t = params.theta + params.s
     c2 = 2.0 * params.c
     eta = params.eta_cap
+    one = 1.0 + eta
     w_h, w_l = params.w_high, params.w_low
     m_h = t - w_h
     m_l = t - w_l
 
-    if w_h == w_l:
-        k_12 = math.inf
-    else:
-        k_12 = c2 * (t - w_l - w_h) / (m_l * (t - w_h + w_l + eta * w_l))
-
-    if w_h == 0.0:
-        # Zero fees: all scenario profits vanish identically; no comparison binds.
-        k_13 = math.inf
-        k_23 = math.inf
-    else:
-        k_13 = (
-            c2 * (eta * m_h * w_h - (1.0 + eta) * t * w_l + (1.0 + eta) * w_l * w_l)
-            / ((1.0 + eta) * m_h * m_h * w_h)
-        )
-        k_23 = c2 * (1.0 / m_l - (2.0 + eta) * w_l / ((1.0 + eta) * m_h * w_h))
-
-    # NaN where the denominator vanishes: x / nan is nan and raises nothing.
+    k_12 = numerics.select(w_h == w_l, math.inf, c2 * (t - w_l - w_h) / (m_l * (t - w_h + w_l + eta * w_l)))
+    # Zero fees: all scenario profits vanish identically; no comparison binds.
+    # NaN where a denominator vanishes: x / nan is nan and raises nothing.
+    zero = w_h == 0.0
+    w_d = numerics.select(zero, math.nan, w_h)
+    k_13 = numerics.select(zero, math.inf, c2 * (eta * m_h * w_h - one * t * w_l + one * w_l * w_l)
+                           / (one * m_h * m_h * w_d))
+    k_23 = numerics.select(zero, math.inf, c2 * (1.0 / m_l - (2.0 + eta) * w_l / (one * m_h * w_d)))
     den = (t - w_h - w_l) * (w_h - w_l)
     eta_prime = (m_h * m_h + w_l * (w_h - w_l)) / numerics.select(den == 0.0, math.nan, den)
 
@@ -266,12 +258,12 @@ def solve(params: ModelParams) -> Equilibrium:
 
 
 def _solve(params: ModelParams) -> Equilibrium:
-    # solve without the validation, for admitted points and grids. With k
-    # or s an array, every field of the result is an array (or a scalar
-    # shared by all points), the regime an array of Regime members.
+    # solve without the validation, for admitted points and grids. On a
+    # grid every field of the result is an array (or a scalar shared by all
+    # points), the regime an array of Regime members.
     rows = [_row(params, regime) for regime in Regime]
-    # No admitted threshold is NaN: Python raises on a float division by
-    # zero, and validate() bounds every product, so nothing overflows to inf.
+    # No admitted k_bar is NaN: Python raises on a float division by zero,
+    # and validate() bounds every product of a k_bar, so none overflows.
     th = _thresholds(params)
     index = numerics.select(params.k <= th.k_bar_1, 0,
                             numerics.select(params.k <= th.k_bar_2, 1, 2))

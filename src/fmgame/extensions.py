@@ -22,7 +22,7 @@ move down, and the subsidy tips harvest into defend, or harvest or defend
 into dominate (ROADMAP.md, open item 2). Subsidy outlays are reported
 separately, never silently netted out of social welfare.
 
-Grids of k or s go through the validation-free cores (_integrated,
+Grids of parameters go through the validation-free cores (_integrated,
 _with_outlay), never through the public solvers.
 """
 

@@ -64,8 +64,8 @@ class ModelParams:
     """Immutable parameter bundle for one game instance.
 
     The public solvers take float fields. The validation-free cores
-    (closed_form._solve and those built on it) also take k or s, not both,
-    as a float array: a grid of admitted instances.
+    (closed_form._solve and those built on it) also take float arrays in
+    any of the fields: a grid of admitted instances.
     """
 
     theta: float

@@ -105,8 +105,7 @@ class SweepSpec:
 @functools.cache
 def sweep_columns(scenario: str) -> tuple[str, ...]:
     # The names of the cells on a grid of no points, where nothing is solved.
-    none = ModelParams(theta=5.0, c=1.0, w_high=2.5, w_low=0.5, eta_cap=1.5, k=np.empty(0))
-    return _solved_rows(none, _SCENARIOS[scenario])[0]
+    return _solved_rows(ModelParams(**{name: np.empty(0) for name in _FIELDS}), _SCENARIOS[scenario])[0]
 
 
 def _fmt(x) -> str:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -150,11 +151,12 @@ def first_failure(check, points) -> tuple[int, str] | None:
     points range(0, n, w) and w - 1 forked children the shares
     range(j, n, w). Each stops at its first message or exception, and a
     child sends it back over a pipe; the one at the lowest index is returned
-    or raised (an exception as itself), as by a serial loop. A child that
-    ends without reporting raises RuntimeError with its exit code, and no
-    child outlives the call. Where fork or os.sched_getaffinity is missing,
-    w is 1: every point is checked in this process. check need not pickle:
-    the children inherit it, and any monkeypatch in force, from this process.
+    or raised (an exception as itself, or as a RuntimeError naming it where
+    it does not pickle), as by a serial loop. A child that ends without
+    reporting raises RuntimeError with its exit code, and no child outlives
+    the call. Where fork or os.sched_getaffinity is missing, w is 1: every
+    point is checked in this process. check need not pickle: the children
+    inherit it, and any monkeypatch in force, from this process.
     """
     import multiprocessing
 
@@ -208,7 +210,13 @@ def _report_share(check, points, share, writer, parent: int) -> None:
     # killed by a signal it cannot handle kills no child. The watchdog thread
     # starts after the fork, so the parent forks while it runs no thread.
     threading.Thread(target=_exit_without, args=(parent,), daemon=True).start()
-    writer.send(_first_event(check, points, share))
+    event = _first_event(check, points, share)
+    try:   # an exception that the parent could not rebuild is named instead
+        pickle.loads(pickle.dumps(event))
+    except Exception:
+        event = event[0], RuntimeError(f"a child checking points raised {type(event[1]).__name__}: "
+                                       f"{event[1]} at {event[0]}, which does not pickle")
+    writer.send(event)
 
 
 def _exit_without(parent: int) -> None:

@@ -16,7 +16,7 @@ deployer's surplus under each period's cost denominator, consumer surplus
 from engagements). The two routes must agree to 1e-6
 relative; a mismatch aborts with the offending component and regime named,
 since it means a table row or the regime mapping was mistranscribed. Both
-routes also run on a grid of k or s, element by element (closed_form).
+routes also run on a grid of parameters, element by element (closed_form).
 
 The mandate counterfactual pins period-1 openness at the cap. The incumbent
 then cannot defend the deployer at any admissible flywheel strength, so the
@@ -172,7 +172,7 @@ def welfare_for_equilibrium(params: ModelParams, eq: Equilibrium) -> WelfareBrea
     Evaluates the regime's closed-form table row and cross-validates it
     against the rebuild from efforts; raises RuntimeError naming the first
     disagreeing component if the two routes drift beyond 1e-6 relative.
-    On a grid (an equilibrium solved with k or s an array) both routes run
+    On a grid (an equilibrium solved with array params) both routes run
     per element, and the first disagreeing point is named.
     """
     row = _played_row(params, eq.regime)

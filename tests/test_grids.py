@@ -1,8 +1,9 @@
-"""The closed forms on a grid of k or s against the per-point scalar path.
+"""The closed forms on a grid of parameters against the per-point scalar path.
 
 A sweep solves its admitted points in one array pass, and a threshold scan
-evaluates its difference once on the whole grid. Both must carry, cell by
-cell, the bits of the scalar solve at each point, which the per-point loops
+evaluates its difference once on the whole grid; the cores also solve a
+corpus whose seven fields are all arrays. Each must carry, cell by cell,
+the bits of the scalar solve at each point, which the per-point loops
 below compute as the reference.
 """
 
@@ -35,6 +36,7 @@ from fmgame import (
     mandate_equilibrium,
     openness_trap_threshold,
     random_valid_params,
+    regime_thresholds,
     run_sweep,
     solve_integrated,
     solve_subsidized,
@@ -45,8 +47,10 @@ from fmgame import sweep
 from fmgame.closed_form import _solve, solve
 from fmgame.extensions import _integrated, _integration_gaps, _with_outlay
 from fmgame.numerics import sign_change_brackets
+from fmgame.params import _FIELDS
 from fmgame.sweep import _fmt, _fmt_column
 from fmgame.welfare import _binding_range, _k_grid, _mandate_equilibrium, _trap_gap
+from test_corners import FEE_SHARES, _cases, _fuzz_cases
 
 
 def _draws():
@@ -207,46 +211,73 @@ def test_a_column_formats_as_its_cells_one_by_one(col):
     assert _fmt_column(col) == [_fmt(x) for x in col]
 
 
-@pytest.mark.parametrize("params", _draws() + [SET_A, SET_B])
+def _k_and_s_grids(params):
+    # (grid, its points): k over [0, k_max], and s over [0, w_low] at a k
+    # that is admissible at every s.
+    s_values = np.linspace(0.0, params.w_low, 13)
+    k_s = 0.9 * min(k_max(replace(params, k=0.0, s=s)) for s in s_values.tolist())
+    for name, fixed, values in (("k", params, np.linspace(0.0, k_max(replace(params, k=0.0)), 29)),
+                                ("s", replace(params, k=k_s), s_values)):
+        yield (replace(fixed, **{name: values}),
+               [replace(fixed, **{name: v}) for v in values.tolist()])
+
+
+def _stacked(points) -> ModelParams:
+    # One grid whose seven fields are arrays, a point per element.
+    return ModelParams(**{name: np.array([getattr(p, name) for p in points]) for name in _FIELDS})
+
+
+def _corpus():
+    # [(grid, its points)] of seeded draws, every third subsidized; equal-fee
+    # and zero-fee points at k = 0 (the only admissible k there); and every
+    # admitted corner and fuzz point of test_corners.
+    rng = np.random.default_rng(7)
+    draws = [random_valid_params(rng, with_subsidy=i % 3 == 0) for i in range(2000)]
+    points = (draws + [replace(p, w_low=p.w_high, k=0.0) for p in draws[:100]]
+              + [replace(p, w_high=0.0, w_low=0.0, k=0.0, s=0.0) for p in draws[:100]]
+              + [p for fees in FEE_SHARES for subsidized in (False, True)
+                 for p in _cases(fees, subsidized)]
+              + [p for p in _fuzz_cases(np.random.default_rng(20261018), 2000)
+                 if validate(p).ok])
+    return [(_stacked(points), points)]
+
+
+@pytest.mark.parametrize("params", _draws() + [SET_A, SET_B, "corpus"])
 def test_array_solve_and_welfare_carry_the_scalar_bits(params):
     # Below the formatting: every field of every layer, as float bits, from
     # the cores on the grid and from the public solvers at each point. The
-    # s grid runs at a k that is admissible at every s.
-    s_values = np.linspace(0.0, params.w_low, 13)
-    k_s = 0.9 * min(k_max(replace(params, k=0.0, s=s)) for s in s_values.tolist())
-    grids = [("k", params, np.linspace(0.0, k_max(replace(params, k=0.0)), 29)),
-             ("s", replace(params, k=k_s), s_values)]
-    for name, fixed, values in grids:
-        grid = replace(fixed, **{name: values})
-        points = [replace(fixed, **{name: v}) for v in values.tolist()]
-        # (core on the grid, public solver at a point, fields)
+    # s = 0 analyses run on the points whose s = 0 twin is admitted.
+    for grid, points in _corpus() if params == "corpus" else _k_and_s_grids(params):
+        twins = [replace(p, s=0.0) for p in points if validate(replace(p, s=0.0)).ok]
+        twin_grid = replace(grid, s=0.0) if len(twins) == len(points) else _stacked(twins)
+        # (core, public solver, fields, on the s = 0 twins)
         layers = [
             (_solve, solve,
              lambda eq: (eq.regime, eq.strategy.w1, eq.strategy.eta1, eq.period1.effort,
                          eq.period1.fee_paid, eq.period2.effort, eq.winner2,
-                         eq.incumbent_profit)),
+                         eq.incumbent_profit), False),
             (lambda p: welfare_for_equilibrium(p, _solve(p)),
-             lambda p: welfare_for_equilibrium(p, solve(p)), _welfare_fields),
+             lambda p: welfare_for_equilibrium(p, solve(p)), _welfare_fields, False),
             (lambda p: _with_outlay(p, _solve(p)).subsidy_spend,
-             lambda p: solve_subsidized(p).subsidy_spend, lambda spend: (spend,)),
+             lambda p: solve_subsidized(p).subsidy_spend, lambda spend: (spend,), False),
+            (closed_form._thresholds, regime_thresholds, lambda th: tuple(vars(th).values()),
+             False),
+            (lambda p: welfare_for_equilibrium(p, _mandate_equilibrium(p)),
+             lambda p: welfare_for_equilibrium(p, mandate_equilibrium(p)), _welfare_fields, True),
+            (_integrated, solve_integrated,
+             lambda v: (v.q1v, v.q2v, v.profit, v.consumer, v.social), True),
         ]
-        if name == "k":   # the s = 0 analyses
-            layers += [
-                (lambda p: welfare_for_equilibrium(replace(p, s=0.0),
-                                                   _mandate_equilibrium(replace(p, s=0.0))),
-                 lambda p: welfare_for_equilibrium(replace(p, s=0.0),
-                                                   mandate_equilibrium(replace(p, s=0.0))),
-                 _welfare_fields),
-                (lambda p: _integrated(replace(p, s=0.0)),
-                 lambda p: solve_integrated(replace(p, s=0.0)),
-                 lambda v: (v.q1v, v.q2v, v.profit, v.consumer, v.social)),
-            ]
-        for core, public, fields in layers:
-            on_grid = fields(core(grid))
-            for i, point in enumerate(points):
+        for core, public, fields, on_twins in layers:
+            # Where a quotient overflows to inf a Python float stays silent
+            # and numpy warns (eta_prime at some fuzz points): ignore only that.
+            with np.errstate(divide="raise", invalid="raise", over="ignore"):
+                on_grid = fields(core(twin_grid if on_twins else grid))
+            at = twins if on_twins else points
+            columns = [x.tolist() if isinstance(x, np.ndarray) else [x] * len(at)
+                       for x in on_grid]
+            for i, point in enumerate(at):
                 expected = [_bits(x) for x in fields(public(point))]
-                got = [_bits(x.tolist()[i] if isinstance(x, np.ndarray) else x) for x in on_grid]
-                assert got == expected, (name, i)
+                assert [_bits(column[i]) for column in columns] == expected, (core, i)
 
 
 def _bracket_loop(f, grid):

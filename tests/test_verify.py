@@ -8,6 +8,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -403,6 +404,32 @@ def test_a_child_that_dies_without_reporting_is_named(monkeypatch):
 
     with pytest.raises(RuntimeError, match="exit code 3"):
         first_failure(check, [0, 1, 2, 3])
+    assert multiprocessing.active_children() == []
+
+
+class Odd(Exception):
+    # Pickled as Odd(message) plus its attributes, so it cannot be rebuilt;
+    # holding a lock, it cannot be pickled at all.
+    def __init__(self, message, hold):
+        super().__init__(message)
+        self.hold = hold
+
+
+@pytest.mark.parametrize("hold", [threading.Lock(), None], ids=["dumps", "loads"])
+def test_a_childs_exception_that_does_not_pickle_is_named(monkeypatch, hold):
+    # On two CPUs point 3 is a child's, point 2 this process's.
+    _use_cpus(monkeypatch, 2)
+
+    def check(point):
+        if point == 3:
+            raise Odd("odd", hold)
+
+    with pytest.raises(RuntimeError, match="^a child checking points raised Odd: odd at 3, "
+                                           "which does not pickle$"):
+        first_failure(check, list(range(6)))
+    assert multiprocessing.active_children() == []
+    assert first_failure(lambda point: "lower" if point == 2 else check(point),
+                         list(range(6))) == (2, "lower")
     assert multiprocessing.active_children() == []
 
 
