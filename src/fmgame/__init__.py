@@ -20,7 +20,6 @@ from .closed_form import (
 )
 from .extensions import (
     IntegrationThresholds,
-    SubsidizedEquilibrium,
     ThresholdCrossing,
     integration_comparison,
     integration_thresholds,
@@ -72,7 +71,6 @@ __all__ = [
     "RegimeThresholds",
     "ScenarioProfits",
     "Strategy",
-    "SubsidizedEquilibrium",
     "SweepSpec",
     "ThresholdCrossing",
     "ValidationReport",

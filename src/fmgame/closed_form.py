@@ -20,7 +20,8 @@ just retains the deployer), and dominate (follower fee, capped openness).
 Comparing their two-period fee revenues yields two thresholds in the
 flywheel strength k that partition the admissible range into the three
 regimes. Each regime's play, revenue and welfare-table row are written
-once, in _row.
+once, in _row, and the played row's welfare entries travel on the
+Equilibrium.
 
 All formulas take the subsidy into account through the deployer's net
 margin (theta - w + s); the baseline game is the s = 0 special case.
@@ -76,7 +77,9 @@ class RegimeThresholds:
     k_bar_2 = max(k_bar_12, k_bar_23) separates defend from dominate.
     eta_prime is the openness-cap level at which the pairwise thresholds
     reorder; NaN when undefined (both fee bounds tight), +inf entries mark
-    comparisons that never bind (identical fees).
+    comparisons that never bind (identical fees). eta_prime also overflows
+    to inf where it is defined, as at 9 admitted fuzz points of
+    tests/test_corners.py: validate() bounds none of its terms (ROADMAP item 4).
     """
 
     k_bar_1: float
@@ -163,15 +166,6 @@ def _pick_row(index, rows: list[_Row]) -> _Row:
     return rows[index]
 
 
-def _played_row(params: ModelParams, regime) -> _Row:
-    """The regime's _row; on an array of regimes, each element's own row."""
-    if isinstance(regime, Regime):
-        return _row(params, regime)
-    order = list(Regime)
-    index = np.array([order.index(r) for r in regime.tolist()], dtype=int)
-    return _pick_row(index, [_row(params, r) for r in order])
-
-
 def scenario_profits(params: ModelParams) -> ScenarioProfits:
     """Incumbent two-period fee revenue under the three candidate strategies.
 
@@ -232,15 +226,18 @@ def _equilibrium(params: ModelParams, regime: Regime, row: _Row) -> Equilibrium:
     return Equilibrium(
         regime=regime,
         strategy=Strategy(w1=row.w1, eta1=row.eta1),
-        period1=PeriodOutcome(effort=row.q1, engagement=row.q1,
-                              fee_paid=row.w1 - params.s, openness=row.eta1),
-        period2=PeriodOutcome(effort=row.q2, engagement=row.q2,
-                              fee_paid=params.w_low - params.s, openness=params.eta_cap),
+        period1=PeriodOutcome(effort=row.q1, fee_paid=row.w1 - params.s, openness=row.eta1),
+        period2=PeriodOutcome(effort=row.q2, fee_paid=params.w_low - params.s,
+                              openness=params.eta_cap),
         winner2=row.winner,
         w2=params.w_low,
         eta2=params.eta_cap,
         eta2_tilde=params.eta_cap,
         incumbent_profit=row.revenue,
+        dev2=row.dev2,
+        deployer=row.deployer,
+        consumer=row.consumer,
+        subsidy_spend=params.s * (row.q1 + row.q2),
     )
 
 

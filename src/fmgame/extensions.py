@@ -22,8 +22,8 @@ move down, and the subsidy tips harvest into defend, or harvest or defend
 into dominate (ROADMAP.md, open item 2). Subsidy outlays are reported
 separately, never silently netted out of social welfare.
 
-Grids of parameters go through the validation-free cores (_integrated,
-_with_outlay), never through the public solvers.
+Grids of parameters go through the validation-free cores (_integrated and
+closed_form._solve), never through the public solvers.
 """
 
 from __future__ import annotations
@@ -47,13 +47,6 @@ from .welfare import (
     mandate_comparison,
     welfare_for_equilibrium,
 )
-
-
-@dataclass(frozen=True)
-class SubsidizedEquilibrium(Equilibrium):
-    """Equilibrium of the subsidized game plus the subsidy outlay."""
-
-    subsidy_spend: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -185,22 +178,16 @@ def integration_comparison(params: ModelParams) -> PolicyComparison:
     )
 
 
-def solve_subsidized(params: ModelParams) -> SubsidizedEquilibrium:
+def solve_subsidized(params: ModelParams) -> Equilibrium:
     """Equilibrium of the game with a per-unit adoption subsidy.
 
     Same backward induction as the baseline with every deployer margin
     shifted to theta - w + s (developers keep their full fee, the
-    government covers s), plus the subsidy outlay s * (alpha1 + alpha2).
-    Accepts s = 0, where it reduces exactly to the baseline.
+    government covers s); the outlay s * (alpha1 + alpha2) is the
+    equilibrium's subsidy_spend. This is solve itself, which accepts any
+    admissible s, s = 0 included.
     """
-    return _with_outlay(params, solve(params))
-
-
-def _with_outlay(params: ModelParams, eq: Equilibrium) -> SubsidizedEquilibrium:
-    # The equilibrium plus the subsidy outlay s * (alpha1 + alpha2).
-    spend = params.s * (eq.period1.engagement + eq.period2.engagement)
-    # shallow: asdict would turn the PeriodOutcomes into dicts
-    return SubsidizedEquilibrium(**vars(eq), subsidy_spend=spend)
+    return solve(params)
 
 
 def welfare_subsidized(params: ModelParams) -> WelfareBreakdown:
@@ -271,7 +258,7 @@ def _integration_cells(p: ModelParams, w: WelfareBreakdown) -> tuple:
 
 
 def _subsidy_cells(p: ModelParams, w: WelfareBreakdown) -> tuple:
-    sub = _with_outlay(p, _solve(p))
+    sub = _solve(p)
     return (_game_cells(sub, welfare_for_equilibrium(p, sub), "_subsidized")
             + (("subsidy_spend", sub.subsidy_spend),))
 

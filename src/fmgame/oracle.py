@@ -2,9 +2,9 @@
 
 This module is the independent referee for every formula in the package.
 It imports only the primitives (parameters and, from ``params``, the
-deployer's surplus, the stay and switch cost denominators and consumer
-surplus; outcome containers; generic numerics) and replays the game
-mechanics directly:
+deployer's surplus, the stay and switch cost denominators, consumer
+surplus and the welfare entries built from them; outcome containers;
+generic numerics) and replays the game mechanics directly:
 
 - deployer efforts come from golden-section search on the per-period
   surplus, never from first-order conditions;
@@ -60,8 +60,8 @@ import numpy as np
 
 from . import numerics
 from .outcomes import Equilibrium, IntegratedOutcome, PeriodOutcome
-from .params import (ModelParams, Regime, Strategy, Winner, consumer_surplus, deployer_surplus,
-                     require_valid, stay_denominator, switch_denominator)
+from .params import (ModelParams, Regime, Strategy, Winner, _rebuilt_components, consumer_surplus,
+                     deployer_surplus, require_valid, stay_denominator, switch_denominator)
 
 
 @dataclass(frozen=True)
@@ -270,7 +270,7 @@ def oracle_solve_game(params: ModelParams, config: OracleConfig = OracleConfig()
     first, the grid in descending openness before the boundary) implements
     the documented tie preferences. The switch lanes of the grid are reused
     from an earlier call with the same params apart from k and the same
-    grid size.
+    grid size. The play found gives the welfare entries and the outlay.
     """
     require_valid(params)
     etas, switch = _k_free_grid(replace(params, k=0.0), config.eta_grid_points)
@@ -295,18 +295,22 @@ def oracle_solve_game(params: ModelParams, config: OracleConfig = OracleConfig()
         regime = Regime.HARVEST
         winner = Winner.ENTRANT
 
+    _, dev2, deployer, consumer = _rebuilt_components(params, w1, eta1, q1, w2, q2, won,
+                                                      params.eta_cap, params.eta_cap)
     return Equilibrium(
         regime=regime,
         strategy=Strategy(w1=w1, eta1=eta1),
-        period1=PeriodOutcome(effort=q1, engagement=q1,
-                              fee_paid=w1 - params.s, openness=eta1),
-        period2=PeriodOutcome(effort=q2, engagement=q2,
-                              fee_paid=w2 - params.s, openness=params.eta_cap),
+        period1=PeriodOutcome(effort=q1, fee_paid=w1 - params.s, openness=eta1),
+        period2=PeriodOutcome(effort=q2, fee_paid=w2 - params.s, openness=params.eta_cap),
         winner2=winner,
         w2=w2,
         eta2=params.eta_cap,
         eta2_tilde=params.eta_cap,
         incumbent_profit=profit,
+        dev2=dev2,
+        deployer=deployer,
+        consumer=consumer,
+        subsidy_spend=params.s * (q1 + q2),
     )
 
 

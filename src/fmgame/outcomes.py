@@ -13,17 +13,16 @@ from .params import Regime, Strategy, Winner
 
 @dataclass(frozen=True)
 class PeriodOutcome:
-    """Realized per-period quantities. Engagement equals effort by construction."""
+    """Realized per-period quantities. Effort is also the period's engagement."""
 
     effort: float
-    engagement: float
     fee_paid: float      # per-unit fee net of subsidy, what the deployer pays
     openness: float
 
 
 @dataclass(frozen=True)
 class Equilibrium:
-    """Subgame-perfect outcome of the two-period game."""
+    """Subgame-perfect outcome of the two-period game, with its welfare entries."""
 
     regime: Regime
     strategy: Strategy
@@ -33,7 +32,11 @@ class Equilibrium:
     w2: float
     eta2: float
     eta2_tilde: float
-    incumbent_profit: float
+    incumbent_profit: float   # also the dev1 welfare entry
+    dev2: float
+    deployer: float
+    consumer: float
+    subsidy_spend: float      # the outlay s * (Q1 + Q2)
 
 
 @dataclass(frozen=True)

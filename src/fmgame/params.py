@@ -32,9 +32,9 @@ positive at ``k = k_max``, which ``k_max`` loses to rounding only for huge
 none, and a scan over that range needs no validation of its own.
 
 The primitives are written once here: the deployer's surplus, the stay and
-switch cost denominators of period 2 and consumer surplus. The period-1
-denominator ``1 + eta1`` and fee revenue ``w Q`` are one operation each and
-stay inline.
+switch cost denominators of period 2, consumer surplus and, from them, a
+play's four welfare entries. The period-1 denominator ``1 + eta1`` and fee
+revenue ``w Q`` are one operation each and stay inline.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+from . import numerics
 
 
 class Regime(str, Enum):
@@ -131,6 +133,20 @@ def switch_denominator(eta1, eta2_tilde):
 def consumer_surplus(q1, q2):
     """End users' surplus over both periods, (Q1^2 + Q2^2) / 2."""
     return 0.5 * (q1 * q1 + q2 * q2)
+
+
+def _rebuilt_components(params: ModelParams, w1, eta1, q1, w2, q2, incumbent, eta2, eta2_tilde):
+    """A play's welfare entries (dev1, dev2, deployer, consumer), from its fees,
+    openness (eta2 the incumbent's, eta2_tilde the entrant's in period 2),
+    efforts and whether the incumbent won period 2."""
+    t = params.theta + params.s
+    dev1 = numerics.select(incumbent, w1 * q1 + w2 * q2, w1 * q1)
+    dev2 = numerics.select(incumbent, 0.0, w2 * q2)
+    d2 = numerics.select(incumbent, stay_denominator(params.k, q1, eta2),
+                         switch_denominator(eta1, eta2_tilde))
+    deployer = (deployer_surplus(t - w1, q1, params.c, 1.0 + eta1)
+                + deployer_surplus(t - w2, q2, params.c, d2))
+    return dev1, dev2, deployer, consumer_surplus(q1, q2)
 
 
 def k_max(params: ModelParams) -> float:

@@ -8,22 +8,25 @@ welfare is the plain sum of the four components (government outlays under a
 subsidy are accounted separately by the policy comparison, never netted out
 silently here).
 
-Every component is computed twice: once from the closed-form welfare table
-(rational functions of k), whose rows live in closed_form next to each
-regime's play and revenue, and once rebuilt here from the equilibrium
-efforts with the primitives of params (fee revenue = w * alpha, the
-deployer's surplus under each period's cost denominator, consumer surplus
-from engagements). The two routes must agree to 1e-6
-relative; a mismatch aborts with the offending component and regime named,
-since it means a table row or the regime mapping was mistranscribed. Both
-routes also run on a grid of parameters, element by element (closed_form).
+Every component is computed twice: once in the closed-form welfare table
+(rational functions of k) whose played row the equilibrium carries, and
+once rebuilt from the equilibrium's fees, openness and efforts with the
+primitives of params (fee revenue = w * alpha, the deployer's surplus
+under each period's cost denominator, consumer surplus). The two routes
+must agree to 1e-6 relative; a mismatch aborts with the offending component
+and regime named, since it means a table row or the regime mapping was
+mistranscribed. Both routes also run on a grid of parameters, element by
+element (closed_form).
 
 The mandate counterfactual pins period-1 openness at the cap. The incumbent
 then cannot defend the deployer at any admissible flywheel strength, so the
-harvest outcome obtains regardless of k. For strong flywheels the baseline
-would have delivered the dominate outcome, whose efforts grow without the
-openness distortion; past a threshold k the mandate therefore lowers
-deployer surplus, consumer surplus, and social welfare. That threshold, like
+harvest outcome obtains regardless of k. The exception is a k_max set by
+the openness cap (set_a at k = 0.26666666666666666): there the follower fee
+retains the deployer at the cap, up to rounding, and harvest is played all
+the same (ROADMAP item 21). For strong flywheels the baseline would have
+delivered the dominate outcome, whose efforts grow without the openness
+distortion; past a threshold k the mandate therefore lowers deployer
+surplus, consumer surplus, and social welfare. That threshold, like
 the integration thresholds of extensions, is located by _last_crossing, the
 one policy-threshold scanner: it brackets the sign changes on its k grid
 in one array pass through the validation-free cores and bisects the last
@@ -45,14 +48,13 @@ from .closed_form import (
     Regime,
     Winner,
     _equilibrium,
-    _played_row,
     _row,
     _solve,
     regime_thresholds,
     solve_baseline,
 )
-from .params import (InvalidParams, ModelParams, ValidationReport, consumer_surplus,
-                     deployer_surplus, k_max, require_valid, stay_denominator, switch_denominator)
+from .params import (InvalidParams, ModelParams, ValidationReport, _rebuilt_components, k_max,
+                     require_valid)
 
 #: Relative tolerance for the table-vs-rebuild cross-validation.
 _CROSS_TOL = 1e-6
@@ -142,42 +144,24 @@ def _last_crossing(diff, lo: float, hi: float) -> ThresholdCrossing:
                              status="crossing")
 
 
-def _rebuilt_components(params: ModelParams, eq: Equilibrium) -> tuple[float, float, float, float]:
-    # Independent route: rebuild every component from the equilibrium efforts.
-    t = params.theta + params.s
-    c = params.c
-    a1 = eq.period1.engagement
-    a2 = eq.period2.engagement
-    w1 = eq.strategy.w1
-    w2 = eq.w2
-
-    # Against the value: numpy would turn the member itself into its str().
-    incumbent = eq.winner2 == Winner.INCUMBENT.value
-    dev1 = numerics.select(incumbent, w1 * a1 + w2 * a2, w1 * a1)
-    dev2 = numerics.select(incumbent, 0.0, w2 * a2)
-    d2_eff = numerics.select(incumbent, stay_denominator(params.k, a1, eq.eta2),
-                             switch_denominator(eq.strategy.eta1, eq.eta2_tilde))
-
-    deployer = (deployer_surplus(t - w1, a1, c, 1.0 + eq.strategy.eta1)
-                + deployer_surplus(t - w2, a2, c, d2_eff))
-    return dev1, dev2, deployer, consumer_surplus(a1, a2)
-
-
 _COMPONENT_NAMES = ("dev1", "dev2", "deployer", "consumer")
 
 
 def welfare_for_equilibrium(params: ModelParams, eq: Equilibrium) -> WelfareBreakdown:
     """Welfare breakdown for a solved (or imposed) equilibrium.
 
-    Evaluates the regime's closed-form table row and cross-validates it
-    against the rebuild from efforts; raises RuntimeError naming the first
-    disagreeing component if the two routes drift beyond 1e-6 relative.
+    Reads the table entries the equilibrium carries and cross-validates
+    them against the rebuild from its play; raises RuntimeError naming the
+    first disagreeing component if the two routes drift beyond 1e-6 relative.
     On a grid (an equilibrium solved with array params) both routes run
     per element, and the first disagreeing point is named.
     """
-    row = _played_row(params, eq.regime)
-    table = (row.revenue, row.dev2, row.deployer, row.consumer)
-    failure = _first_drift(table, _rebuilt_components(params, eq), eq.regime)
+    table = (eq.incumbent_profit, eq.dev2, eq.deployer, eq.consumer)
+    # Against the value: numpy would turn the member itself into its str().
+    rebuilt = _rebuilt_components(params, eq.strategy.w1, eq.strategy.eta1, eq.period1.effort,
+                                  eq.w2, eq.period2.effort, eq.winner2 == Winner.INCUMBENT.value,
+                                  eq.eta2, eq.eta2_tilde)
+    failure = _first_drift(table, rebuilt, eq.regime)
     if failure is not None:
         i, a, b, regime = failure
         raise RuntimeError(
@@ -218,7 +202,9 @@ def mandate_equilibrium(params: ModelParams) -> Equilibrium:
     Full openness hands the entrant the whole spillover, so the incumbent
     cannot retain the deployer at any admissible k; the harvest outcome
     obtains regardless of the flywheel strength, and the premium fee is the
-    incumbent's best remaining choice.
+    incumbent's best remaining choice. The exception is a k_max set by the
+    openness cap, where the follower fee retains the deployer at the cap,
+    up to rounding; harvest is played there all the same (ROADMAP item 21).
     """
     require_valid(params)
     if params.s != 0.0:

@@ -142,11 +142,6 @@ class TestEquilibriumSetA:
         eq = solve_baseline(replace(SET_A, k=k_max(SET_A)))
         assert eq.regime is Regime.DOMINATE
 
-    def test_engagement_equals_effort(self):
-        eq = solve_baseline(SET_A)
-        assert eq.period1.engagement == eq.period1.effort
-        assert eq.period2.engagement == eq.period2.effort
-
 
 def test_q1_responds_to_fee_and_openness():
     # The harvest row plays the premium fee at full openness, so its q1 is

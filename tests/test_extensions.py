@@ -175,7 +175,7 @@ class TestSubsidizedEquilibrium:
 
     def test_spend_tracks_engagement(self):
         eq = solve_subsidized(SET_B)
-        total = eq.period1.engagement + eq.period2.engagement
+        total = eq.period1.effort + eq.period2.effort
         assert eq.subsidy_spend == pytest.approx(SET_B.s * total, rel=1e-12)
 
     def test_shifted_thresholds(self):

@@ -45,7 +45,7 @@ from fmgame import (
 )
 from fmgame import sweep
 from fmgame.closed_form import _solve, solve
-from fmgame.extensions import _integrated, _integration_gaps, _with_outlay
+from fmgame.extensions import _integrated, _integration_gaps
 from fmgame.numerics import sign_change_brackets
 from fmgame.params import _FIELDS
 from fmgame.sweep import _fmt, _fmt_column
@@ -255,10 +255,11 @@ def test_array_solve_and_welfare_carry_the_scalar_bits(params):
             (_solve, solve,
              lambda eq: (eq.regime, eq.strategy.w1, eq.strategy.eta1, eq.period1.effort,
                          eq.period1.fee_paid, eq.period2.effort, eq.winner2,
-                         eq.incumbent_profit), False),
+                         eq.incumbent_profit, eq.dev2, eq.deployer, eq.consumer,
+                         eq.subsidy_spend), False),
             (lambda p: welfare_for_equilibrium(p, _solve(p)),
              lambda p: welfare_for_equilibrium(p, solve(p)), _welfare_fields, False),
-            (lambda p: _with_outlay(p, _solve(p)).subsidy_spend,
+            (lambda p: _solve(p).subsidy_spend,
              lambda p: solve_subsidized(p).subsidy_spend, lambda spend: (spend,), False),
             (closed_form._thresholds, regime_thresholds, lambda th: tuple(vars(th).values()),
              False),

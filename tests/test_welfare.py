@@ -60,7 +60,7 @@ class TestBreakdownSetA:
     def test_consumer_matches_engagement(self):
         eq = solve_baseline(SET_A)
         w = welfare_baseline(SET_A)
-        a1, a2 = eq.period1.engagement, eq.period2.engagement
+        a1, a2 = eq.period1.effort, eq.period2.effort
         assert w.consumer == pytest.approx((a1 * a1 + a2 * a2) / 2.0, rel=1e-12)
 
     def test_social_is_exact_sum(self):
