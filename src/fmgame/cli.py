@@ -50,7 +50,7 @@ def _solve_report(params) -> str:
     lines.append(f"regime: {eq.regime.value}")
     lines.append(f"strategy: w1={_fmt(eq.strategy.w1)} eta1={_fmt(eq.strategy.eta1)}")
     lines.append(f"period 1: effort={_fmt(eq.period1.effort)} "
-                 f"fee_paid={_fmt(eq.period1.fee_paid)}")
+                 f"fee_paid={_fmt(eq.strategy.w1 - params.s)}")
     lines.append(f"period 2: winner={eq.winner2.value} w2={_fmt(eq.w2)} "
                  f"effort={_fmt(eq.period2.effort)} openness={_fmt(eq.eta2)}")
     lines.append(f"incumbent revenue: {_fmt(eq.incumbent_profit)}")
@@ -84,11 +84,8 @@ def _policy_report(params, which: str) -> str:
 
 def _verify_lines(params, tolerance: float):
     checks = run_verification(params, oracle_rel_tol=tolerance)
-    out = []
-    for c in checks:
-        tag = "PASS" if c.passed else "FAIL"
-        detail = f": {c.detail}" if c.detail else ""
-        out.append(f"{tag} {c.name}{detail}")
+    out = [f"{'PASS' if c.passed else 'FAIL'} {c.name}" + (f": {c.detail}" if c.detail else "")
+           for c in checks]
     failed = sum(1 for c in checks if not c.passed)
     out.append(f"{len(checks) - failed}/{len(checks)} checks passed")
     return out, failed

@@ -226,9 +226,8 @@ def _equilibrium(params: ModelParams, regime: Regime, row: _Row) -> Equilibrium:
     return Equilibrium(
         regime=regime,
         strategy=Strategy(w1=row.w1, eta1=row.eta1),
-        period1=PeriodOutcome(effort=row.q1, fee_paid=row.w1 - params.s, openness=row.eta1),
-        period2=PeriodOutcome(effort=row.q2, fee_paid=params.w_low - params.s,
-                              openness=params.eta_cap),
+        period1=PeriodOutcome(effort=row.q1),
+        period2=PeriodOutcome(effort=row.q2),
         winner2=row.winner,
         w2=params.w_low,
         eta2=params.eta_cap,
@@ -247,8 +246,8 @@ def solve(params: ModelParams) -> Equilibrium:
     Raises InvalidParams unless params pass validate() (require_valid);
     solve_baseline adds its s == 0 check on top. Regime selection compares
     k to (k_bar_1, k_bar_2), ties resolved toward the lower-k regime; the
-    choice is cross-checked against the scenario revenue argmax and a
-    RuntimeError flags any disagreement. Each regime's row is built once.
+    choice is cross-checked against the scenario revenue argmax, and a
+    RuntimeError naming k flags any disagreement. Each row is built once.
     """
     require_valid(params)
     return _solve(params)
@@ -273,10 +272,10 @@ def _solve(params: ModelParams) -> Equilibrium:
     scale = numerics.larger(1.0, abs(best))
     bad = chosen < best - _CONSISTENCY_TOL * scale
     if numerics.any_true(bad):
-        regime, chosen, best = numerics.first_where(bad, regime, chosen, best)
+        k, regime, chosen, best = numerics.first_where(bad, params.k, regime, chosen, best)
         raise RuntimeError(
-            "internal inconsistency: threshold regime %s has revenue %r "
-            "but scenario argmax is %r" % (regime.value, chosen, best)
+            "k=%r: internal inconsistency: threshold regime %s has revenue %r "
+            "but scenario argmax is %r" % (k, regime.value, chosen, best)
         )
     return _equilibrium(params, regime, row)
 

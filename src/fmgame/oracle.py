@@ -300,8 +300,8 @@ def oracle_solve_game(params: ModelParams, config: OracleConfig = OracleConfig()
     return Equilibrium(
         regime=regime,
         strategy=Strategy(w1=w1, eta1=eta1),
-        period1=PeriodOutcome(effort=q1, fee_paid=w1 - params.s, openness=eta1),
-        period2=PeriodOutcome(effort=q2, fee_paid=w2 - params.s, openness=params.eta_cap),
+        period1=PeriodOutcome(effort=q1),
+        period2=PeriodOutcome(effort=q2),
         winner2=winner,
         w2=w2,
         eta2=params.eta_cap,

@@ -13,11 +13,9 @@ from .params import Regime, Strategy, Winner
 
 @dataclass(frozen=True)
 class PeriodOutcome:
-    """Realized per-period quantities. Effort is also the period's engagement."""
+    """A period's realized effort, which is also its engagement."""
 
     effort: float
-    fee_paid: float      # per-unit fee net of subsidy, what the deployer pays
-    openness: float
 
 
 @dataclass(frozen=True)

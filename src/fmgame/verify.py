@@ -4,7 +4,9 @@ Every property the closed forms promise is exercised here against the
 brute-force oracle or against an independent numeric route (the model's
 primitives, bisection on profit differences, finite-difference
 monotonicity, rebuilds); ``regime-argmax-consistency`` runs solve's own
-argmax guard on a k grid.
+argmax guard on a k grid. The closed-form checks validate once and run each k
+grid, clipped at k_max (np.linspace rounds past a subnormal one), in one array
+pass through the cores: validate() admits a point at every k <= k_max or none.
 The checks are one table of (name, check) rows, one PASS/FAIL line each in
 the CLI ``verify`` command's order: ``_CHECKS``, then ``_SUBSIDY_CHECKS``
 where s > 0. One loop runs every row under one guard, so a check that raises
@@ -28,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import closed_form, numerics
+from . import closed_form, extensions, numerics
 from .closed_form import _thresholds, regime_thresholds, scenario_profits, solve, solve_baseline
 from .extensions import (
     _integration_gaps,
@@ -38,12 +40,13 @@ from .extensions import (
     welfare_subsidized,
 )
 from .oracle import OracleConfig, oracle_solve_game, oracle_solve_integrated
-from .params import ModelParams, Regime, Winner, k_max, stay_denominator, switch_denominator, validate
+from .params import (ModelParams, Regime, Winner, k_max, require_valid, stay_denominator,
+                     switch_denominator, validate)
 from .welfare import (
     _binding_range,
     _trap_gap,
     openness_trap_threshold,
-    welfare_baseline,
+    welfare_for_equilibrium,
     welfare_mandate,
 )
 
@@ -74,9 +77,7 @@ def random_valid_params(rng: np.random.Generator, with_subsidy: bool = False) ->
     s = float(rng.uniform(0.05, 1.0)) * w_low if with_subsidy else 0.0
     probe = ModelParams(theta=theta, c=c, w_high=w_high, w_low=w_low,
                         eta_cap=eta_cap, k=0.0, s=s)
-    km = k_max(probe)
-    k = float(rng.uniform(0.0, km))
-    return replace(probe, k=k)
+    return replace(probe, k=float(rng.uniform(0.0, k_max(probe))))
 
 
 def _at_regime_tie(params: ModelParams) -> bool:
@@ -230,14 +231,17 @@ def _check_kmax_positive(params: ModelParams, oracle_rel_tol: float) -> tuple[bo
     return km > 0 or params.w_high == params.w_low, f"k_max={km!r}"
 
 
+def _k_points(km: float, n: int) -> np.ndarray:
+    return np.minimum(np.linspace(0.0, km, n), km)   # see the module docstring
+
+
 def _regime_sample_ks(th, km: float) -> list[float]:
     ks = []
-    lo = max(th.k_bar_1, 0.0)
-    hi = min(th.k_bar_2, km)
+    lo, hi = max(th.k_bar_1, 0.0), min(th.k_bar_2, km)
     if th.k_bar_1 > 0:
         ks.append(min(th.k_bar_1, km) * 0.5)
     if lo < hi:
-        ks.append(0.5 * (lo + min(hi, km)))
+        ks.append(0.5 * (lo + hi))
     if th.k_bar_2 < km:
         ks.append(0.5 * (max(th.k_bar_2, 0.0) + km))
     return [k for k in ks if 0.0 <= k <= km] or [0.0]
@@ -256,34 +260,36 @@ def _check_row_primitives(params: ModelParams, oracle_rel_tol: float) -> tuple[b
     # Each within _ROW_TOL times max(1, 2c/d) relative, d = 2c - k (t - w1) the
     # row's own retention margin (2c in harvest): the rows lose about eps 2c/d.
     km = k_max(params)
-    ks = _regime_sample_ks(regime_thresholds(params), km) + np.linspace(0.0, km, 41).tolist()
-    t = params.theta + params.s
-    c2 = 2.0 * params.c
-    eta_cap, w_l = params.eta_cap, params.w_low
-    worst = 0.0
-    for k in ks:
-        p = replace(params, k=k)
-        for regime in Regime:
-            row = closed_form._row(p, regime)
-            incumbent = row.winner is Winner.INCUMBENT
-            if incumbent:
-                d = c2 - k * (t - row.w1)
-                d2 = stay_denominator(k, row.q1, eta_cap)
-                revenue = row.w1 * row.q1 + w_l * row.q2
-            else:
-                d, d2, revenue = c2, switch_denominator(row.eta1, eta_cap), row.w1 * row.q1
-            checks = [("q1", row.q1, (1.0 + row.eta1) * (t - row.w1) / c2),
-                      ("q2", row.q2, d2 * (t - w_l) / c2), ("revenue", row.revenue, revenue)]
-            if incumbent and row.eta1 < eta_cap:
-                checks.append(("retention k q1", k * row.q1, row.eta1))
-            bound = _ROW_TOL * max(1.0, c2 / d)
-            for name, value, ref in checks:
-                err = abs(value - ref)
-                if err > bound * abs(ref):
-                    return False, f"{regime.value} {name} {value!r} vs {ref!r} at k={k!r}"
-                if err:
-                    worst = max(worst, err / (bound * abs(ref)))
-    return True, f"{len(ks)} k-points, worst residual {worst:.3f} of the bound"
+    k = np.array(_regime_sample_ks(regime_thresholds(params), km) + _k_points(km, 41).tolist())
+    p = replace(params, k=k)
+    t, c2, eta_cap, w_l = params.theta + params.s, 2.0 * params.c, params.eta_cap, params.w_low
+    labels, cells = [], []   # cells: (value, ref, limit), each over k
+    for regime in Regime:
+        row = closed_form._row(p, regime)
+        if row.winner is Winner.INCUMBENT:
+            d = c2 - k * (t - row.w1)
+            d2 = stay_denominator(k, row.q1, eta_cap)
+            revenue = row.w1 * row.q1 + w_l * row.q2
+            kq1 = k * row.q1   # at the cap its ref is itself: checked only below
+            retention = [("retention k q1", kq1, np.where(row.eta1 < eta_cap, row.eta1, kq1))]
+        else:
+            d, d2, revenue = c2, switch_denominator(row.eta1, eta_cap), row.w1 * row.q1
+            retention = []
+        bound = _ROW_TOL * numerics.larger(1.0, c2 / d)
+        for name, value, ref in [("q1", row.q1, (1.0 + row.eta1) * (t - row.w1) / c2),
+                                 ("q2", row.q2, d2 * (t - w_l) / c2),
+                                 ("revenue", row.revenue, revenue)] + retention:
+            labels.append(f"{regime.value} {name}")
+            cells.append(np.broadcast_arrays(value, ref, bound * abs(ref), k)[:3])
+    value, ref, limit = map(np.array, zip(*cells))
+    err = abs(value - ref)
+    bad = (err > limit).T   # k-major, so argmax finds the first failing k, then its first check
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), len(labels))
+        return False, "%s %r vs %r at k=%r" % (labels[j], value[j, i].item(), ref[j, i].item(),
+                                               k[i].item())
+    worst = np.max(np.divide(err, limit, out=np.zeros_like(err), where=err > 0.0), initial=0.0)
+    return True, f"{len(k)} k-points, worst residual {worst:.3f} of the bound"
 
 
 def _check_threshold_bisection(params: ModelParams, oracle_rel_tol: float) -> tuple[bool, str]:
@@ -315,20 +321,19 @@ def _check_threshold_bisection(params: ModelParams, oracle_rel_tol: float) -> tu
 
 def _check_regime_argmax(params: ModelParams, oracle_rel_tol: float) -> tuple[bool, str]:
     # Regime choice equals the scenario-revenue argmax on a dense k grid:
-    # solve's own guard, which raises where the two disagree.
-    for k in np.linspace(0.0, k_max(params), 201).tolist():
-        try:
-            solve(replace(params, k=k))
-        except RuntimeError as exc:
-            return False, f"k={k!r}: {exc}"
+    # solve's own guard, which raises naming the first k where the two disagree.
+    try:
+        closed_form._solve(replace(params, k=_k_points(k_max(params), 201)))
+    except RuntimeError as exc:
+        return False, str(exc)
     return True, ""
 
 
 def _check_baseline_welfare(params: ModelParams, oracle_rel_tol: float) -> tuple[bool, str]:
     # Welfare tables agree with rebuilds in every regime reachable at s = 0.
-    p0 = replace(params, s=0.0)
-    for k in _regime_sample_ks(regime_thresholds(p0), k_max(p0)):
-        welfare_baseline(replace(p0, k=k))
+    p0 = replace(params, s=0.0)   # regime_thresholds validates it
+    p = replace(p0, k=np.array(_regime_sample_ks(regime_thresholds(p0), k_max(p0))))
+    welfare_for_equilibrium(p, closed_form._solve(p))
     return True, ""
 
 
@@ -386,13 +391,14 @@ def _root_holds(f, root: float, span: tuple[float, float], jumps, noun: str,
 
 def _check_effort_dominance(params: ModelParams, oracle_rel_tol: float) -> tuple[bool, str]:
     # Integrated efforts dominate decentralized period-1 effort.
-    p0 = replace(params, s=0.0)
-    for k in np.linspace(0.0, k_max(p0), 41).tolist():
-        p = replace(p0, k=k)
-        v = solve_integrated(p)
-        q1_dec = solve_baseline(p).period1.effort
-        if not (v.q1v > q1_dec and v.q2v >= v.q1v - 1e-12):
-            return False, f"k={k!r}: q1v={v.q1v!r}, q1={q1_dec!r}, q2v={v.q2v!r}"
+    p0 = replace(params, s=0.0, k=0.0)
+    require_valid(p0)
+    p = replace(p0, k=_k_points(k_max(p0), 41))
+    v, q1 = extensions._integrated(p), closed_form._solve(p).period1.effort
+    bad = ~((v.q1v > q1) & (v.q2v >= v.q1v - 1e-12))
+    if bad.any():
+        return False, ("k=%r: q1v=%r, q1=%r, q2v=%r"
+                       % numerics.first_where(bad, p.k, v.q1v, q1, v.q2v))
     return True, ""
 
 

@@ -170,7 +170,7 @@ class TestSubsidizedEquilibrium:
         # subsidized margin 4.7 at the discounted fee, D = 2 - 0.2 * 4.7
         assert eq.strategy.eta1 == pytest.approx(0.94 / 1.06, abs=1e-12)
         assert eq.period1.effort == pytest.approx(4.7 / 1.06, abs=1e-12)
-        assert eq.period1.fee_paid == pytest.approx(0.3, abs=1e-12)   # 0.8 - 0.5
+        assert eq.strategy.w1 - SET_B.s == pytest.approx(0.3, abs=1e-12)   # fee paid, 0.8 - 0.5
         assert eq.subsidy_spend == pytest.approx(7.759433962264151, abs=1e-9)
 
     def test_spend_tracks_engagement(self):

@@ -1,7 +1,8 @@
 """CLI output pinned byte for byte.
 
 The digests are sha256 sums of stdout, recorded before the closed forms of
-each regime were gathered into one row builder; a refactor that changes any
+each regime were gathered into one row builder (verify's before its
+closed-form checks ran their k grids as arrays); a refactor that changes any
 printed digit fails here.
 """
 
@@ -40,6 +41,8 @@ GOLDEN = [
      "b8dd05bb673a239099a4119469b789e339c41a957134ed42380ed682e738a8e2"),
     (f"{SWEEP} subsidy", "set_b",
      "9ca302be5132ad256271a01d9b6425e903fefb950fb4ca154f1c5faaedd0b433"),
+    ("verify", "set_a", "194b3900de1dc84b93244236d3bac780ccd20c8cc5e4995d77fb523aefe51cac"),
+    ("verify", "set_b", "c4a530ecea648ea64da7a18ff4d5de2cee42f0d0a51a563590c8d433c62d1263"),
 ]
 
 

@@ -254,7 +254,7 @@ def test_array_solve_and_welfare_carry_the_scalar_bits(params):
         layers = [
             (_solve, solve,
              lambda eq: (eq.regime, eq.strategy.w1, eq.strategy.eta1, eq.period1.effort,
-                         eq.period1.fee_paid, eq.period2.effort, eq.winner2,
+                         eq.period2.effort, eq.winner2,
                          eq.incumbent_profit, eq.dev2, eq.deployer, eq.consumer,
                          eq.subsidy_spend), False),
             (lambda p: welfare_for_equilibrium(p, _solve(p)),
