@@ -52,9 +52,9 @@ def main() -> None:
     for i in range(14):
         k = km * i / 13.0
         eq = solve_baseline(replace(PARAMS, k=k))
-        print(f"{k:6.3f} {eq.regime.value:<9} {eq.strategy.w1:5.2f} "
-              f"{eq.strategy.eta1:7.4f} {eq.period1.effort:7.4f} "
-              f"{eq.period2.effort:8.4f} {eq.incumbent_profit:8.4f}")
+        print(f"{k:6.3f} {eq.regime.value:<9} {eq.w1:5.2f} "
+              f"{eq.eta1:7.4f} {eq.q1:7.4f} "
+              f"{eq.q2:8.4f} {eq.incumbent_profit:8.4f}")
 
     print("\nReading the table:")
     print("- Weak flywheel: openness sits at the cap; period 2 goes to the entrant.")
@@ -64,7 +64,7 @@ def main() -> None:
           f"eta_bar_high={eta_bar_high(caps):.4f} (low-fee cap would be "
           f"{eta_bar_low(caps):.4f}); the deployer stays.")
     print(f"  e.g. k={caps.k:.3f}: regime={eq.regime.value}, "
-          f"eta1={eq.strategy.eta1:.4f}, period-2 winner={eq.winner2.value}")
+          f"eta1={eq.eta1:.4f}, period-2 winner={eq.winner2.value}")
     print("- Strong flywheel: the low fee up front buys retention at full-cap")
     print("  openness, and openness climbs back up while revenue keeps rising.")
 

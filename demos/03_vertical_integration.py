@@ -33,7 +33,7 @@ def main() -> None:
     eq = solve_baseline(p)
     w = welfare_baseline(p)
     print("At k=0.2:")
-    print(f"  separate firms: Q1={eq.period1.effort:.4f}, Q2={eq.period2.effort:.4f}, "
+    print(f"  separate firms: Q1={eq.q1:.4f}, Q2={eq.q2:.4f}, "
           f"chain profit={w.dev1 + w.deployer:.4f}")
     print(f"  merged firm:    Q1={v.q1v:.4f}, Q2={v.q2v:.4f}, "
           f"profit={v.profit:.4f}")

@@ -29,12 +29,11 @@ from .extensions import (
     welfare_subsidized,
 )
 from .oracle import OracleConfig, oracle_solve_game, oracle_solve_integrated
-from .outcomes import Equilibrium, IntegratedOutcome, PeriodOutcome
+from .outcomes import Equilibrium, IntegratedOutcome
 from .params import (
     InvalidParams,
     ModelParams,
     Regime,
-    Strategy,
     ValidationReport,
     Winner,
     k_max,
@@ -65,12 +64,10 @@ __all__ = [
     "InvalidParams",
     "ModelParams",
     "OracleConfig",
-    "PeriodOutcome",
     "PolicyComparison",
     "Regime",
     "RegimeThresholds",
     "ScenarioProfits",
-    "Strategy",
     "SweepSpec",
     "ThresholdCrossing",
     "ValidationReport",

@@ -48,11 +48,11 @@ def _solve_report(params) -> str:
 
     eq = solve_subsidized(params)   # reduces to the baseline game at s=0
     lines.append(f"regime: {eq.regime.value}")
-    lines.append(f"strategy: w1={_fmt(eq.strategy.w1)} eta1={_fmt(eq.strategy.eta1)}")
-    lines.append(f"period 1: effort={_fmt(eq.period1.effort)} "
-                 f"fee_paid={_fmt(eq.strategy.w1 - params.s)}")
+    lines.append(f"strategy: w1={_fmt(eq.w1)} eta1={_fmt(eq.eta1)}")
+    lines.append(f"period 1: effort={_fmt(eq.q1)} "
+                 f"fee_paid={_fmt(eq.w1 - params.s)}")
     lines.append(f"period 2: winner={eq.winner2.value} w2={_fmt(eq.w2)} "
-                 f"effort={_fmt(eq.period2.effort)} openness={_fmt(eq.eta2)}")
+                 f"effort={_fmt(eq.q2)} openness={_fmt(eq.eta2)}")
     lines.append(f"incumbent revenue: {_fmt(eq.incumbent_profit)}")
     w = welfare_for_equilibrium(params, eq)
     lines.append(f"welfare: dev1={_fmt(w.dev1)} dev2={_fmt(w.dev2)} "

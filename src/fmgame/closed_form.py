@@ -20,7 +20,7 @@ just retains the deployer), and dominate (follower fee, capped openness).
 Comparing their two-period fee revenues yields two thresholds in the
 flywheel strength k that partition the admissible range into the three
 regimes. Each regime's play, revenue and welfare-table row are written
-once, in _row, and the played row's welfare entries travel on the
+once, in _row, and the played row's fields, in order, lead the flat
 Equilibrium.
 
 All formulas take the subsidy into account through the deployer's net
@@ -44,12 +44,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numerics
-from .outcomes import Equilibrium, PeriodOutcome
+from .outcomes import Equilibrium
 from .params import (
     InvalidParams,
     ModelParams,
     Regime,
-    Strategy,
     ValidationReport,
     Winner,
     require_valid,
@@ -223,21 +222,8 @@ def _thresholds(params: ModelParams) -> RegimeThresholds:
 
 
 def _equilibrium(params: ModelParams, regime: Regime, row: _Row) -> Equilibrium:
-    return Equilibrium(
-        regime=regime,
-        strategy=Strategy(w1=row.w1, eta1=row.eta1),
-        period1=PeriodOutcome(effort=row.q1),
-        period2=PeriodOutcome(effort=row.q2),
-        winner2=row.winner,
-        w2=params.w_low,
-        eta2=params.eta_cap,
-        eta2_tilde=params.eta_cap,
-        incumbent_profit=row.revenue,
-        dev2=row.dev2,
-        deployer=row.deployer,
-        consumer=row.consumer,
-        subsidy_spend=params.s * (row.q1 + row.q2),
-    )
+    return Equilibrium(regime, *row, params.w_low, params.eta_cap, params.eta_cap,
+                       params.s * (row.q1 + row.q2))
 
 
 def solve(params: ModelParams) -> Equilibrium:

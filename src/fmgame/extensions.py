@@ -238,8 +238,8 @@ def subsidy_comparison(params: ModelParams) -> PolicyComparison:
 def _game_cells(eq: Equilibrium, w: WelfareBreakdown, suffix: str = "") -> tuple:
     # The sweep's (column, value) pairs of a solved game and its welfare.
     return tuple((name + suffix, value) for name, value in (
-        ("regime", eq.regime), ("w1", eq.strategy.w1), ("eta1", eq.strategy.eta1),
-        ("Q1", eq.period1.effort), ("Q2", eq.period2.effort), ("pi_dev1", w.dev1),
+        ("regime", eq.regime), ("w1", eq.w1), ("eta1", eq.eta1),
+        ("Q1", eq.q1), ("Q2", eq.q2), ("pi_dev1", w.dev1),
         ("pi_dev2", w.dev2), ("profit_deployer", w.deployer),
         ("consumer_surplus", w.consumer), ("social_welfare", w.social)))
 

@@ -59,8 +59,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numerics
-from .outcomes import Equilibrium, IntegratedOutcome, PeriodOutcome
-from .params import (ModelParams, Regime, Strategy, Winner, _rebuilt_components, consumer_surplus,
+from .outcomes import Equilibrium, IntegratedOutcome
+from .params import (ModelParams, Regime, Winner, _rebuilt_components, consumer_surplus,
                      deployer_surplus, require_valid, stay_denominator, switch_denominator)
 
 
@@ -299,17 +299,18 @@ def oracle_solve_game(params: ModelParams, config: OracleConfig = OracleConfig()
                                                       params.eta_cap, params.eta_cap)
     return Equilibrium(
         regime=regime,
-        strategy=Strategy(w1=w1, eta1=eta1),
-        period1=PeriodOutcome(effort=q1),
-        period2=PeriodOutcome(effort=q2),
+        w1=w1,
+        eta1=eta1,
+        q1=q1,
+        q2=q2,
         winner2=winner,
-        w2=w2,
-        eta2=params.eta_cap,
-        eta2_tilde=params.eta_cap,
         incumbent_profit=profit,
         dev2=dev2,
         deployer=deployer,
         consumer=consumer,
+        w2=w2,
+        eta2=params.eta_cap,
+        eta2_tilde=params.eta_cap,
         subsidy_spend=params.s * (q1 + q2),
     )
 

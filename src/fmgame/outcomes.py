@@ -8,33 +8,38 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .params import Regime, Strategy, Winner
-
-
-@dataclass(frozen=True)
-class PeriodOutcome:
-    """A period's realized effort, which is also its engagement."""
-
-    effort: float
+from .params import Regime, Winner
 
 
 @dataclass(frozen=True)
 class Equilibrium:
-    """Subgame-perfect outcome of the two-period game, with its welfare entries."""
+    """Subgame-perfect outcome of the two-period game, with its welfare entries.
+
+    regime: the incumbent's period-1 strategy
+    w1, eta1: its period-1 fee and openness
+    q1, q2: the deployer's effort (also its engagement) in periods 1 and 2
+    winner2: the developer that serves period 2
+    incumbent_profit (also dev1), dev2, deployer, consumer: the welfare entries
+    w2, eta2, eta2_tilde: the period-2 fee and the incumbent's and entrant's openness
+    subsidy_spend: the outlay s * (q1 + q2)
+
+    w1 through consumer are closed_form._Row's fields, in its order.
+    """
 
     regime: Regime
-    strategy: Strategy
-    period1: PeriodOutcome
-    period2: PeriodOutcome
+    w1: float
+    eta1: float
+    q1: float
+    q2: float
     winner2: Winner
-    w2: float
-    eta2: float
-    eta2_tilde: float
-    incumbent_profit: float   # also the dev1 welfare entry
+    incumbent_profit: float
     dev2: float
     deployer: float
     consumer: float
-    subsidy_spend: float      # the outlay s * (Q1 + Q2)
+    w2: float
+    eta2: float
+    eta2_tilde: float
+    subsidy_spend: float
 
 
 @dataclass(frozen=True)

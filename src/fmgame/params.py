@@ -80,14 +80,6 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class Strategy:
-    """Incumbent period-1 choice: fee (one of the two admissible fees) and openness."""
-
-    w1: float
-    eta1: float
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     """Outcome of parameter validation; never raises, lists violations by name."""
 

@@ -93,7 +93,7 @@ def compare_with_oracle(params: ModelParams, config: OracleConfig,
                         rel_tol: float = 1e-5) -> str | None:
     """One-point oracle-vs-closed-form comparison; None if they agree.
 
-    Strategy openness must match within one grid step (the oracle's
+    Period-1 openness eta1 must match within one grid step (the oracle's
     bisection refinement usually does far better), fees, regime and winner
     exactly, incumbent revenue within rel_tol relative. Exactly at a regime
     threshold the tie-break convention is below the oracle's noise floor;
@@ -103,16 +103,16 @@ def compare_with_oracle(params: ModelParams, config: OracleConfig,
     numeric = oracle_solve_game(params, config)
     labels_differ = (closed.regime is not numeric.regime
                      or closed.winner2 is not numeric.winner2
-                     or closed.strategy.w1 != numeric.strategy.w1)
+                     or closed.w1 != numeric.w1)
     if labels_differ and not _at_regime_tie(params):
         if closed.regime is not numeric.regime:
             return f"regime {closed.regime.value} vs oracle {numeric.regime.value} (k={params.k!r})"
         if closed.winner2 is not numeric.winner2:
             return f"winner {closed.winner2.value} vs oracle {numeric.winner2.value}"
-        return f"fee {closed.strategy.w1} vs oracle {numeric.strategy.w1}"
+        return f"fee {closed.w1} vs oracle {numeric.w1}"
     if not labels_differ:
         eta_step = params.eta_cap / (config.eta_grid_points - 1)
-        d_eta = abs(closed.strategy.eta1 - numeric.strategy.eta1)
+        d_eta = abs(closed.eta1 - numeric.eta1)
         if d_eta > eta_step:
             return f"eta1 differs by {d_eta:.3e} (> grid step {eta_step:.3e})"
     a, b = closed.incumbent_profit, numeric.incumbent_profit
@@ -394,7 +394,7 @@ def _check_effort_dominance(params: ModelParams, oracle_rel_tol: float) -> tuple
     p0 = replace(params, s=0.0, k=0.0)
     require_valid(p0)
     p = replace(p0, k=_k_points(k_max(p0), 41))
-    v, q1 = extensions._integrated(p), closed_form._solve(p).period1.effort
+    v, q1 = extensions._integrated(p), closed_form._solve(p).q1
     bad = ~((v.q1v > q1) & (v.q2v >= v.q1v - 1e-12))
     if bad.any():
         return False, ("k=%r: q1v=%r, q1=%r, q2v=%r"
@@ -470,9 +470,9 @@ def _check_grid_refinement(params: ModelParams, oracle_rel_tol: float) -> tuple[
     e_coarse = oracle_solve_game(params, coarse)
     e_fine = oracle_solve_game(params, config)
     step = params.eta_cap / (coarse.eta_grid_points - 1)
-    ok = (e_coarse.strategy.w1 == e_fine.strategy.w1
-          and abs(e_coarse.strategy.eta1 - e_fine.strategy.eta1) <= step)
-    return ok, "" if ok else f"{e_coarse.strategy} vs {e_fine.strategy}"
+    ok = e_coarse.w1 == e_fine.w1 and abs(e_coarse.eta1 - e_fine.eta1) <= step
+    return ok, "" if ok else (f"w1={e_coarse.w1!r}, eta1={e_coarse.eta1!r} "
+                              f"vs w1={e_fine.w1!r}, eta1={e_fine.eta1!r}")
 
 
 # Which pairwise thresholds make up each binding one: k_bar_1 is the min of
@@ -551,12 +551,12 @@ def _check_subsidy_limit(params: ModelParams, oracle_rel_tol: float) -> tuple[bo
     tiny = solve_subsidized(replace(params, s=1e-8))
     base = solve_baseline(replace(params, s=0.0))
     rel = max(
-        abs(tiny.strategy.eta1 - base.strategy.eta1),
-        abs(tiny.period1.effort - base.period1.effort) / max(1.0, base.period1.effort),
-        abs(tiny.period2.effort - base.period2.effort) / max(1.0, base.period2.effort),
+        abs(tiny.eta1 - base.eta1),
+        abs(tiny.q1 - base.q1) / max(1.0, base.q1),
+        abs(tiny.q2 - base.q2) / max(1.0, base.q2),
         abs(tiny.incumbent_profit - base.incumbent_profit) / max(1.0, base.incumbent_profit),
     )
-    return tiny.strategy.w1 == base.strategy.w1 and rel < 1e-6, f"max rel drift {rel:.2e}"
+    return tiny.w1 == base.w1 and rel < 1e-6, f"max rel drift {rel:.2e}"
 
 
 def _check_subsidy_welfare(params: ModelParams, oracle_rel_tol: float) -> tuple[bool, str]:

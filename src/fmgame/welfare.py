@@ -150,16 +150,17 @@ _COMPONENT_NAMES = ("dev1", "dev2", "deployer", "consumer")
 def welfare_for_equilibrium(params: ModelParams, eq: Equilibrium) -> WelfareBreakdown:
     """Welfare breakdown for a solved (or imposed) equilibrium.
 
-    Reads the table entries the equilibrium carries and cross-validates
-    them against the rebuild from its play; raises RuntimeError naming the
-    first disagreeing component if the two routes drift beyond 1e-6 relative.
+    Reads the table entries the equilibrium carries and cross-validates them
+    against the rebuild from its play (w1, eta1, q1, q2, w2, eta2, eta2_tilde,
+    winner2); raises RuntimeError naming the first disagreeing component if
+    the two routes drift beyond 1e-6 relative.
     On a grid (an equilibrium solved with array params) both routes run
     per element, and the first disagreeing point is named.
     """
     table = (eq.incumbent_profit, eq.dev2, eq.deployer, eq.consumer)
     # Against the value: numpy would turn the member itself into its str().
-    rebuilt = _rebuilt_components(params, eq.strategy.w1, eq.strategy.eta1, eq.period1.effort,
-                                  eq.w2, eq.period2.effort, eq.winner2 == Winner.INCUMBENT.value,
+    rebuilt = _rebuilt_components(params, eq.w1, eq.eta1, eq.q1,
+                                  eq.w2, eq.q2, eq.winner2 == Winner.INCUMBENT.value,
                                   eq.eta2, eq.eta2_tilde)
     failure = _first_drift(table, rebuilt, eq.regime)
     if failure is not None:

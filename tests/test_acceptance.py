@@ -73,7 +73,7 @@ def test_criterion_1_regime_reproduction():
         ks = np.linspace(0.0, 0.26, 200)
         eqs = [solve_baseline(replace(SET_A, k=float(k))) for k in ks]
         regimes = [eq.regime for eq in eqs]
-        etas = [eq.strategy.eta1 for eq in eqs]
+        etas = [eq.eta1 for eq in eqs]
 
         # Exactly three regimes, in harvest -> defend -> dominate order.
         seen = [regimes[0]]
@@ -210,8 +210,8 @@ def test_criterion_6_subsidy_regime_shift():
         for i in range(5):
             k = th0.k_bar_2 + (th.k_bar_2 - th0.k_bar_2) * (i + 1) / 6.0
             base, subs, wb, ws = pair(k)
-            assert base.period1.effort - subs.period1.effort > 1e-9, k
-            assert base.period2.effort - subs.period2.effort > 1e-9, k
+            assert base.q1 - subs.q1 > 1e-9, k
+            assert base.q2 - subs.q2 > 1e-9, k
             assert wb.social - ws.social > 1e-9, k
 
 
@@ -220,11 +220,11 @@ def test_criterion_7_limit_consistency():
         base = solve_baseline(replace(SET_B, s=0.0))
         tiny = solve_subsidized(replace(SET_B, s=1e-8))
         assert tiny.regime == base.regime
-        assert tiny.strategy.w1 == base.strategy.w1
-        assert abs(tiny.strategy.eta1 - base.strategy.eta1) < 1e-6
+        assert tiny.w1 == base.w1
+        assert abs(tiny.eta1 - base.eta1) < 1e-6
         for got, want in (
-            (tiny.period1.effort, base.period1.effort),
-            (tiny.period2.effort, base.period2.effort),
+            (tiny.q1, base.q1),
+            (tiny.q2, base.q2),
             (tiny.incumbent_profit, base.incumbent_profit),
         ):
             assert abs(got - want) <= 1e-6 * max(1.0, abs(want))

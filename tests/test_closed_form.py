@@ -24,9 +24,9 @@ from fmgame import (
     scenario_profits,
     solve_baseline,
 )
-from fmgame.closed_form import _row
+from fmgame.closed_form import _equilibrium, _row
 
-from conftest import SET_A
+from conftest import SET_A, SET_B
 
 
 class TestThresholdsSetA:
@@ -98,20 +98,20 @@ class TestEquilibriumSetA:
     def test_harvest_point(self):
         eq = solve_baseline(replace(SET_A, k=0.1))
         assert eq.regime is Regime.HARVEST
-        assert eq.strategy.w1 == 2.5
-        assert eq.strategy.eta1 == 1.5
-        assert eq.period1.effort == pytest.approx(3.125, abs=1e-12)
-        assert eq.period2.effort == pytest.approx(14.0625, abs=1e-12)
+        assert eq.w1 == 2.5
+        assert eq.eta1 == 1.5
+        assert eq.q1 == pytest.approx(3.125, abs=1e-12)
+        assert eq.q2 == pytest.approx(14.0625, abs=1e-12)
         assert eq.winner2 is Winner.ENTRANT
         assert eq.incumbent_profit == pytest.approx(7.8125, abs=1e-12)
 
     def test_defend_point(self):
         eq = solve_baseline(SET_A)
         assert eq.regime is Regime.DEFEND
-        assert eq.strategy.w1 == 2.5
-        assert eq.strategy.eta1 == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert eq.period1.effort == pytest.approx(5.0 / 3.0, abs=1e-12)
-        assert eq.period2.effort == pytest.approx(7.5, abs=1e-12)
+        assert eq.w1 == 2.5
+        assert eq.eta1 == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert eq.q1 == pytest.approx(5.0 / 3.0, abs=1e-12)
+        assert eq.q2 == pytest.approx(7.5, abs=1e-12)
         assert eq.winner2 is Winner.INCUMBENT
         assert eq.w2 == 0.5
         assert eq.incumbent_profit == pytest.approx(7.916666666666667, abs=1e-12)
@@ -119,10 +119,10 @@ class TestEquilibriumSetA:
     def test_dominate_point(self):
         eq = solve_baseline(replace(SET_A, k=0.25))
         assert eq.regime is Regime.DOMINATE
-        assert eq.strategy.w1 == 0.5
-        assert eq.strategy.eta1 == pytest.approx(9.0 / 7.0, abs=1e-12)
-        assert eq.period1.effort == pytest.approx(36.0 / 7.0, abs=1e-12)
-        assert eq.period2.effort == pytest.approx(90.0 / 7.0, abs=1e-12)
+        assert eq.w1 == 0.5
+        assert eq.eta1 == pytest.approx(9.0 / 7.0, abs=1e-12)
+        assert eq.q1 == pytest.approx(36.0 / 7.0, abs=1e-12)
+        assert eq.q2 == pytest.approx(90.0 / 7.0, abs=1e-12)
         assert eq.incumbent_profit == pytest.approx(9.0, abs=1e-12)
 
     def test_profit_is_scenario_max(self):
@@ -153,6 +153,24 @@ def test_q1_responds_to_fee_and_openness():
     assert base == pytest.approx(2.0 * 2.5 / 2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("params", [SET_A, SET_B], ids=["set_a", "set_b"])
+@pytest.mark.parametrize("regime", list(Regime), ids=lambda r: r.value)
+def test_equilibrium_lays_out_the_row_by_name(params, regime):
+    # _equilibrium hands _Row's fields to Equilibrium by position: each one
+    # must land on the field of its own name, as the very same object.
+    row = _row(params, regime)
+    eq = _equilibrium(params, regime, row)
+    assert eq.regime is regime
+    for name in ("w1", "eta1", "q1", "q2", "dev2", "deployer", "consumer"):
+        assert getattr(eq, name) is getattr(row, name), name
+    assert eq.winner2 is row.winner
+    assert eq.incumbent_profit is row.revenue
+    assert eq.w2 is params.w_low
+    assert eq.eta2 is params.eta_cap
+    assert eq.eta2_tilde is params.eta_cap
+    assert eq.subsidy_spend.hex() == (params.s * (row.q1 + row.q2)).hex()
+
+
 def test_equal_fees_defend_at_k_zero():
     # No premium to harvest: holding the deployer is free, so the defend
     # profile (two sales at the only fee) wins already at k = 0.
@@ -161,7 +179,7 @@ def test_equal_fees_defend_at_k_zero():
     assert th.k_bar_12 == np.inf
     eq = solve_baseline(p)
     assert eq.regime is Regime.DEFEND
-    assert eq.strategy.eta1 == 0.0
+    assert eq.eta1 == 0.0
     assert eq.winner2 is Winner.INCUMBENT
     # The oracle must give the same indifference tie to the incumbent.
     assert compare_with_oracle(p, OracleConfig()) is None

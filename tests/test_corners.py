@@ -52,7 +52,7 @@ def _problems(p):
     eq = solve_subsidized(p)
     w = welfare_for_equilibrium(p, eq)
     numbers = {
-        "eta1": eq.strategy.eta1, "q1": eq.period1.effort, "q2": eq.period2.effort,
+        "eta1": eq.eta1, "q1": eq.q1, "q2": eq.q2,
         "revenue": eq.incumbent_profit, "spend": eq.subsidy_spend,
         "dev1": w.dev1, "dev2": w.dev2, "deployer": w.deployer,
         "consumer": w.consumer, "social": w.social,
@@ -64,10 +64,10 @@ def _problems(p):
                        integrated_social=v.social)
     out = [f"{name}={x!r}" for name, x in numbers.items()
            if not (math.isfinite(x) and x >= 0.0)]
-    if eq.strategy.w1 not in (p.w_high, p.w_low):
-        out.append(f"w1={eq.strategy.w1!r} is neither fee")
-    if not 0.0 <= eq.strategy.eta1 <= p.eta_cap:
-        out.append(f"eta1={eq.strategy.eta1!r} outside [0, eta_cap]")
+    if eq.w1 not in (p.w_high, p.w_low):
+        out.append(f"w1={eq.w1!r} is neither fee")
+    if not 0.0 <= eq.eta1 <= p.eta_cap:
+        out.append(f"eta1={eq.eta1!r} outside [0, eta_cap]")
     if eq.incumbent_profit != w.dev1:
         out.append(f"revenue {eq.incumbent_profit!r} != dev1 {w.dev1!r}")
     return out

@@ -1,10 +1,13 @@
 """Each demo script runs to completion and prints the same bytes as before.
 
 The demos run closed forms only, no oracle search, so their stdout is pinned
-by sha256 like the golden CLI outputs.
+by sha256 like the golden CLI outputs. The README's library quick start runs
+too, and prints what its comments say.
 """
 
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -38,3 +41,18 @@ def test_demo_runs(demo):
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.strip()
     assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[demo.stem]
+
+
+def test_readme_quick_start_prints_what_its_comments_state():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    lines = out.getvalue().splitlines()
+    regime, eta1, profit = lines[0].split()
+    assert regime == "defend"
+    assert eta1.startswith("0.3333")
+    assert profit.startswith("7.9166")
+    assert lines[-1] == "dominate"

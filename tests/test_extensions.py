@@ -51,7 +51,7 @@ class TestIntegratedOutcome:
             p = replace(SET_A, k=float(k))
             v = solve_integrated(p)
             eq = solve_baseline(p)
-            assert v.q1v > eq.period1.effort - 1e-12
+            assert v.q1v > eq.q1 - 1e-12
             assert v.q2v >= v.q1v - 1e-12
 
     def test_flywheel_off_equalizes_periods(self):
@@ -160,7 +160,7 @@ class TestSubsidizedEquilibrium:
         sub = solve_subsidized(p)
         base = solve_baseline(p)
         assert sub.regime is base.regime
-        assert sub.strategy == base.strategy
+        assert (sub.w1, sub.eta1) == (base.w1, base.eta1)
         assert sub.incumbent_profit == base.incumbent_profit
         assert sub.subsidy_spend == 0.0
 
@@ -168,14 +168,14 @@ class TestSubsidizedEquilibrium:
         eq = solve_subsidized(SET_B)
         assert eq.regime is Regime.DOMINATE
         # subsidized margin 4.7 at the discounted fee, D = 2 - 0.2 * 4.7
-        assert eq.strategy.eta1 == pytest.approx(0.94 / 1.06, abs=1e-12)
-        assert eq.period1.effort == pytest.approx(4.7 / 1.06, abs=1e-12)
-        assert eq.strategy.w1 - SET_B.s == pytest.approx(0.3, abs=1e-12)   # fee paid, 0.8 - 0.5
+        assert eq.eta1 == pytest.approx(0.94 / 1.06, abs=1e-12)
+        assert eq.q1 == pytest.approx(4.7 / 1.06, abs=1e-12)
+        assert eq.w1 - SET_B.s == pytest.approx(0.3, abs=1e-12)   # fee paid, 0.8 - 0.5
         assert eq.subsidy_spend == pytest.approx(7.759433962264151, abs=1e-9)
 
     def test_spend_tracks_engagement(self):
         eq = solve_subsidized(SET_B)
-        total = eq.period1.effort + eq.period2.effort
+        total = eq.q1 + eq.q2
         assert eq.subsidy_spend == pytest.approx(SET_B.s * total, rel=1e-12)
 
     def test_shifted_thresholds(self):
@@ -194,7 +194,7 @@ class TestSubsidizedEquilibrium:
         sub = solve_subsidized(tiny)
         base = solve_baseline(replace(SET_B, s=0.0))
         assert sub.regime is base.regime
-        assert sub.strategy.eta1 == pytest.approx(base.strategy.eta1, abs=1e-6)
+        assert sub.eta1 == pytest.approx(base.eta1, abs=1e-6)
         assert sub.incumbent_profit == pytest.approx(base.incumbent_profit, abs=1e-6)
         ws = welfare_subsidized(tiny)
         wb = welfare_baseline(replace(SET_B, s=0.0))
@@ -228,8 +228,8 @@ class TestSubsidyComparison:
         cmp = subsidy_comparison(p)
         base = solve_baseline(replace(p, s=0.0))
         sub = solve_subsidized(p)
-        assert sub.period1.effort < base.period1.effort - 1e-9
-        assert sub.period2.effort < base.period2.effort - 1e-9
+        assert sub.q1 < base.q1 - 1e-9
+        assert sub.q2 < base.q2 - 1e-9
         assert cmp.delta.social < -1e-9
 
     def test_net_accounting(self):

@@ -71,13 +71,13 @@ def _scalar_row(p, scenario: str) -> list[str]:
     base_p = replace(p, s=0.0) if scenario == "subsidy" else p
     eq = solve(base_p)
     w = welfare_for_equilibrium(base_p, eq)
-    cells = [p.k, p.s, eq.regime, eq.strategy.w1, eq.strategy.eta1,
-             eq.period1.effort, eq.period2.effort, w.dev1, w.dev2, w.deployer,
+    cells = [p.k, p.s, eq.regime, eq.w1, eq.eta1,
+             eq.q1, eq.q2, w.dev1, w.dev2, w.deployer,
              w.consumer, w.social]
     if scenario == "mandate":
         m = mandate_equilibrium(p)
         wm = welfare_for_equilibrium(p, m)
-        cells += [m.period1.effort, m.period2.effort, wm.dev1, wm.dev2, wm.deployer,
+        cells += [m.q1, m.q2, wm.dev1, wm.dev2, wm.deployer,
                   wm.consumer, wm.social]
     elif scenario == "integration":
         v = solve_integrated(p)
@@ -85,8 +85,8 @@ def _scalar_row(p, scenario: str) -> list[str]:
     elif scenario == "subsidy":
         sub = solve_subsidized(p)
         ws = welfare_for_equilibrium(p, sub)
-        cells += [sub.regime, sub.strategy.w1, sub.strategy.eta1, sub.period1.effort,
-                  sub.period2.effort, ws.dev1, ws.dev2, ws.deployer, ws.consumer,
+        cells += [sub.regime, sub.w1, sub.eta1, sub.q1,
+                  sub.q2, ws.dev1, ws.dev2, ws.deployer, ws.consumer,
                   ws.social, sub.subsidy_spend]
     return [_fmt(c) for c in cells] + ["ok"]
 
@@ -253,8 +253,8 @@ def test_array_solve_and_welfare_carry_the_scalar_bits(params):
         # (core, public solver, fields, on the s = 0 twins)
         layers = [
             (_solve, solve,
-             lambda eq: (eq.regime, eq.strategy.w1, eq.strategy.eta1, eq.period1.effort,
-                         eq.period2.effort, eq.winner2,
+             lambda eq: (eq.regime, eq.w1, eq.eta1, eq.q1,
+                         eq.q2, eq.winner2,
                          eq.incumbent_profit, eq.dev2, eq.deployer, eq.consumer,
                          eq.subsidy_spend), False),
             (lambda p: welfare_for_equilibrium(p, _solve(p)),

@@ -118,3 +118,12 @@ def test_no_unread_module_imports():
               for module in sorted(PACKAGE.glob("*.py")) if module.name != "__init__.py"
               for name in _unread_imports(ast.parse(module.read_text(encoding="utf-8")))]
     assert not unread, "module-level imports never read: " + ", ".join(unread)
+
+
+def test_every_exported_name_exists():
+    # The checks above exempt every name in __all__, so each must be real.
+    missing = [name for name in fmgame.__all__ if not hasattr(fmgame, name)]
+    assert not missing, "names in fmgame.__all__ that fmgame lacks: " + ", ".join(missing)
+    namespace = {}
+    exec("from fmgame import *", namespace)
+    assert set(fmgame.__all__) <= set(namespace)

@@ -224,7 +224,7 @@ class TestOracleAgreement:
         a = oracle_solve_game(p, coarse)
         b = solve_baseline(p)
         assert a.regime is b.regime
-        assert abs(a.strategy.eta1 - b.strategy.eta1) <= step + 1e-9
+        assert abs(a.eta1 - b.eta1) <= step + 1e-9
 
     def test_speed_budget(self):
         t0 = time.perf_counter()
@@ -325,11 +325,11 @@ class TestKFreeReuse:
         off_grid = 0
         for p in self._points():
             eq = oracle_solve_game(p)
-            eta1 = eq.strategy.eta1
+            eta1 = eq.eta1
             if eta1 in np.linspace(p.eta_cap, 0.0, 10001):
                 continue
             off_grid += 1
-            assert _stay_gap(_lanes(p, _unit_efforts(p), eq.strategy.w1, eta1)) >= 0, p
+            assert _stay_gap(_lanes(p, _unit_efforts(p), eq.w1, eta1)) >= 0, p
             assert eq.regime in (Regime.DEFEND, Regime.DOMINATE), p
         assert off_grid > 0
 

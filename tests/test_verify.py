@@ -30,6 +30,7 @@ from test_corners import _fuzz_cases
 from fmgame import (
     InvalidParams,
     ModelParams,
+    OracleConfig,
     Regime,
     ThresholdCrossing,
     closed_form,
@@ -374,6 +375,20 @@ def test_a_subsidy_check_that_raises_is_its_own_named_fail(monkeypatch, capsys):
     assert "FAIL subsidy-limit-continuity: raised RuntimeError: stub" in lines
     assert "FAIL subsidy-welfare-cross-validation: raised RuntimeError: stub" in lines
     assert lines[-1] == "14/16 checks passed"
+
+
+def test_grid_refinement_names_both_plays_when_they_differ(monkeypatch):
+    # The coarse grid's play moved to eta1 = 0, farther than one coarse grid
+    # step from the fine grid's: the FAIL names both plays.
+    fine_points = OracleConfig().eta_grid_points
+    _stub_oracle(monkeypatch, lambda params, config, rel_tol: None)
+    monkeypatch.setattr(verify, "oracle_solve_game", lambda params, config: (
+        solve(params) if config.eta_grid_points == fine_points
+        else replace(solve(params), eta1=0.0)))
+    checks = {check.name: check for check in run_verification(SET_A)}
+    refinement = checks["oracle-grid-refinement"]
+    assert not refinement.passed
+    assert refinement.detail == "w1=2.5, eta1=0.0 vs w1=2.5, eta1=0.3333333333333333"
 
 
 # oracle-equivalence shared between this process and forked children (the

@@ -60,7 +60,7 @@ class TestBreakdownSetA:
     def test_consumer_matches_engagement(self):
         eq = solve_baseline(SET_A)
         w = welfare_baseline(SET_A)
-        a1, a2 = eq.period1.effort, eq.period2.effort
+        a1, a2 = eq.q1, eq.q2
         assert w.consumer == pytest.approx((a1 * a1 + a2 * a2) / 2.0, rel=1e-12)
 
     def test_social_is_exact_sum(self):
@@ -91,7 +91,7 @@ class TestMandate:
             p = replace(SET_A, k=k)
             eq = mandate_equilibrium(p)
             assert eq.regime is Regime.HARVEST
-            assert eq.strategy.eta1 == p.eta_cap
+            assert eq.eta1 == p.eta_cap
             w = welfare_mandate(p)
             assert w.social == pytest.approx(154.150390625, abs=1e-9)
 
