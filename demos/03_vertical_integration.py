@@ -21,7 +21,7 @@ from fmgame import (
     k_max,
     solve_baseline,
     solve_integrated,
-    welfare_baseline,
+    welfare_for_equilibrium,
 )
 
 PARAMS = ModelParams(theta=5.0, c=1.0, w_high=2.5, w_low=0.5, eta_cap=1.5, k=0.0)
@@ -31,7 +31,7 @@ def main() -> None:
     p = replace(PARAMS, k=0.2)
     v = solve_integrated(p)
     eq = solve_baseline(p)
-    w = welfare_baseline(p)
+    w = welfare_for_equilibrium(p, eq)
     print("At k=0.2:")
     print(f"  separate firms: Q1={eq.q1:.4f}, Q2={eq.q2:.4f}, "
           f"chain profit={w.dev1 + w.deployer:.4f}")

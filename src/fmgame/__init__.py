@@ -26,7 +26,6 @@ from .extensions import (
     solve_integrated,
     solve_subsidized,
     subsidy_comparison,
-    welfare_subsidized,
 )
 from .oracle import OracleConfig, oracle_solve_game, oracle_solve_integrated
 from .outcomes import Equilibrium, IntegratedOutcome
@@ -48,9 +47,7 @@ from .welfare import (
     mandate_comparison,
     mandate_equilibrium,
     openness_trap_threshold,
-    welfare_baseline,
     welfare_for_equilibrium,
-    welfare_mandate,
 )
 
 __version__ = "0.1.0"
@@ -97,9 +94,6 @@ __all__ = [
     "subsidy_comparison",
     "sweep_columns",
     "validate",
-    "welfare_baseline",
     "welfare_for_equilibrium",
-    "welfare_mandate",
-    "welfare_subsidized",
     "write_csv",
 ]

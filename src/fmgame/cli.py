@@ -18,8 +18,8 @@ import functools
 import io
 import sys
 
-from .closed_form import eta_bar_high, eta_bar_low, regime_thresholds, scenario_profits
-from .extensions import _POLICIES, solve_subsidized
+from .closed_form import eta_bar_high, eta_bar_low, regime_thresholds, scenario_profits, solve
+from .extensions import _POLICIES
 from .params import _FIELDS, InvalidParams, k_max, require_valid
 from .sweep import _SCENARIOS, ConfigError, SweepSpec, read_config, run_sweep, write_csv
 from .verify import run_verification
@@ -46,7 +46,7 @@ def _solve_report(params) -> str:
     lines.append(f"scenario revenues: harvest={_fmt(prof.pi_s0)} "
                  f"defend={_fmt(prof.pi_s1)} dominate={_fmt(prof.pi_s2)}")
 
-    eq = solve_subsidized(params)   # reduces to the baseline game at s=0
+    eq = solve(params)   # reduces to the baseline game at s=0
     lines.append(f"regime: {eq.regime.value}")
     lines.append(f"strategy: w1={_fmt(eq.w1)} eta1={_fmt(eq.eta1)}")
     lines.append(f"period 1: effort={_fmt(eq.q1)} "

@@ -52,7 +52,6 @@ from .params import (
     ValidationReport,
     Winner,
     require_valid,
-    validate,
 )
 
 #: Tolerance for the built-in regime-vs-argmax consistency check.
@@ -185,9 +184,7 @@ def regime_thresholds(params: ModelParams) -> RegimeThresholds:
     flips, and k_bar_12 is +inf. eta_prime (the cap level at which the
     pairwise ordering reverses) is NaN when its denominator vanishes.
     """
-    report = validate(replace(params, k=0.0))   # the formulas are k-free
-    if not report.ok:
-        raise InvalidParams(report)
+    require_valid(replace(params, k=0.0))   # the formulas are k-free
     return _thresholds(params)
 
 
@@ -227,8 +224,11 @@ def _equilibrium(params: ModelParams, regime: Regime, row: _Row) -> Equilibrium:
 
 
 def solve(params: ModelParams) -> Equilibrium:
-    """Subgame-perfect equilibrium for any admissible subsidy s.
+    """Subgame-perfect equilibrium for any admissible subsidy s, s = 0 included.
 
+    The adoption subsidy shifts every deployer margin to theta - w + s
+    (developers keep their full fee, the government covers s); the outlay
+    s * (q1 + q2) is the equilibrium's subsidy_spend.
     Raises InvalidParams unless params pass validate() (require_valid);
     solve_baseline adds its s == 0 check on top. Regime selection compares
     k to (k_bar_1, k_bar_2), ties resolved toward the lower-k regime; the

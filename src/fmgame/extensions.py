@@ -178,21 +178,8 @@ def integration_comparison(params: ModelParams) -> PolicyComparison:
     )
 
 
-def solve_subsidized(params: ModelParams) -> Equilibrium:
-    """Equilibrium of the game with a per-unit adoption subsidy.
-
-    Same backward induction as the baseline with every deployer margin
-    shifted to theta - w + s (developers keep their full fee, the
-    government covers s); the outlay s * (alpha1 + alpha2) is the
-    equilibrium's subsidy_spend. This is solve itself, which accepts any
-    admissible s, s = 0 included.
-    """
-    return solve(params)
-
-
-def welfare_subsidized(params: ModelParams) -> WelfareBreakdown:
-    """Welfare under the subsidy: four private components, outlay excluded."""
-    return welfare_for_equilibrium(params, solve_subsidized(params))
+# bench/tracing.py traces this name; once it traces closed_form.solve (ROADMAP item 1), it can go.
+solve_subsidized = solve
 
 
 # Subsidy region by (baseline regime, subsidized regime); any other pair is "other".
@@ -222,7 +209,7 @@ def subsidy_comparison(params: ModelParams) -> PolicyComparison:
     base_params = replace(params, s=0.0)
     base_eq = solve_baseline(base_params)
     base = welfare_for_equilibrium(base_params, base_eq)
-    sub_eq = solve_subsidized(params)
+    sub_eq = solve(params)
     counter = welfare_for_equilibrium(params, sub_eq)
     return PolicyComparison(
         intervention="subsidy",

@@ -32,22 +32,16 @@ import numpy as np
 
 from . import closed_form, extensions, numerics
 from .closed_form import _thresholds, regime_thresholds, scenario_profits, solve, solve_baseline
-from .extensions import (
-    _integration_gaps,
-    integration_thresholds,
-    solve_integrated,
-    solve_subsidized,
-    welfare_subsidized,
-)
+from .extensions import _integration_gaps, integration_thresholds, solve_integrated
 from .oracle import OracleConfig, oracle_solve_game, oracle_solve_integrated
 from .params import (ModelParams, Regime, Winner, k_max, require_valid, stay_denominator,
                      switch_denominator, validate)
 from .welfare import (
     _binding_range,
     _trap_gap,
+    mandate_equilibrium,
     openness_trap_threshold,
     welfare_for_equilibrium,
-    welfare_mandate,
 )
 
 #: k-points of the oracle-equivalence check.
@@ -340,8 +334,8 @@ def _check_baseline_welfare(params: ModelParams, oracle_rel_tol: float) -> tuple
 def _check_mandate_flat(params: ModelParams, oracle_rel_tol: float) -> tuple[bool, str]:
     # Mandate welfare is flat in k.
     p0 = replace(params, s=0.0)
-    wm_lo = welfare_mandate(replace(p0, k=0.0))
-    wm_hi = welfare_mandate(replace(p0, k=k_max(p0)))
+    wm_lo, wm_hi = (welfare_for_equilibrium(p, mandate_equilibrium(p))
+                    for p in (replace(p0, k=0.0), replace(p0, k=k_max(p0))))
     return abs(wm_lo.social - wm_hi.social) <= 1e-12 * max(1.0, abs(wm_lo.social)), ""
 
 
@@ -535,6 +529,11 @@ def _check_threshold_shift(params: ModelParams, oracle_rel_tol: float) -> tuple[
             continue
         piece = next(piece for piece in pieces if getattr(th, piece) == after)
         num, den = _threshold_slopes(params, params.theta + params.s)[piece]
+        if den == 0.0:
+            ok = False
+            notes.append(f"{name} slope undefined: the denominator of {piece}'s slope "
+                         f"underflows to 0.0")
+            continue
         h = min(_SLOPE_STEP, params.s / 2.0)
         central = (getattr(_thresholds(replace(params, s=params.s + h)), name)
                    - getattr(_thresholds(replace(params, s=params.s - h)), name)) / (2.0 * h)
@@ -547,8 +546,9 @@ def _check_threshold_shift(params: ModelParams, oracle_rel_tol: float) -> tuple[
 
 
 def _check_subsidy_limit(params: ModelParams, oracle_rel_tol: float) -> tuple[bool, str]:
-    # As s falls to 0 the subsidized equilibrium meets the baseline one.
-    tiny = solve_subsidized(replace(params, s=1e-8))
+    # As s falls to 0 the subsidized equilibrium meets the baseline one. The
+    # small s is at most params.s, so it stays within validate()'s s <= w_low.
+    tiny = solve(replace(params, s=min(1e-8, params.s)))
     base = solve_baseline(replace(params, s=0.0))
     rel = max(
         abs(tiny.eta1 - base.eta1),
@@ -561,7 +561,7 @@ def _check_subsidy_limit(params: ModelParams, oracle_rel_tol: float) -> tuple[bo
 
 def _check_subsidy_welfare(params: ModelParams, oracle_rel_tol: float) -> tuple[bool, str]:
     # The subsidized welfare table agrees with its rebuild.
-    welfare_subsidized(params)
+    welfare_for_equilibrium(params, solve(params))
     return True, ""
 
 

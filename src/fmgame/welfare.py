@@ -191,12 +191,6 @@ def _first_drift(table: tuple, rebuilt: tuple, *context):
     return (i, values[i], values[n + i], *values[2 * n:])
 
 
-def welfare_baseline(params: ModelParams) -> WelfareBreakdown:
-    """Equilibrium welfare of the baseline game (s = 0)."""
-    eq = solve_baseline(params)
-    return welfare_for_equilibrium(params, eq)
-
-
 def mandate_equilibrium(params: ModelParams) -> Equilibrium:
     """Outcome when period-1 openness is mandated at the cap.
 
@@ -216,12 +210,6 @@ def mandate_equilibrium(params: ModelParams) -> Equilibrium:
 def _mandate_equilibrium(params: ModelParams) -> Equilibrium:
     # mandate_equilibrium without its checks, for validated s = 0 grids.
     return _equilibrium(params, Regime.HARVEST, _row(params, Regime.HARVEST))
-
-
-def welfare_mandate(params: ModelParams) -> WelfareBreakdown:
-    """Welfare under the full-openness mandate (k-independent)."""
-    eq = mandate_equilibrium(params)
-    return welfare_for_equilibrium(params, eq)
 
 
 def openness_trap_threshold(params: ModelParams) -> float | None:
@@ -248,7 +236,8 @@ def _trap_gap(params: ModelParams):
     # f(k) = SW_baseline(k) - SW_mandate, the gap whose sign change is the
     # openness trap, for k a float or an array; params.k is ignored, s is 0
     # and every k is admitted (the callers check).
-    sw_mandate = welfare_mandate(replace(params, k=0.0)).social
+    p0 = replace(params, k=0.0)
+    sw_mandate = welfare_for_equilibrium(p0, mandate_equilibrium(p0)).social
 
     def gap(k):
         p = replace(params, k=k)
@@ -278,7 +267,7 @@ def mandate_comparison(params: ModelParams) -> PolicyComparison:
     params = replace(params, s=0.0)
     base_eq = solve_baseline(params)
     base = welfare_for_equilibrium(params, base_eq)
-    counter = welfare_mandate(params)
+    counter = welfare_for_equilibrium(params, mandate_equilibrium(params))
     return PolicyComparison(
         intervention="mandate",
         # At harvest the baseline opens fully anyway: the mandate changes nothing.

@@ -24,6 +24,7 @@ from fmgame import (
     integration_thresholds,
     k_max,
     mandate_comparison,
+    mandate_equilibrium,
     openness_trap_threshold,
     oracle_solve_integrated,
     random_valid_params,
@@ -31,9 +32,7 @@ from fmgame import (
     solve_baseline,
     solve_integrated,
     solve_subsidized,
-    welfare_baseline,
     welfare_for_equilibrium,
-    welfare_mandate,
 )
 from fmgame.verify import first_failure
 
@@ -123,7 +122,8 @@ def test_criterion_3_openness_trap():
         assert th.k_bar_1 < trap <= km
 
         at_root = replace(SET_A, k=trap)
-        gap = welfare_mandate(at_root).social - welfare_baseline(at_root).social
+        gap = (welfare_for_equilibrium(at_root, mandate_equilibrium(at_root)).social
+               - welfare_for_equilibrium(at_root, solve_baseline(at_root)).social)
         assert abs(gap) < 1e-8
 
         for i in range(10):
@@ -143,8 +143,9 @@ def test_criterion_4_welfare_cross_validation():
             # table value drifts from its effort rebuild beyond 1e-6 relative.
             eq = solve_subsidized(p) if p.s > 0 else solve_baseline(p)
             welfare_for_equilibrium(p, eq)
-            welfare_mandate(replace(p, s=0.0))
-            v = solve_integrated(replace(p, s=0.0))
+            p0 = replace(p, s=0.0)
+            welfare_for_equilibrium(p0, mandate_equilibrium(p0))
+            v = solve_integrated(p0)
             cons = 0.5 * (v.q1v**2 + v.q2v**2)
             assert abs(v.consumer - cons) <= 1e-6 * max(1.0, cons)
             assert abs(v.social - (v.profit + v.consumer)) <= 1e-6 * max(1.0, v.social)
@@ -168,7 +169,7 @@ def test_criterion_5_vertical_integration():
 
         def deltas(k: float) -> tuple[float, float]:
             p = replace(SET_A, k=k)
-            w = welfare_baseline(p)
+            w = welfare_for_equilibrium(p, solve_baseline(p))
             out = solve_integrated(p)
             return out.profit - (w.dev1 + w.deployer), out.consumer - w.consumer
 

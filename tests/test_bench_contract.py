@@ -10,6 +10,9 @@ import importlib
 import inspect
 from pathlib import Path
 
+import fmgame.closed_form
+import fmgame.extensions
+
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
@@ -31,3 +34,9 @@ def test_every_traced_name_is_a_package_function():
         if not inspect.isfunction(obj):
             missing.append(name)
     assert not missing, "traced names with no function behind them: " + ", ".join(missing)
+
+
+def test_the_traced_subsidized_solve_is_the_validated_solve():
+    # The traced name is a second binding of closed_form.solve, so the
+    # tracer's wrapper counts every validated solve, s = 0 included.
+    assert fmgame.extensions.solve_subsidized is fmgame.closed_form.solve

@@ -19,12 +19,12 @@ import pytest
 from fmgame import (
     ModelParams,
     k_max,
+    mandate_equilibrium,
     regime_thresholds,
     solve_integrated,
     solve_subsidized,
     validate,
     welfare_for_equilibrium,
-    welfare_mandate,
 )
 from fmgame.welfare import _k_grid
 
@@ -58,7 +58,7 @@ def _problems(p):
         "consumer": w.consumer, "social": w.social,
     }
     if p.s == 0.0:
-        wm = welfare_mandate(p)
+        wm = welfare_for_equilibrium(p, mandate_equilibrium(p))
         v = solve_integrated(p)
         numbers.update(mandate_social=wm.social, q1v=v.q1v, q2v=v.q2v,
                        integrated_social=v.social)

@@ -18,8 +18,7 @@ from fmgame import (
     solve_integrated,
     solve_subsidized,
     subsidy_comparison,
-    welfare_baseline,
-    welfare_subsidized,
+    welfare_for_equilibrium,
 )
 from fmgame.verify import random_valid_params
 
@@ -117,7 +116,8 @@ class TestIntegrationComparison:
 
     def test_subsidized_point_compared_at_s_zero(self):
         cmp = integration_comparison(SET_B)
-        base0 = welfare_baseline(replace(SET_B, s=0.0))
+        p0 = replace(SET_B, s=0.0)
+        base0 = welfare_for_equilibrium(p0, solve_baseline(p0))
         assert cmp.baseline.social == pytest.approx(base0.social, rel=1e-12)
 
 
@@ -192,12 +192,13 @@ class TestSubsidizedEquilibrium:
     def test_limit_continuity(self):
         tiny = replace(SET_B, s=1e-8)
         sub = solve_subsidized(tiny)
-        base = solve_baseline(replace(SET_B, s=0.0))
+        p0 = replace(SET_B, s=0.0)
+        base = solve_baseline(p0)
         assert sub.regime is base.regime
         assert sub.eta1 == pytest.approx(base.eta1, abs=1e-6)
         assert sub.incumbent_profit == pytest.approx(base.incumbent_profit, abs=1e-6)
-        ws = welfare_subsidized(tiny)
-        wb = welfare_baseline(replace(SET_B, s=0.0))
+        ws = welfare_for_equilibrium(tiny, sub)
+        wb = welfare_for_equilibrium(p0, base)
         assert ws.social == pytest.approx(wb.social, abs=1e-6)
 
 

@@ -26,8 +26,9 @@ from fmgame import (
     SweepSpec,
     read_config,
     run_sweep,
+    solve_baseline,
     sweep_columns,
-    welfare_baseline,
+    welfare_for_equilibrium,
     write_csv,
 )
 from fmgame.cli import _build_parser, main
@@ -236,7 +237,7 @@ class TestPolicyTable:
 
     def test_sweep_columns_come_from_each_rows_cells(self, set_b):
         twin = replace(set_b, s=0.0)
-        w = welfare_baseline(twin)
+        w = welfare_for_equilibrium(twin, solve_baseline(twin))
         for name, row in _POLICIES.items():
             cells = row.cells(set_b if row.own_s else twin, w)
             assert sweep_columns(name) == (sweep_columns("baseline")[:-1]

@@ -49,6 +49,7 @@ from fmgame.verify import (
     _check_integration_thresholds,
     _check_regime_argmax,
     _check_row_primitives,
+    _check_subsidy_limit,
     _check_threshold_shift,
     _check_trap_root,
     first_failure,
@@ -339,6 +340,27 @@ class TestSubsidyThresholdShift:
         assert not passed
         assert "k_bar_2 slope -0.0282939 differs from its central difference" in detail
 
+    def test_an_underflowing_slope_denominator_is_a_named_fail(self):
+        # An admitted point where all three slope denominators underflow to
+        # 0.0; k_bar_2 takes the central-difference route there.
+        p = ModelParams(theta=1.867215787532928e-100, c=6.526088774288573e+79,
+                        w_high=4.4549618330144236e-101, w_low=2.3867126371162283e-101,
+                        eta_cap=4.3447455484298015e+63, k=0.0, s=2.952433540371866e-102)
+        assert validate(p).ok
+        passed, detail = _check_threshold_shift(p, TOL)
+        assert not passed
+        assert detail.endswith("; k_bar_2 slope undefined: the denominator of k_bar_23's "
+                               "slope underflows to 0.0")
+
+
+def test_subsidy_limit_continuity_plays_an_s_no_larger_than_the_points_own():
+    # s = 2e-9 is admitted, but the check's 1e-8 would exceed w_low = 5e-9.
+    p = ModelParams(theta=5.0, c=1.0, w_high=1.0, w_low=5e-9, eta_cap=1.0, k=0.1, s=2e-9)
+    assert validate(p).ok
+    assert not validate(replace(p, s=1e-8)).ok
+    passed, detail = _check_subsidy_limit(p, TOL)
+    assert passed, detail
+
 
 def test_a_check_that_raises_is_its_own_named_fail(monkeypatch, capsys):
     # Harvest q2 scaled by 1 + 1e-6: the welfare cross-validation raises
@@ -367,8 +389,7 @@ def test_a_subsidy_check_that_raises_is_its_own_named_fail(monkeypatch, capsys):
     def raise_stub(params):
         raise RuntimeError("stub")
 
-    monkeypatch.setattr(verify, "solve_subsidized", raise_stub)
-    monkeypatch.setattr(verify, "welfare_subsidized", raise_stub)
+    monkeypatch.setattr(verify, "solve", raise_stub)
     _stub_oracle(monkeypatch, lambda params, config, rel_tol: None)
     assert main(["verify", "--config", str(REPO / "configs" / "set_b.cfg")]) == 1
     lines = capsys.readouterr().out.splitlines()

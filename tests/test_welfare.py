@@ -23,9 +23,7 @@ from fmgame import (
     random_valid_params,
     regime_thresholds,
     solve_baseline,
-    welfare_baseline,
     welfare_for_equilibrium,
-    welfare_mandate,
 )
 from fmgame.welfare import WelfareBreakdown
 
@@ -35,7 +33,7 @@ from test_closed_form import _random_params
 
 class TestBreakdownSetA:
     def test_defend_point(self):
-        w = welfare_baseline(SET_A)
+        w = welfare_for_equilibrium(SET_A, solve_baseline(SET_A))
         assert w.dev1 == pytest.approx(7.916666666666667, abs=1e-9)
         assert w.dev2 == 0.0
         assert w.deployer == pytest.approx(18.958333333333333, abs=1e-9)
@@ -43,7 +41,8 @@ class TestBreakdownSetA:
         assert w.social == pytest.approx(56.388888888888889, abs=1e-9)
 
     def test_harvest_point(self):
-        w = welfare_baseline(replace(SET_A, k=0.1))
+        p = replace(SET_A, k=0.1)
+        w = welfare_for_equilibrium(p, solve_baseline(p))
         assert w.dev1 == pytest.approx(7.8125, abs=1e-9)
         assert w.dev2 == pytest.approx(7.03125, abs=1e-9)
         assert w.deployer == pytest.approx(35.546875, abs=1e-9)
@@ -51,7 +50,8 @@ class TestBreakdownSetA:
         assert w.social == pytest.approx(154.150390625, abs=1e-9)
 
     def test_dominate_point(self):
-        w = welfare_baseline(replace(SET_A, k=0.25))
+        p = replace(SET_A, k=0.25)
+        w = welfare_for_equilibrium(p, solve_baseline(p))
         assert w.dev1 == pytest.approx(9.0, abs=1e-9)
         assert w.dev2 == 0.0
         assert w.deployer == pytest.approx(40.5, abs=1e-9)
@@ -59,12 +59,13 @@ class TestBreakdownSetA:
 
     def test_consumer_matches_engagement(self):
         eq = solve_baseline(SET_A)
-        w = welfare_baseline(SET_A)
+        w = welfare_for_equilibrium(SET_A, eq)
         a1, a2 = eq.q1, eq.q2
         assert w.consumer == pytest.approx((a1 * a1 + a2 * a2) / 2.0, rel=1e-12)
 
     def test_social_is_exact_sum(self):
-        w = welfare_baseline(replace(SET_A, k=0.11))
+        p = replace(SET_A, k=0.11)
+        w = welfare_for_equilibrium(p, solve_baseline(p))
         assert w.social == w.dev1 + w.dev2 + w.deployer + w.consumer
 
     def test_delta(self):
@@ -92,7 +93,7 @@ class TestMandate:
             eq = mandate_equilibrium(p)
             assert eq.regime is Regime.HARVEST
             assert eq.eta1 == p.eta_cap
-            w = welfare_mandate(p)
+            w = welfare_for_equilibrium(p, eq)
             assert w.social == pytest.approx(154.150390625, abs=1e-9)
 
     def test_slack_when_openness_already_full(self):
@@ -165,8 +166,8 @@ class TestTrapThreshold:
     def test_welfare_gap_closes_at_root(self):
         kb = openness_trap_threshold(SET_A)
         p = replace(SET_A, k=kb)
-        assert welfare_baseline(p).social == pytest.approx(
-            welfare_mandate(p).social, abs=1e-8)
+        assert welfare_for_equilibrium(p, solve_baseline(p)).social == pytest.approx(
+            welfare_for_equilibrium(p, mandate_equilibrium(p)).social, abs=1e-8)
 
     def test_root_sits_between_k_bar_1_and_k_max(self):
         kb = openness_trap_threshold(SET_A)
