@@ -21,7 +21,7 @@ import sys
 from .closed_form import eta_bar_high, eta_bar_low, regime_thresholds, scenario_profits, solve
 from .extensions import _POLICIES
 from .params import _FIELDS, InvalidParams, k_max, require_valid
-from .sweep import _SCENARIOS, ConfigError, SweepSpec, read_config, run_sweep, write_csv
+from .sweep import _SCENARIOS, SweepSpec, read_config, run_sweep, write_csv
 from .verify import run_verification
 from .welfare import welfare_for_equilibrium
 
@@ -165,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
             msg += f" (k_max = {_fmt(k_max(params))})"
         print(f"error: {msg}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except RuntimeError as exc:

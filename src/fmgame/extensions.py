@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .closed_form import Equilibrium, _solve, solve, solve_baseline
+from .closed_form import Equilibrium, _solve, solve
 from .outcomes import IntegratedOutcome
 from .params import (InvalidParams, ModelParams, Regime, ValidationReport, consumer_surplus,
                      deployer_surplus, k_max, require_valid, stay_denominator)
@@ -41,6 +41,7 @@ from .welfare import (
     PolicyComparison,
     ThresholdCrossing,
     WelfareBreakdown,
+    _against_baseline,
     _first_drift,
     _last_crossing,
     _mandate_equilibrium,
@@ -145,10 +146,6 @@ def _integration_gaps(params: ModelParams):
     return gaps
 
 
-def _gains(crossing: ThresholdCrossing, k: float) -> bool:
-    return crossing.status == "always" or (crossing.status == "crossing" and k >= crossing.value)
-
-
 def integration_comparison(params: ModelParams) -> PolicyComparison:
     """Baseline vs integrated welfare at the params' own k.
 
@@ -160,22 +157,16 @@ def integration_comparison(params: ModelParams) -> PolicyComparison:
     subsidize through), so the comparison is always against the s = 0
     baseline.
     """
-    p0 = replace(params, s=0.0)
-    base_eq = solve_baseline(p0)
-    base = welfare_for_equilibrium(p0, base_eq)
-    v = solve_integrated(p0)
-    counter = WelfareBreakdown.from_components(
-        dev1=v.profit, dev2=0.0, deployer=0.0, consumer=v.consumer,
-    )
-    th = integration_thresholds(p0)
-    gains = _gains(th.chain, params.k) + _gains(th.consumer, params.k)
-    return PolicyComparison(
-        intervention="integration",
-        region=("lose_lose", "mixed", "win_win")[gains],
-        baseline_equilibrium=base_eq,
-        baseline=base,
-        counterfactual=counter,
-    )
+    def counterfactual(p0, base_eq, base):
+        v = solve_integrated(p0)
+        th = integration_thresholds(p0)
+        gains = sum(c.status == "always" or (c.status == "crossing" and p0.k >= c.value)
+                    for c in (th.chain, th.consumer))
+        return (WelfareBreakdown.from_components(dev1=v.profit, dev2=0.0, deployer=0.0,
+                                                 consumer=v.consumer),
+                ("lose_lose", "mixed", "win_win")[gains])
+
+    return _against_baseline("integration", params, counterfactual)
 
 
 # bench/tracing.py traces this name; once it traces closed_form.solve (ROADMAP item 1), it can go.
@@ -206,20 +197,14 @@ def subsidy_comparison(params: ModelParams) -> PolicyComparison:
     require_valid(params)
     if params.s <= 0.0:
         raise InvalidParams(ValidationReport(("subsidy comparison requires s > 0",)))
-    base_params = replace(params, s=0.0)
-    base_eq = solve_baseline(base_params)
-    base = welfare_for_equilibrium(base_params, base_eq)
-    sub_eq = solve(params)
-    counter = welfare_for_equilibrium(params, sub_eq)
-    return PolicyComparison(
-        intervention="subsidy",
-        region=_SUBSIDY_REGIONS.get((base_eq.regime, sub_eq.regime), "other"),
-        baseline_equilibrium=base_eq,
-        baseline=base,
-        counterfactual=counter,
-        subsidy_spend=sub_eq.subsidy_spend,
-        sw_net_of_spend=counter.social - sub_eq.subsidy_spend,
-    )
+
+    def counterfactual(p0, base_eq, base):
+        sub_eq = solve(params)
+        counter = welfare_for_equilibrium(params, sub_eq)
+        return (counter, _SUBSIDY_REGIONS.get((base_eq.regime, sub_eq.regime), "other"),
+                sub_eq.subsidy_spend, counter.social - sub_eq.subsidy_spend)
+
+    return _against_baseline("subsidy", params, counterfactual)
 
 
 def _game_cells(eq: Equilibrium, w: WelfareBreakdown, suffix: str = "") -> tuple:

@@ -248,12 +248,25 @@ def _trap_gap(params: ModelParams):
 
 def _binding_range(params: ModelParams) -> tuple[float, float] | None:
     # (lo, hi] of k where the mandate binds, None when it is empty. The
-    # interval is opened on the left: at k_bar_1 itself the mandate does not bind.
+    # interval is opened on the left (at k_bar_1 the mandate does not bind),
+    # by at most a share of it, so a narrow range still opens below k_max.
     k_hi = k_max(params)
     k_lo = max(regime_thresholds(params).k_bar_1, 0.0)
     if k_lo >= k_hi:
         return None
-    return k_lo + 1e-12 * max(1.0, k_hi), k_hi
+    return k_lo + min(1e-12 * max(1.0, k_hi), 1e-3 * (k_hi - k_lo)), k_hi
+
+
+def _against_baseline(intervention: str, params: ModelParams, counterfactual) -> PolicyComparison:
+    # The one baseline play of every policy comparison: the s = 0 twin p0 of
+    # params is solved and priced, then counterfactual(p0, base_eq, base)
+    # returns the intervention's welfare, its region and any further
+    # PolicyComparison fields, in field order.
+    p0 = replace(params, s=0.0)
+    base_eq = solve_baseline(p0)
+    base = welfare_for_equilibrium(p0, base_eq)
+    counter, region, *rest = counterfactual(p0, base_eq, base)
+    return PolicyComparison(intervention, region, base_eq, base, counter, *rest)
 
 
 def mandate_comparison(params: ModelParams) -> PolicyComparison:
@@ -264,16 +277,10 @@ def mandate_comparison(params: ModelParams) -> PolicyComparison:
     "mandate_binding" (it binds without lowering social welfare). The
     s = 0 twin of params is played.
     """
-    params = replace(params, s=0.0)
-    base_eq = solve_baseline(params)
-    base = welfare_for_equilibrium(params, base_eq)
-    counter = welfare_for_equilibrium(params, mandate_equilibrium(params))
-    return PolicyComparison(
-        intervention="mandate",
+    def counterfactual(p0, base_eq, base):
+        counter = welfare_for_equilibrium(p0, mandate_equilibrium(p0))
         # At harvest the baseline opens fully anyway: the mandate changes nothing.
-        region=("mandate_slack" if base_eq.regime is Regime.HARVEST
-                else "trap" if counter.social < base.social else "mandate_binding"),
-        baseline_equilibrium=base_eq,
-        baseline=base,
-        counterfactual=counter,
-    )
+        return counter, ("mandate_slack" if base_eq.regime is Regime.HARVEST
+                         else "trap" if counter.social < base.social else "mandate_binding")
+
+    return _against_baseline("mandate", params, counterfactual)

@@ -9,6 +9,7 @@ seeded fuzz then draws magnitudes across most of the float range and holds every
 validate() admits to the same checks. The oracle is not run here.
 """
 
+import inspect
 import itertools
 import math
 from dataclasses import replace
@@ -16,16 +17,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fmgame
 from fmgame import (
+    InvalidParams,
     ModelParams,
+    SweepSpec,
     k_max,
     mandate_equilibrium,
     regime_thresholds,
+    run_sweep,
     solve_integrated,
     solve_subsidized,
     validate,
     welfare_for_equilibrium,
 )
+from fmgame.sweep import _SCENARIOS
 from fmgame.welfare import _k_grid
 
 from conftest import RETENTION
@@ -169,3 +175,50 @@ def test_the_top_of_a_k_range_validates_all_of_it():
             disagree.append(f"{p}: own {report.violations}, grid {grid}")
     assert n > 2500 and admitted > 2200 and lost > 200
     assert not disagree, f"{len(disagree)} of {n} points disagree:\n" + "\n".join(disagree[:10])
+
+
+# The oracle can loop forever at an admitted point (ROADMAP item 1), and
+# run_verification calls it.
+_ORACLE_CALLERS = {"compare_with_oracle", "oracle_solve_game", "oracle_solve_integrated",
+                   "run_verification"}
+
+
+def _public_calls() -> dict:
+    # call(p) for every public function whose first parameter is a ModelParams,
+    # with the further arguments it needs at p.
+    calls = {}
+    for name in fmgame.__all__:
+        f = getattr(fmgame, name)
+        if name in _ORACLE_CALLERS or not inspect.isfunction(f):
+            continue
+        first = next(iter(inspect.signature(f).parameters.values()), None)
+        if first is not None and first.annotation in ("ModelParams", ModelParams):
+            calls[name] = f
+    calls["welfare_for_equilibrium"] = lambda p: welfare_for_equilibrium(p, solve_subsidized(p))
+    # lo < hi even where k_max is 0.0; the rows past k_max are rejected, not raised.
+    calls["run_sweep"] = lambda p: [run_sweep(p, SweepSpec("k", 0.0, k_max(p) or 1.0, 3, scenario))
+                                    for scenario in _SCENARIOS]
+    return calls
+
+
+def test_public_functions_return_or_name_the_violation_at_admitted_points():
+    # Every tenth admitted corner and fuzz point, in a fixed order (all 6060
+    # take about 25 s). Among them are trap scans whose binding range is
+    # narrower than the offset that opens it.
+    calls = _public_calls()
+    assert len(calls) == 18 and "openness_trap_threshold" in calls
+    points = [p for fee_shares in FEE_SHARES for subsidized in (False, True)
+              for p in _cases(fee_shares, subsidized)]
+    points += _fuzz_cases(np.random.default_rng(20261018), 2000)
+    points = [p for p in points if validate(p).ok][::10]
+    raised = []
+    for p in points:
+        for name, call in calls.items():
+            try:
+                call(p)
+            except InvalidParams:
+                pass
+            except Exception as exc:
+                raised.append(f"{name}({p}): {type(exc).__name__}: {exc}")
+    assert len(points) == 606
+    assert not raised, f"{len(raised)} calls raise:\n" + "\n".join(raised[:10])

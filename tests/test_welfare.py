@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmgame import (
+    ModelParams,
     Regime,
     k_max,
     mandate_comparison,
@@ -179,6 +180,24 @@ class TestTrapThreshold:
         cmp = mandate_comparison(MANDATE_SCAN_OVERSHOOT)
         assert cmp.region == "mandate_binding"
         assert cmp.delta.social > 0
+
+    @pytest.mark.parametrize("p, root", [
+        # k_bar_1 < 0 and k_max = 2.5e-15: the binding range is [0, k_max].
+        (ModelParams(theta=1000.0, c=1e-6, w_high=500.0, w_low=200.0, eta_cap=1e-6, k=0.0),
+         None),
+        # The binding range (1.39e-12, 2.22e-12].
+        (ModelParams(theta=1e6, c=1e-6, w_high=4e5, w_low=1e5, eta_cap=1000.0, k=0.0),
+         2.219188997021678e-12),
+    ], ids=["whole_range", "above_k_bar_1"])
+    def test_a_range_narrower_than_the_opening_offset_is_scanned(self, p, root):
+        # 1e-12 * max(1, k_max), the offset that opens the binding range on the
+        # left, is wider than the range; the scan must still stay inside it.
+        found = openness_trap_threshold(p)
+        if root is None:
+            assert found is None
+        else:
+            assert regime_thresholds(p).k_bar_1 < found <= k_max(p)
+            assert found == pytest.approx(root, rel=1e-9)
 
     def test_absent_when_cap_is_low(self):
         # with a modest cap the dominate region lies beyond k_max and the
