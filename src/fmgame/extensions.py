@@ -35,8 +35,8 @@ import numpy as np
 
 from .closed_form import Equilibrium, _solve, solve
 from .outcomes import IntegratedOutcome
-from .params import (InvalidParams, ModelParams, Regime, ValidationReport, consumer_surplus,
-                     deployer_surplus, k_max, require_valid, stay_denominator)
+from .params import (InvalidParams, ModelParams, Regime, ValidationReport, baseline_twin,
+                     consumer_surplus, deployer_surplus, k_max, require_valid, stay_denominator)
 from .welfare import (
     PolicyComparison,
     ThresholdCrossing,
@@ -118,8 +118,7 @@ def integration_thresholds(params: ModelParams) -> IntegrationThresholds:
     (one array pass serves all three), and the last bracket is bisected on
     floats. params.k is ignored, and the s = 0 twin is played.
     """
-    params = replace(params, s=0.0)
-    require_valid(params)
+    params = baseline_twin(params)
     gaps = _integration_gaps(params)
     km = k_max(params)
     return IntegrationThresholds(*(_last_crossing(lambda k, i=i: gaps(k)[i], 0.0, km)

@@ -107,8 +107,9 @@ def golden_max(f, lo, hi):
 def bisect_root(f, lo: float, hi: float, xtol: float = 1e-13) -> float:
     """Bisection root of a scalar f with a sign change on [lo, hi].
 
-    Endpoints evaluating exactly to zero are accepted as roots. Raises
-    ValueError when f(lo) and f(hi) share a strict sign.
+    Endpoints evaluating exactly to zero are accepted as roots. Stops at a
+    bracket narrower than xtol, an absolute width (ROADMAP items 5 and 19).
+    Raises ValueError when f(lo) and f(hi) share a strict sign.
     """
     flo = f(lo)
     if flo == 0.0:

@@ -40,7 +40,7 @@ revenue ``w Q`` are one operation each and stay inline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from . import numerics
@@ -99,8 +99,7 @@ class InvalidParams(ValueError):
 
     def __reduce__(self):
         # Rebuilt from its report, not from args (the message), so that it
-        # survives pickling, as over the pipe from a verify child process to
-        # its parent.
+        # survives pickling, as a library's exceptions should.
         return type(self), (self.report,)
 
 
@@ -245,3 +244,14 @@ def require_valid(params: ModelParams) -> None:
     report = validate(params)
     if not report.ok:
         raise InvalidParams(report)
+
+
+def baseline_twin(params: ModelParams) -> ModelParams:
+    """The s = 0 twin of params, the baseline every policy analysis plays,
+    validated. Where s > 0, InvalidParams names each violation as the twin's."""
+    twin = replace(params, s=0.0)
+    violations = validate(twin).violations
+    if violations:
+        raise InvalidParams(ValidationReport(violations if params.s <= 0.0 else tuple(
+            f"s = 0 twin: {v}" for v in violations)))
+    return twin

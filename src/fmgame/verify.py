@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import os
-import pickle
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -34,7 +33,7 @@ from . import closed_form, extensions, numerics
 from .closed_form import _thresholds, regime_thresholds, scenario_profits, solve, solve_baseline
 from .extensions import _integration_gaps, integration_thresholds, solve_integrated
 from .oracle import OracleConfig, oracle_solve_game, oracle_solve_integrated
-from .params import (ModelParams, Regime, Winner, k_max, require_valid, stay_denominator,
+from .params import (ModelParams, Regime, Winner, baseline_twin, k_max, stay_denominator,
                      switch_denominator, validate)
 from .welfare import (
     _binding_range,
@@ -139,19 +138,18 @@ def run_verification(params: ModelParams, oracle_rel_tol: float = 1e-5) -> list[
 
 
 def first_failure(check, points) -> tuple[int, str] | None:
-    """(index, message) of the first point where check returns a message.
+    """(index, message) of the first point where check returns a message or
+    raises (message "raised <type>: <message>"); None if there is none.
 
-    None when check returns None at every point. With w CPUs this process
-    may use (at most one per point), this process checks the share of
-    points range(0, n, w) and w - 1 forked children the shares
-    range(j, n, w). Each stops at its first message or exception, and a
-    child sends it back over a pipe; the one at the lowest index is returned
-    or raised (an exception as itself, or as a RuntimeError naming it where
-    it does not pickle), as by a serial loop. A child that ends without
-    reporting raises RuntimeError with its exit code, and no child outlives
-    the call. Where fork or os.sched_getaffinity is missing, w is 1: every
-    point is checked in this process. check need not pickle: the children
-    inherit it, and any monkeypatch in force, from this process.
+    With w CPUs this process may use (at most one per point), this process
+    checks the share of points range(0, n, w) and w - 1 forked children the
+    shares range(j, n, w), each up to its first message, which a child sends
+    back over a pipe; the lowest index wins, as in a serial loop. A child
+    that ends without reporting raises RuntimeError with its exit code, and
+    no child outlives the call. Where fork or os.sched_getaffinity is
+    missing, w is 1: every point is checked in this process. check need not
+    pickle: the children inherit it, and any monkeypatch in force, from this
+    process.
     """
     import multiprocessing
 
@@ -176,10 +174,7 @@ def first_failure(check, points) -> tuple[int, str] | None:
                 child.join()
                 raise RuntimeError(f"a child checking points ended with exit code "
                                    f"{child.exitcode} before it reported") from None
-        found = min(filter(None, events), default=None, key=lambda event: event[0])
-        if found is not None and isinstance(found[1], Exception):
-            raise found[1]
-        return found
+        return min(filter(None, events), default=None, key=lambda event: event[0])
     finally:
         for child, reader in children:
             child.kill()
@@ -188,13 +183,13 @@ def first_failure(check, points) -> tuple[int, str] | None:
 
 
 def _first_event(check, points, share):
-    # The first (index, message) or (index, exception) of check over share,
-    # in order; None if check returns None at every point of it.
+    # The first (index, message) of check over share, in order; None if
+    # check returns None at every point of it.
     for i in share:
         try:
             message = check(points[i])
-        except Exception as exc:   # an event like a message: a lower index may still win
-            return i, exc
+        except Exception as exc:   # the point's own message: a lower index may still win
+            message = f"raised {type(exc).__name__}: {exc}"
         if message is not None:
             return i, message
     return None
@@ -205,13 +200,7 @@ def _report_share(check, points, share, writer, parent: int) -> None:
     # killed by a signal it cannot handle kills no child. The watchdog thread
     # starts after the fork, so the parent forks while it runs no thread.
     threading.Thread(target=_exit_without, args=(parent,), daemon=True).start()
-    event = _first_event(check, points, share)
-    try:   # an exception that the parent could not rebuild is named instead
-        pickle.loads(pickle.dumps(event))
-    except Exception:
-        event = event[0], RuntimeError(f"a child checking points raised {type(event[1]).__name__}: "
-                                       f"{event[1]} at {event[0]}, which does not pickle")
-    writer.send(event)
+    writer.send(_first_event(check, points, share))
 
 
 def _exit_without(parent: int) -> None:
@@ -325,7 +314,7 @@ def _check_regime_argmax(params: ModelParams, oracle_rel_tol: float) -> tuple[bo
 
 def _check_baseline_welfare(params: ModelParams, oracle_rel_tol: float) -> tuple[bool, str]:
     # Welfare tables agree with rebuilds in every regime reachable at s = 0.
-    p0 = replace(params, s=0.0)   # regime_thresholds validates it
+    p0 = baseline_twin(params)
     p = replace(p0, k=np.array(_regime_sample_ks(regime_thresholds(p0), k_max(p0))))
     welfare_for_equilibrium(p, closed_form._solve(p))
     return True, ""
@@ -333,7 +322,7 @@ def _check_baseline_welfare(params: ModelParams, oracle_rel_tol: float) -> tuple
 
 def _check_mandate_flat(params: ModelParams, oracle_rel_tol: float) -> tuple[bool, str]:
     # Mandate welfare is flat in k.
-    p0 = replace(params, s=0.0)
+    p0 = baseline_twin(params)
     wm_lo, wm_hi = (welfare_for_equilibrium(p, mandate_equilibrium(p))
                     for p in (replace(p0, k=0.0), replace(p0, k=k_max(p0))))
     return abs(wm_lo.social - wm_hi.social) <= 1e-12 * max(1.0, abs(wm_lo.social)), ""
@@ -343,7 +332,7 @@ def _check_trap_root(params: ModelParams, oracle_rel_tol: float) -> tuple[bool, 
     # A trap root must hold on the binding range by _root_holds' rule, the
     # jump being where defend gives way to dominate. Without one the SW gap
     # (baseline minus mandate) must keep one sign there; the detail names it.
-    p0 = replace(params, s=0.0)
+    p0 = baseline_twin(params)
     binding = _binding_range(p0)
     if binding is None:
         return True, "mandate never binds"
@@ -385,8 +374,7 @@ def _root_holds(f, root: float, span: tuple[float, float], jumps, noun: str,
 
 def _check_effort_dominance(params: ModelParams, oracle_rel_tol: float) -> tuple[bool, str]:
     # Integrated efforts dominate decentralized period-1 effort.
-    p0 = replace(params, s=0.0, k=0.0)
-    require_valid(p0)
+    p0 = baseline_twin(params)
     p = replace(p0, k=_k_points(k_max(p0), 41))
     v, q1 = extensions._integrated(p), closed_form._solve(p).q1
     bad = ~((v.q1v > q1) & (v.q2v >= v.q1v - 1e-12))
@@ -401,7 +389,7 @@ def _check_integration_thresholds(params: ModelParams, oracle_rel_tol: float) ->
     # crossing holds on [0, k_max] by _root_holds, with the jumps at k_bar_1
     # and k_bar_2; without one the difference keeps the sign its status
     # names there.
-    p0 = replace(params, s=0.0)
+    p0 = baseline_twin(params)
     gaps = _integration_gaps(p0)
     found = integration_thresholds(p0)
     th = regime_thresholds(p0)
@@ -428,7 +416,7 @@ def _check_integration_thresholds(params: ModelParams, oracle_rel_tol: float) ->
 
 def _check_integrated_oracle(params: ModelParams, oracle_rel_tol: float) -> tuple[bool, str]:
     # Integrated oracle agrees with the closed form at this k.
-    p0 = replace(params, s=0.0)
+    p0 = baseline_twin(params)
     config = OracleConfig()
     v = solve_integrated(p0)
     vo = oracle_solve_integrated(p0, config)
@@ -511,7 +499,7 @@ def _check_threshold_shift(params: ModelParams, oracle_rel_tol: float) -> tuple[
     # min or max of two increasing functions increases). Elsewhere the slope
     # formula of the piece that binds at s must match a central difference
     # of the threshold in s.
-    p0 = replace(params, s=0.0)
+    p0 = baseline_twin(params)
     th0, th = regime_thresholds(p0), regime_thresholds(params)
     detail = f"k_bar_1 {th0.k_bar_1!r}->{th.k_bar_1!r}, k_bar_2 {th0.k_bar_2!r}->{th.k_bar_2!r}"
     ok, notes = True, []
@@ -549,7 +537,7 @@ def _check_subsidy_limit(params: ModelParams, oracle_rel_tol: float) -> tuple[bo
     # As s falls to 0 the subsidized equilibrium meets the baseline one. The
     # small s is at most params.s, so it stays within validate()'s s <= w_low.
     tiny = solve(replace(params, s=min(1e-8, params.s)))
-    base = solve_baseline(replace(params, s=0.0))
+    base = solve_baseline(baseline_twin(params))
     rel = max(
         abs(tiny.eta1 - base.eta1),
         abs(tiny.q1 - base.q1) / max(1.0, base.q1),

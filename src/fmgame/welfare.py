@@ -32,8 +32,8 @@ one policy-threshold scanner: it brackets the sign changes on its k grid
 in one array pass through the validation-free cores and bisects the last
 bracket on floats (validate() admits a point at every k up to k_max or at
 none). The trap threshold and mandate_comparison play the s = 0 twin of
-their params (the same params with s = 0); mandate_equilibrium refuses
-s > 0.
+their params (params.baseline_twin: the same params with s = 0, validated);
+mandate_equilibrium refuses s > 0.
 """
 
 from __future__ import annotations
@@ -51,10 +51,9 @@ from .closed_form import (
     _row,
     _solve,
     regime_thresholds,
-    solve_baseline,
 )
-from .params import (InvalidParams, ModelParams, ValidationReport, _rebuilt_components, k_max,
-                     require_valid)
+from .params import (InvalidParams, ModelParams, ValidationReport, _rebuilt_components,
+                     baseline_twin, k_max, require_valid)
 
 #: Relative tolerance for the table-vs-rebuild cross-validation.
 _CROSS_TOL = 1e-6
@@ -217,15 +216,17 @@ def openness_trap_threshold(params: ModelParams) -> float | None:
 
     Scans (k_bar_1, k_max] for sign changes of
     f(k) = SW_baseline(k) - SW_mandate, evaluating f once on the whole grid
-    as an array, and bisects the final bracket on floats to a k-resolution
-    of 1e-13 (so the SW gap at the root is far below 1e-8).
+    as an array, and bisects the final bracket on floats to an absolute
+    k-width of 1e-13. On a binding range narrower than about 5e-11, as
+    wherever k_max is that small, a grid cell is narrower still, and its
+    midpoint is returned unbisected, whatever the SW gap there (ROADMAP
+    items 5 and 19).
     Returns None when f never changes sign on the binding range: either the
     mandate helps everywhere it binds, or it hurts everywhere it binds (as
     when the baseline goes straight from harvest to dominate). k is the
     only moving part; params.k is ignored, and the s = 0 twin is played.
     """
-    params = replace(params, s=0.0)
-    require_valid(params)
+    params = baseline_twin(params)
     binding = _binding_range(params)
     if binding is None:
         return None   # the mandate never binds on the admissible range
@@ -262,8 +263,8 @@ def _against_baseline(intervention: str, params: ModelParams, counterfactual) ->
     # params is solved and priced, then counterfactual(p0, base_eq, base)
     # returns the intervention's welfare, its region and any further
     # PolicyComparison fields, in field order.
-    p0 = replace(params, s=0.0)
-    base_eq = solve_baseline(p0)
+    p0 = baseline_twin(params)
+    base_eq = _solve(p0)
     base = welfare_for_equilibrium(p0, base_eq)
     counter, region, *rest = counterfactual(p0, base_eq, base)
     return PolicyComparison(intervention, region, base_eq, base, counter, *rest)

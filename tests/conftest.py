@@ -31,6 +31,13 @@ RETENTION = "retention threshold undefined: 2c - k (theta - w_low + s) <= 0"
 # so do the policy scans, which reach k_max.
 RETENTION_LOST_AT_K_MAX = ModelParams(theta=5.0, c=1.0, w_high=2.5, w_low=0.5, eta_cap=1e16, k=0.1)
 
+# Admitted, but its s = 0 twin, which every policy analysis plays, is not:
+# the twin loses the retention margin at k_max.
+TWIN_NOT_ADMITTED = ModelParams(
+    theta=1.4284202199574675e-29, c=1.0088678280964032e+41, w_high=7.142101099787338e-30,
+    w_low=3.673273463951495e-30, eta_cap=4.378453683584268e+70, k=0.0,
+    s=3.214709301927186e-30)
+
 # The baseline goes straight from harvest to dominate (no defend range): the
 # mandate lowers social welfare on the whole binding range (SW gap +5.86 at
 # its low end to +9.42 at k_max), so the trap scan finds no sign change.

@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmgame import InvalidParams, ModelParams, k_max, require_valid, validate
+from fmgame import (InvalidParams, ModelParams, integration_comparison, integration_thresholds,
+                    k_max, mandate_comparison, openness_trap_threshold, require_valid,
+                    subsidy_comparison, validate)
 from fmgame.cli import main
+from fmgame.params import baseline_twin
 
-from conftest import RETENTION, RETENTION_LOST_AT_K_MAX, SET_A, SET_B
+from conftest import RETENTION, RETENTION_LOST_AT_K_MAX, SET_A, SET_B, TWIN_NOT_ADMITTED
 
 
 def test_k_max_set_a():
@@ -135,12 +138,33 @@ def test_invalid_params_carries_report():
 
 
 def test_invalid_params_survives_pickling():
-    # As an exception raised in a verify child process reaches its parent.
+    # A library's exception should pickle, as to another process.
     exc = InvalidParams(validate(replace(SET_A, theta=-1.0, c=-1.0)))
     back = pickle.loads(pickle.dumps(exc))
     assert type(back) is InvalidParams
     assert str(back) == str(exc) and back.args == exc.args
     assert back.report == exc.report
+
+
+def test_the_baseline_twin_is_the_validated_params_at_s_0():
+    assert baseline_twin(SET_B) == replace(SET_B, s=0.0)
+    # At s = 0 the twin is the point itself, and its violations are its own.
+    with pytest.raises(InvalidParams, match="^invalid parameters: k must be non-negative$"):
+        baseline_twin(replace(SET_A, k=-1.0))
+
+
+@pytest.mark.parametrize("analysis", [
+    baseline_twin, mandate_comparison, integration_comparison, subsidy_comparison,
+    openness_trap_threshold, integration_thresholds,
+], ids=lambda f: f.__name__)
+def test_a_twin_that_is_not_admitted_is_named_as_the_twin(analysis):
+    # The point itself is admitted; its s = 0 twin loses the retention
+    # margin, and each analysis that plays the twin says whose violation it is.
+    assert validate(TWIN_NOT_ADMITTED).ok
+    assert validate(replace(TWIN_NOT_ADMITTED, s=0.0)).violations == (RETENTION,)
+    with pytest.raises(InvalidParams) as raised:
+        analysis(TWIN_NOT_ADMITTED)
+    assert raised.value.report.violations == (f"s = 0 twin: {RETENTION}",)
 
 
 def _build(theta, c, w_high, low_frac, eta_cap):

@@ -1,5 +1,5 @@
 """The verify checks that can be run on their own, without the oracle, and their guard;
-and the serial route of oracle-equivalence and the pool route, which shares its k-points
+and the serial route of oracle-equivalence and the fork route, which shares its k-points
 between this process and forked children."""
 
 import itertools
@@ -24,6 +24,7 @@ from conftest import (
     SUBSIDY_HARVEST_TO_DEFEND,
     SUBSIDY_HARVEST_TO_DOMINATE,
     TRAP_AT_JUMP,
+    TWIN_NOT_ADMITTED,
     child_env,
 )
 from test_corners import _fuzz_cases
@@ -362,6 +363,17 @@ def test_subsidy_limit_continuity_plays_an_s_no_larger_than_the_points_own():
     assert passed, detail
 
 
+def test_the_checks_that_play_the_twin_name_a_twin_that_is_not_admitted():
+    # Each takes the twin from baseline_twin before any oracle call.
+    checks = dict(verify._CHECKS + verify._SUBSIDY_CHECKS)
+    for name in ("welfare-cross-validation", "mandate-welfare-flat", "trap-root",
+                 "integration-effort-dominance", "integration-thresholds",
+                 "integrated-oracle-agreement", "subsidy-threshold-shift",
+                 "subsidy-limit-continuity"):
+        with pytest.raises(InvalidParams, match="^invalid parameters: s = 0 twin: retention "):
+            checks[name](TWIN_NOT_ADMITTED, TOL)
+
+
 def test_a_check_that_raises_is_its_own_named_fail(monkeypatch, capsys):
     # Harvest q2 scaled by 1 + 1e-6: the welfare cross-validation raises
     # inside several checks. Each becomes a FAIL line named for its check,
@@ -413,7 +425,7 @@ def test_grid_refinement_names_both_plays_when_they_differ(monkeypatch):
 
 
 # oracle-equivalence shared between this process and forked children (the
-# pool route) and all in this process (the serial route, where one CPU may be
+# fork route) and all in this process (the serial route, where one CPU may be
 # used) must give the same results.
 
 def _use_cpus(monkeypatch, n: int) -> None:
@@ -432,7 +444,7 @@ def test_the_closed_form_checks_pass_on_a_seeded_corpus(monkeypatch):
     assert failed == []
 
 
-@pytest.fixture(params=[1, 2], ids=["serial", "pool"])
+@pytest.fixture(params=[1, 2], ids=["serial", "fork"])
 def route(request, monkeypatch):
     _use_cpus(monkeypatch, request.param)
     return request.param
@@ -446,7 +458,7 @@ def _oracle_ks(params):
 
 def test_routes_check_in_this_process_or_in_workers(route):
     # Point 0 is checked in this process on both routes; point 1 here on the
-    # serial route and in a forked child on the pool route.
+    # serial route and in a forked child on the fork route.
     checked_here = []
 
     def check(point):
@@ -528,16 +540,15 @@ class Odd(Exception):
 
 @pytest.mark.parametrize("hold", [threading.Lock(), None], ids=["dumps", "loads"])
 def test_a_childs_exception_that_does_not_pickle_is_named(monkeypatch, hold):
-    # On two CPUs point 3 is a child's, point 2 this process's.
+    # On two CPUs point 3 is a child's, point 2 this process's. The child
+    # sends back the exception's text, never the exception itself.
     _use_cpus(monkeypatch, 2)
 
     def check(point):
         if point == 3:
             raise Odd("odd", hold)
 
-    with pytest.raises(RuntimeError, match="^a child checking points raised Odd: odd at 3, "
-                                           "which does not pickle$"):
-        first_failure(check, list(range(6)))
+    assert first_failure(check, list(range(6))) == (3, "raised Odd: odd")
     assert multiprocessing.active_children() == []
     assert first_failure(lambda point: "lower" if point == 2 else check(point),
                          list(range(6))) == (2, "lower")
@@ -564,6 +575,8 @@ def test_grid_refinement_reuses_this_processs_k_free_grid(route):
      "raised InvalidParams: invalid parameters: c must be positive"),
 ], ids=["RuntimeError", "InvalidParams"])
 def test_an_exception_at_one_k_point_is_the_checks_fail(route, monkeypatch, exc, line):
+    # The 51st k-point raises, in this process's share on both routes; the
+    # FAIL line names it like any failed point.
     ks = _oracle_ks(SET_A)
 
     def compare(params, config, rel_tol):
@@ -572,7 +585,7 @@ def test_an_exception_at_one_k_point_is_the_checks_fail(route, monkeypatch, exc,
 
     _stub_oracle(monkeypatch, compare)
     check = {c.name: c for c in run_verification(SET_A)}["oracle-equivalence"]
-    assert (check.passed, check.detail) == (False, line)
+    assert (check.passed, check.detail) == (False, f"k={ks[50]!r}: {line}")
     assert multiprocessing.active_children() == []
 
 
