@@ -27,34 +27,42 @@ Every effort the oracle plays is the deployer's best response to the
 surplus m Q - c Q^2 / D, at a margin m fixed by one fee and a cost
 denominator D that may differ from lane to lane. With Q = D u the surplus
 equals D (m u - c u^2), and D > 0, so the best Q is D times the best unit
-effort u, whatever D is. So the oracle runs one scalar golden-section
-search of u on [0, m / c] per margin and scales it by each lane's D: the
-period-1 effort (1 + eta1) u, on the grid and at scalar candidates alike,
-the stay lanes on the grid, and both stages of the integrated firm. The
-period-1 margin at fee w1 and the stay margin at fee w2 are both
-theta + s - w, so ``oracle_solve_game`` searches u once per fee at the
-start of each call, and the period-1 and stay lanes share it: the
-retention bisection repeats no search of u at its steps, and nothing is
-kept from one call to the next. This is exact algebra on the model's own
-cost term, and u still comes from a search of the surplus, not from a
-first-order condition. Two searches keep Q as their variable:
+effort u, whatever D is. This is exact algebra on the model's own cost
+term, and u still comes from a golden-section search of the surplus on
+[0, m / c], not from a first-order condition. The period-1 margin at fee
+w1, the stay margin at fee w2 and the switch margin are all theta + s - w
+(the switch at w = w_low), so ``oracle_solve_game`` searches u once per
+parameter set, in one call of the vectorized ``numerics.golden_max`` with a
+lane per fee, whose fixed step count ends on any bracket. Every grid lane
+scales it: the period-1 efforts (1 + eta1) u, the stay lanes and the
+switch lanes. So does the period-1 effort at every scalar candidate, and
+both stages of the integrated firm scale their own unit effort at margin
+theta.
 
-- The scalar stay and switch searches (the retention bisection and the
-  played boundary) are compared with each other. At k = 0 and eta1 = 0
-  their denominators are equal, and there they must tie exactly, so both
-  search Q on the same bracket.
-- The switch lanes on the grid, one search of Q per lane. They read
-  neither k nor the period-1 fee, so they are cached for the two latest
-  (params without k, grid size) keys, and a sweep over k, as in
-  ``fmgame verify``, runs them once per parameter set. They are also the
-  one caller of the vectorized ``numerics.golden_max`` that the bench
-  traces (ROADMAP item 1).
+What does not read k is cached for the two latest (params without k, grid
+size) keys: the grid, the unit efforts, each fee's period-1 lanes, the
+switch lanes and the premium-fee guard over them. So a sweep over k, as in
+``fmgame verify``, searches u once per parameter set and grid size, and
+keeps nothing else from one call to the next. At k = 0 and eta1 = 0 the
+stay and switch denominators are both 1 + eta_cap, so there the grid's
+stay and switch lanes tie exactly and the deployer stays. The arrays a
+warm call plays the grid with are new heap each time, and each is deleted
+once read: the C allocator grows the heap for them and gives it back to the
+system after the call, so the fewer are alive at once, the fewer pages each
+call faults in again.
+
+One search keeps Q as its variable: the scalar stay and switch searches of
+the retention bisection and the played boundary, by
+``numerics.golden_max_scalar``. They are compared with each other, and at
+k = 0 and eta1 = 0 their denominators are equal and they must tie exactly,
+so both search Q on the same bracket.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -120,9 +128,12 @@ def _fees(params: ModelParams) -> tuple[float, ...]:
 
 def _unit_efforts(params: ModelParams) -> dict[float, float]:
     # The best unit effort at each fee's margin theta + s - w, which the
-    # period-1 margin at fee w1 and the stay margin at fee w2 share.
-    return {w: oracle_best_effort(params.theta + params.s - w, 1.0, params.c)
-            for w in _fees(params)}
+    # period-1 margin at fee w1, the stay margin at fee w2 and (at w_low)
+    # the switch margin share: one golden_max lane per fee, whose fixed step
+    # count ends on any bracket.
+    fees = _fees(params)
+    units = oracle_best_effort(params.theta + params.s - np.array(fees), 1.0, params.c)
+    return dict(zip(fees, units.tolist()))
 
 
 def _effort_lanes(units, w1: float, etas):
@@ -131,72 +142,91 @@ def _effort_lanes(units, w1: float, etas):
     return (1.0 + etas) * units[w1]
 
 
-def _switch_lanes(params: ModelParams, etas):
-    # The deployer's period-2 effort and surplus from switching at each
-    # openness in etas; reads neither params.k nor the period-1 fee.
-    return _surplus_at_best(params.theta + params.s - params.w_low,
-                            switch_denominator(etas, params.eta_cap), params.c)
-
-
-def _stay_lanes(params: ModelParams, units, w2: float, q1):
-    # The deployer's period-2 effort and surplus from staying with the
-    # incumbent at fee w2, after period-1 efforts q1. On an array of q1, the
-    # unit effort at w2 is scaled by each lane's cost denominator (see the
-    # module docstring); on one float, Q itself is searched.
-    m = params.theta + params.s - w2
-    d = stay_denominator(params.k, q1, params.eta_cap)
-    if not isinstance(q1, np.ndarray):
+def _period2_lanes(params: ModelParams, units, w: float, d):
+    # The deployer's period-2 effort and surplus at fee w's margin
+    # theta + s - w and cost denominators d. On an array of d, the unit
+    # effort at w is scaled by each lane's d (see the module docstring); on
+    # one float, Q itself is searched.
+    m = params.theta + params.s - w
+    if not isinstance(d, np.ndarray):
         return _surplus_at_best(m, d, params.c)
-    q = d * units[w2]
+    q = d * units[w]
     return q, deployer_surplus(m, q, params.c, d)
 
 
-def _lanes(params: ModelParams, units, w1: float, etas, switch=None):
-    # At fee w1 and each openness in etas (grid arrays or one float): the
-    # period-1 effort, then the deployer's period-2 effort and surplus from
-    # staying (incumbent at the follower fee) and from switching. switch,
-    # where given, holds the switch lanes already.
-    q1 = _effort_lanes(units, w1, etas)
-    stay = _stay_lanes(params, units, params.w_low, q1)
-    return q1, stay, _switch_lanes(params, etas) if switch is None else switch
+def _switch_lanes(params: ModelParams, units, etas):
+    # The deployer's period-2 effort and surplus from switching at each
+    # openness in etas; reads neither params.k nor the period-1 fee.
+    return _period2_lanes(params, units, params.w_low,
+                          switch_denominator(etas, params.eta_cap))
+
+
+def _lanes(params: ModelParams, units, q1, switch):
+    # From period-1 efforts q1 (grid arrays or one float) and the switch
+    # lanes at the same openness: q1, the stay cost denominator, and the
+    # deployer's period-2 effort and surplus from staying (incumbent at the
+    # follower fee) and from switching.
+    d = stay_denominator(params.k, q1, params.eta_cap)
+    return q1, d, _period2_lanes(params, units, params.w_low, d), switch
+
+
+def _lanes_at(params: ModelParams, units, w1: float, eta1: float):
+    # _lanes at fee w1 and one openness eta1, on plain floats.
+    return _lanes(params, units, _effort_lanes(units, w1, eta1),
+                  _switch_lanes(params, units, eta1))
 
 
 def _stay_gap(lanes):
     # The deployer's period-2 surplus advantage of staying at the follower
     # fee over switching, from _lanes: it stays where this is >= 0.
-    return lanes[1][1] - lanes[2][1]
+    return lanes[2][1] - lanes[3][1]
+
+
+def _premium_guard(v_switch):
+    # The switch surplus that a premium-fee stay may not strictly beat,
+    # past rounding.
+    return v_switch + 1e-9 * numerics.larger(1.0, abs(v_switch))
 
 
 @functools.lru_cache(maxsize=2)
 def _k_free_grid(params: ModelParams, n: int):
-    # The k-free lanes on the n-point grid from eta_cap down to 0, for params
-    # with k = 0: the grid and its switch lanes. Two entries hold the coarse
-    # and the fine grid of verify's refinement check. The arrays are shared
-    # by every hit, so read-only.
+    # The k-free work on the n-point grid from eta_cap down to 0, for params
+    # with k = 0: the grid, the unit efforts by fee, each fee's period-1
+    # lanes, the switch lanes and the premium guard over them. Two entries
+    # hold the coarse and the fine grid of verify's refinement check. Every
+    # hit shares them, so the arrays and both mappings by fee are read-only.
     etas = np.linspace(params.eta_cap, 0.0, n)
-    switch = _switch_lanes(params, etas)
-    for a in (etas, *switch):
+    units = _unit_efforts(params)
+    q1 = {w: _effort_lanes(units, w, etas) for w in units}
+    switch = _switch_lanes(params, units, etas)
+    guard = _premium_guard(switch[1])
+    for a in (etas, *q1.values(), *switch, guard):
         a.flags.writeable = False
-    return etas, switch
+    return etas, MappingProxyType(units), MappingProxyType(q1), switch, guard
 
 
-def _best_candidate(params: ModelParams, units, w1: float, etas, lanes):
+def _best_candidate(params: ModelParams, units, w1: float, etas, lanes, guard=None):
     # The best period-1 openness among etas (grid arrays or one float) at
     # fee w1, given _lanes there: the period-2 subgame played out, the
-    # deployer staying on ties. Returns (profit, fee, eta1, won, w2, q1, q2)
-    # of the first best lane, and the stay gaps. On one float every choice
-    # is made on plain floats.
-    q1, (q2_stay_low, _), (q2_switch, v_switch) = lanes
-    q2_stay_high, v_stay_high = _stay_lanes(params, units, params.w_high, q1)
-
-    gaps = _stay_gap(lanes)
-    wins_low = gaps >= 0
-    wins_high = v_stay_high >= v_switch
-    if numerics.any_true(v_stay_high > v_switch + 1e-9 * numerics.larger(1.0, abs(v_switch))):
+    # deployer staying on ties. guard, where given, is _premium_guard of the
+    # switch lanes. Returns (profit, fee, eta1, won, w2, q1, q2) of the first
+    # best lane, and the stay gaps. On one float every choice is made on
+    # plain floats.
+    q1, d, (q2_stay_low, v_stay_low), (q2_switch, v_switch) = lanes
+    # Each grid array is deleted once read (see the module docstring).
+    del lanes
+    gaps = v_stay_low - v_switch
+    del v_stay_low
+    q2_stay_high, v_stay_high = _period2_lanes(params, units, params.w_high, d)
+    del d
+    if numerics.any_true(v_stay_high > (_premium_guard(v_switch) if guard is None else guard)):
         raise RuntimeError(
             "oracle: period-2 premium-fee deviation won strictly; "
             "the k admissibility bound is wrong for these params"
         )
+    wins_low = gaps >= 0
+    wins_high = v_stay_high >= v_switch
+    del v_stay_high
 
     select = numerics.select
     rev_low = select(wins_low, params.w_low * q2_stay_low, -np.inf)
@@ -205,14 +235,16 @@ def _best_candidate(params: ModelParams, units, w1: float, etas, lanes):
     pick_high = rev_high > rev_low
     won = wins_low | wins_high
     rev2 = select(won, select(pick_high, rev_high, rev_low), 0.0)
-    w2 = select(pick_high, params.w_high, params.w_low)
-    q2 = select(won, select(pick_high, q2_stay_high, q2_stay_low), q2_switch)
-
+    del rev_low, rev_high
     profit = w1 * q1 + rev2
     eta1 = etas
     if isinstance(profit, np.ndarray):
         i = int(np.argmax(profit))
-        profit, eta1, won, w2, q1, q2 = (a[i] for a in (profit, etas, won, w2, q1, q2))
+        profit, eta1, won, pick_high, q1, q2_stay_high, q2_stay_low, q2_switch = (
+            a[i] for a in (profit, etas, won, pick_high, q1, q2_stay_high, q2_stay_low,
+                           q2_switch))
+    w2, q2_stay = (params.w_high, q2_stay_high) if pick_high else (params.w_low, q2_stay_low)
+    q2 = q2_stay if won else q2_switch
     return (float(profit), w1, float(eta1), bool(won), float(w2), float(q1), float(q2)), gaps
 
 
@@ -236,7 +268,7 @@ def _retention_boundary(params: ModelParams, units, w1: float, etas, gaps):
     probes = {}
 
     def gap_at(eta1):
-        probes[eta1] = lanes = _lanes(params, units, w1, eta1)
+        probes[eta1] = lanes = _lanes_at(params, units, w1, eta1)
         return _stay_gap(lanes)
 
     stays = gaps >= 0
@@ -251,7 +283,7 @@ def _retention_boundary(params: ModelParams, units, w1: float, etas, gaps):
         half = _WINDOW * max(1.0, params.eta_cap)
         cell = (max(a, r - half), min(b, r + half))
     edge = numerics.largest_true(lambda e: gap_at(e) >= 0, 0.0, params.eta_cap, cell)
-    return edge, probes.get(edge) or _lanes(params, units, w1, edge)
+    return edge, probes.get(edge) or _lanes_at(params, units, w1, edge)
 
 
 def oracle_solve_game(params: ModelParams, config: OracleConfig = OracleConfig()) -> Equilibrium:
@@ -268,17 +300,19 @@ def oracle_solve_game(params: ModelParams, config: OracleConfig = OracleConfig()
     searches of the bisection's probe there), so defend/dominate optima are
     located to bisection precision, not grid precision. Candidate order (premium fee
     first, the grid in descending openness before the boundary) implements
-    the documented tie preferences. The switch lanes of the grid are reused
-    from an earlier call with the same params apart from k and the same
-    grid size. The play found gives the welfare entries and the outlay.
+    the documented tie preferences. The grid's k-free work (the unit
+    efforts, each fee's period-1 lanes, the switch lanes and the premium-fee
+    guard) is reused from an earlier call with the same params apart from k
+    and the same grid size. The play found gives the welfare entries and the
+    outlay.
     """
     require_valid(params)
-    etas, switch = _k_free_grid(replace(params, k=0.0), config.eta_grid_points)
-    units = _unit_efforts(params)
+    etas, units, q1, switch, guard = _k_free_grid(replace(params, k=0.0),
+                                                  config.eta_grid_points)
     best = None   # (profit, fee, eta1, won, w2, q1, q2)
     for w1 in _fees(params):
         grid, gaps = _best_candidate(params, units, w1, etas,
-                                     _lanes(params, units, w1, etas, switch))
+                                     _lanes(params, units, q1[w1], switch), guard)
         edge, lanes = _retention_boundary(params, units, w1, etas, gaps)
         boundary, _ = _best_candidate(params, units, w1, edge, lanes)
         for cand in (grid, boundary):

@@ -6,17 +6,20 @@ test here enforces that import discipline so a refactor cannot quietly
 make the cross-check circular.
 """
 
+import importlib.util
 import subprocess
 import sys
 import time
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fmgame
 from fmgame import (
     OracleConfig,
     Regime,
@@ -40,14 +43,16 @@ from fmgame.oracle import (
     _fees,
     _k_free_grid,
     _lanes,
+    _lanes_at,
+    _period2_lanes,
     _retention_boundary,
     _stay_gap,
-    _stay_lanes,
     _surplus_at_best,
+    _switch_lanes,
     _unit_efforts,
     oracle_best_effort,
 )
-from fmgame.params import deployer_surplus, stay_denominator
+from fmgame.params import deployer_surplus, stay_denominator, switch_denominator
 from fmgame.verify import compare_with_oracle, random_valid_params
 from fmgame.welfare import ThresholdCrossing, _k_grid, _last_crossing
 
@@ -329,7 +334,7 @@ class TestKFreeReuse:
             if eta1 in np.linspace(p.eta_cap, 0.0, 10001):
                 continue
             off_grid += 1
-            assert _stay_gap(_lanes(p, _unit_efforts(p), eq.w1, eta1)) >= 0, p
+            assert _stay_gap(_lanes_at(p, _unit_efforts(p), eq.w1, eta1)) >= 0, p
             assert eq.regime in (Regime.DEFEND, Regime.DOMINATE), p
         assert off_grid > 0
 
@@ -338,14 +343,13 @@ class TestKFreeReuse:
         # For each fee: the retention boundary from the grid's stay gaps
         # (changed by stub when given), the full bisection of [0, eta_cap],
         # and the grid cell where the gaps turn from switch to stay.
-        etas, switch = _k_free_grid(replace(p, k=0.0), 10001)
-        units = _unit_efforts(p)
+        etas, units, q1, switch, _ = _k_free_grid(replace(p, k=0.0), 10001)
         out = []
         for w1 in _fees(p):
-            gaps = _stay_gap(_lanes(p, units, w1, etas, switch))
+            gaps = _stay_gap(_lanes(p, units, q1[w1], switch))
             if stub is not None:
                 gaps = stub(gaps.copy())
-            full = largest_true(lambda e: _stay_gap(_lanes(p, units, w1, e)) >= 0,
+            full = largest_true(lambda e: _stay_gap(_lanes_at(p, units, w1, e)) >= 0,
                                 0.0, p.eta_cap)
             j = int(np.argmax(gaps >= 0))
             out.append((_retention_boundary(p, units, w1, etas, gaps)[0], full, etas[j]))
@@ -419,14 +423,13 @@ class TestKFreeReuse:
             km = k_max(p)
             points += [replace(p, k=k) for k in (0.0, float(rng.uniform(0.0, km)), km)]
         for p in points:
-            etas, switch = _k_free_grid(replace(p, k=0.0), 10001)
-            units = _unit_efforts(p)
+            etas, units, q1, switch, _ = _k_free_grid(replace(p, k=0.0), 10001)
             for w1 in _fees(p):
-                gaps = _stay_gap(_lanes(p, units, w1, etas, switch))
+                gaps = _stay_gap(_lanes(p, units, q1[w1], switch))
                 stays = gaps >= 0
                 j = int(np.argmax(stays)) if stays.any() else len(etas) - 1
                 cell = None if j == 0 else (float(etas[j]), float(etas[j - 1]))
-                whole = largest_true(lambda e: _stay_gap(_lanes(p, units, w1, e)) >= 0,
+                whole = largest_true(lambda e: _stay_gap(_lanes_at(p, units, w1, e)) >= 0,
                                      0.0, p.eta_cap, cell)
                 assert _retention_boundary(p, units, w1, etas, gaps)[0] == whole, (p, w1)
 
@@ -436,23 +439,27 @@ class TestKFreeReuse:
         # 60 with the whole grid cell as the guess.
         probes = 0
 
-        def counted(params, units, w1, etas, switch=None):
+        def counted(params, units, w1, eta1):
             nonlocal probes
-            probes += not isinstance(etas, np.ndarray)   # the grid's lanes are no probe
-            return _lanes(params, units, w1, etas, switch)
+            probes += 1
+            return _lanes_at(params, units, w1, eta1)
 
-        monkeypatch.setattr("fmgame.oracle._lanes", counted)
+        monkeypatch.setattr("fmgame.oracle._lanes_at", counted)
         ks = (np.arange(100) + 0.5) / 100 * k_max(SET_A)
         for k in ks:
             oracle_solve_game(replace(SET_A, k=float(k)))
         assert probes <= 30 * len(ks)
 
     def test_cached_arrays_are_read_only(self):
-        etas, switch = _k_free_grid(replace(SET_A, k=0.0), 101)
+        etas, units, q1, switch, guard = _k_free_grid(replace(SET_A, k=0.0), 101)
+        assert units.keys() == q1.keys() == set(_fees(SET_A))
         assert len(switch) == 2
-        for a in (etas, *switch):
+        for a in (etas, *q1.values(), *switch, guard):
             with pytest.raises(ValueError):
                 a[0] = 0.0
+        for mapping in (units, q1):
+            with pytest.raises(TypeError):
+                mapping[SET_A.w_low] = 0.0
 
     def test_cache_holds_at_most_two_entries(self):
         config = OracleConfig(eta_grid_points=101)
@@ -474,11 +481,11 @@ class TestKFreeReuse:
         assert _k_free_grid.cache_info()[:2] == (1, 3)
 
     def test_golden_searches_per_call(self, monkeypatch):
-        # Lane counts of the golden_max calls: only the cached switch lanes,
-        # so a warm call runs none. The period-1 and stay lanes scale one unit
-        # effort searched on a plain float per fee, and the boundaries are
-        # searched on plain floats too, all by golden_max_scalar. So are both
-        # stages of the integrated firm.
+        # Lane counts of the golden_max calls: only the cached unit search,
+        # one lane per fee, so a warm call runs none. The period-1, stay and
+        # switch lanes on the grid scale its unit efforts; the stay and switch
+        # efforts at the boundaries are searched on plain floats, by
+        # golden_max_scalar, and so are both stages of the integrated firm.
         sizes = Counter()
 
         def counting(f, lo, hi):
@@ -488,9 +495,9 @@ class TestKFreeReuse:
         monkeypatch.setattr(numerics, "golden_max", counting)
         config = OracleConfig(eta_grid_points=101)
         expected = [
-            (SET_A, {101: 1}),                          # cold
+            (SET_A, {2: 1}),                            # cold
             (replace(SET_A, k=0.1), {}),                # warm
-            (replace(SET_A, w_low=2.5, k=0.0), {101: 1}),  # equal fees
+            (replace(SET_A, w_low=2.5, k=0.0), {1: 1}),  # equal fees
         ]
         _k_free_grid.cache_clear()
         for p, want in expected:
@@ -501,33 +508,34 @@ class TestKFreeReuse:
         oracle_solve_integrated(SET_A, config)
         assert sizes == {}
 
-    def test_one_unit_search_per_fee_per_call(self, monkeypatch):
-        # The period-1 and stay lanes, on the grid and at every step of the
-        # retention bisection, share one search of the unit effort (cost
-        # denominator 1.0) per fee. Nothing carries it from call to call, so
-        # a cold call, a warm call and a repeat each make the same searches.
-        margins = []
+    def test_one_unit_search_per_parameter_set_and_grid_size(self, monkeypatch):
+        # The period-1, stay and switch lanes, on the grid and at every step
+        # of the retention bisection, share one search of the unit effort
+        # (cost denominator 1.0), one lane per fee. It is cached with the
+        # grid, so only a cold call searches: a warm call and a repeat make
+        # no search, and a new grid size searches again.
+        lanes = []
 
         def counting(margin, cost_denominator, c=1.0):
             if np.ndim(cost_denominator) == 0 and cost_denominator == 1.0:
-                margins.append(margin)
+                lanes.append(np.size(margin))
             return oracle_best_effort(margin, cost_denominator, c)
 
         monkeypatch.setattr("fmgame.oracle.oracle_best_effort", counting)
-        config = OracleConfig(eta_grid_points=101)
         equal_fees = replace(SET_A, w_low=2.5, k=0.0)
         expected = [
-            (replace(SET_A, k=0.2), 2),   # cold
-            (replace(SET_A, k=0.1), 2),   # warm
-            (replace(SET_A, k=0.1), 2),   # repeat
-            (equal_fees, 1),
-            (equal_fees, 1),
+            (replace(SET_A, k=0.2), 101, [2]),   # cold
+            (replace(SET_A, k=0.1), 101, []),    # warm
+            (replace(SET_A, k=0.1), 101, []),    # repeat
+            (replace(SET_A, k=0.1), 201, [2]),   # another grid size
+            (equal_fees, 101, [1]),
+            (equal_fees, 101, []),
         ]
         _k_free_grid.cache_clear()
-        for p, fees in expected:
-            margins.clear()
-            oracle_solve_game(p, config)
-            assert len(margins) == len(set(margins)) == fees, p
+        for p, n, want in expected:
+            lanes.clear()
+            oracle_solve_game(p, OracleConfig(eta_grid_points=n))
+            assert lanes == want, (p, n)
 
     def test_verify_grid_refinement_hits_the_cache(self):
         # verify sweeps k on the default grid, then solves k = params.k on a
@@ -563,7 +571,7 @@ def test_scaled_stay_lanes_match_the_per_lane_searches():
             d = (1.0 + p.k * q1) * (1.0 + p.eta_cap)
             for w2 in (p.w_high, p.w_low):
                 m = p.theta + p.s - w2
-                q, v = _stay_lanes(p, units, w2, q1)
+                q, v = _period2_lanes(p, units, w2, d)
                 v_ref = _surplus_at_best(m, d, p.c)[1]
                 np.testing.assert_allclose(v, v_ref, rtol=1e-12, atol=0.0, err_msg=repr(p))
                 np.testing.assert_allclose(q, m * d / (2.0 * p.c), rtol=1e-9, atol=0.0,
@@ -581,16 +589,69 @@ def test_scaled_stay_lanes_match_the_per_lane_searches():
         assert got.profit == pytest.approx(v1_ref[i1] + v2_ref[i2], rel=1e-12, abs=0.0), p
 
 
+def _oracle_corpus(seed: int = 101, draws: int = 200):
+    # The bench's oracle-corpus points: its fixed corners and seeded draws.
+    # Read from bench/workloads.py, which imports only the standard library.
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads   # its dataclasses look their module up there
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return [p for _, p, _ in workloads.oracle_corpus_params(fmgame, seed, draws)]
+
+
+def test_stay_and_switch_lanes_tie_at_k0_and_eta1_0():
+    # At k = 0 and eta1 = 0 the stay and switch cost denominators are both
+    # 1 + eta_cap, and both lanes scale the unit effort at w_low, so the
+    # grid's gap is exactly 0 and the deployer stays there, as on ties.
+    for p in _oracle_corpus():
+        p0 = replace(p, k=0.0)
+        etas, units, q1, switch, _ = _k_free_grid(p0, OracleConfig().eta_grid_points)
+        assert etas[-1] == 0.0
+        for w1 in _fees(p0):
+            assert _stay_gap(_lanes(p0, units, q1[w1], switch))[-1] == 0.0, (p, w1)
+
+
+def test_scaled_switch_lanes_match_the_per_lane_search():
+    # The grid's switch lanes scale the unit effort at w_low by each lane's
+    # switch denominator; the reference searches Q on every lane, as the
+    # vectorized golden_max did before the unit effort was shared.
+    for p in _oracle_corpus():
+        etas = np.linspace(p.eta_cap, 0.0, 1001)
+        q, v = _switch_lanes(p, _unit_efforts(p), etas)
+        q_ref, v_ref = _surplus_at_best(p.theta + p.s - p.w_low,
+                                        switch_denominator(etas, p.eta_cap), p.c)
+        np.testing.assert_allclose(q, q_ref, rtol=1e-12, atol=0.0, err_msg=repr(p))
+        np.testing.assert_allclose(v, v_ref, rtol=1e-12, atol=0.0, err_msg=repr(p))
+
+
+def test_unit_search_ends_on_a_wide_bracket():
+    # At c = 1e-6 the unit effort's bracket [0, m / c] reaches 4.5e6, past
+    # 2**19, where golden_max_scalar's bracket stops shrinking (ROADMAP item
+    # 1). The unit search is one golden_max call, whose step count is fixed.
+    script = ("from fmgame import ModelParams\n"
+              "from fmgame.oracle import _unit_efforts\n"
+              "p = ModelParams(theta=5.0, c=1e-6, w_high=2.5, w_low=0.5, eta_cap=1.5, k=0.2)\n"
+              "print(all(abs(u - (p.theta - w) / (2 * p.c)) <= 1e-9 * (p.theta - w) / (2 * p.c)\n"
+              "          for w, u in _unit_efforts(p).items()))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=30, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
+
+
 def test_grid_lanes_and_scalar_candidates_share_period1_efforts():
     # A scalar candidate (the retention bisection, the played boundary)
-    # scales the same unit effort as the grid, so at a grid openness both
-    # play the same period-1 effort, to the bit.
+    # scales the same unit effort as the grid's cached period-1 lanes, so at
+    # a grid openness both play the same period-1 effort, to the bit.
     for p in (SET_A, SET_B):
-        etas = _k_free_grid(replace(p, k=0.0), 10001)[0][::50]
-        units = _unit_efforts(p)
+        etas, units, q1, _, _ = _k_free_grid(replace(p, k=0.0), 10001)
         for w1 in _fees(p):
-            lanes = _effort_lanes(units, w1, etas)
-            scalars = np.array([_effort_lanes(units, w1, e) for e in etas.tolist()])
+            lanes = q1[w1][::50]
+            scalars = np.array([_effort_lanes(units, w1, e) for e in etas[::50].tolist()])
             assert np.array_equal(lanes.view(np.int64), scalars.view(np.int64)), (p, w1)
 
 
